@@ -17,7 +17,7 @@ from .env import (
     benchmark_scenario,
     scenario_from_dict,
 )
-from .errors import ConfigError, ProtocolError, SingularityError
+from .errors import ConfigError, InvariantError, ProtocolError, SingularityError
 from .geometry import (
     AntennaLayout,
     SurfacePose,
@@ -65,6 +65,7 @@ __all__ = [
     "ConfigError",
     "EpisodeMetrics",
     "ExperimentSpec",
+    "InvariantError",
     "IsacEnv",
     "LinkMetrics",
     "Mlp",

@@ -22,7 +22,7 @@ import numpy as np
 from . import channel as ch
 from . import geometry as geo
 from . import isac
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, InvariantError, ProtocolError
 
 SCHEMES = (1, 2, 3, 4, 5)
 
@@ -404,7 +404,13 @@ class IsacEnv:
             new_positions[m, 1] = np.clip(new_positions[m, 1], -a, a)
             new_positions[m, 2] = np.clip(new_positions[m, 2], 0.0, cfg.altitude_max)
         moved = np.linalg.norm(new_positions - st.uav_positions, axis=1)
-        assert np.all(moved <= cfg.v_max * cfg.slot_duration + 1e-9)
+        limit = cfg.v_max * cfg.slot_duration + 1e-9
+        if not np.all(moved <= limit):
+            worst = int(np.argmax(moved))
+            raise InvariantError(
+                f"UAV {worst} moved {moved[worst]:.6g} m in one slot, more than v_max * slot_duration"
+                f" ({cfg.v_max * cfg.slot_duration:.6g} m)"
+            )
         st.uav_positions = new_positions
         sep = self._min_separation(new_positions, st.target_positions)
         eps1 = int(sep < cfg.d_min)

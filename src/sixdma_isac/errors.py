@@ -11,3 +11,7 @@ class ProtocolError(RuntimeError):
 
 class SingularityError(ValueError):
     """Geometry degenerated to a point where the channel model is undefined."""
+
+
+class InvariantError(RuntimeError):
+    """A simulator invariant failed: the world state is inconsistent."""

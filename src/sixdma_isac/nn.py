@@ -4,33 +4,86 @@ Sized for small actor/critic networks (two hidden layers, a few hundred
 units).  Everything is float64 so finite-difference gradient checks stay
 tight.  An ``Mlp`` is mutated only by its owning trainer; inference on a
 frozen copy is safe from any thread.
+
+Each ``Mlp`` keeps all of its parameters in one contiguous vector,
+``Mlp.flat``, laid out as w0, b0, w1, b1, ...; ``weights[k]`` and
+``biases[k]`` (and so ``parameters()``) are views into it.  ``Adam`` keeps
+its moments flat in the same layout, so one optimizer step (and one soft
+target update) is a fixed handful of in-place ufuncs over one array per
+network, whatever its depth.
+
+``Mlp.backward`` computes only the gradients its caller asks for: the
+parameter gradients, written into one flat vector in the ``flat`` layout,
+and/or the gradient with respect to the network input.  Dropping the input
+gradient skips the first layer's ``g @ W0``; dropping the parameter
+gradients skips every weight and bias product.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "linear")
+# Elementwise passes over flat vectors go this many elements at a time, so
+# the operands of a chain of in-place ufuncs stay in cache between them.
+CHUNK = 16384
+# Work arrays of at least this many elements (128 KiB, glibc's default
+# mmap threshold) are pooled in :data:`scratch`; smaller ones are not.
+POOL_MIN = 16384
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "linear":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+class Scratch(threading.local):
+    """Per-thread free lists of large float64 work arrays, keyed by shape.
+
+    An update step allocates and drops the same large temporaries on every
+    call (activations, gradients).  Freed, the C allocator may hand their
+    pages back to the OS and fault them in again on the next call; taken
+    from here and given back, they stay mapped.  The pool holds at most the
+    largest set of temporaries alive at once.  Arrays under ``POOL_MIN``
+    elements are dropped when given back, so asking for one allocates: the
+    allocator keeps those in its own bins, and pooling them would cost more
+    than it saves.  Give back only arrays that nothing else references.
+    """
+
+    def __init__(self):
+        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        stack = self._free.get(shape)
+        return stack.pop() if stack else np.empty(shape)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        for arr in arrays:
+            if arr.size >= POOL_MIN:
+                self._free.setdefault(arr.shape, []).append(arr)
 
 
-def _activation_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "tanh":
-        return 1.0 - out**2
-    if name == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+scratch = Scratch()
+
+
+def _spans(shapes) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(start, stop, shape) of arrays laid back to back in one flat vector."""
+    spans, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        spans.append((start, stop, tuple(shape)))
+        start = stop
+    return spans
+
+
+def _views(flat: np.ndarray, spans) -> list[np.ndarray]:
+    """Views of ``flat`` at the given :func:`_spans`."""
+    return [flat[start:stop].reshape(shape) for start, stop, shape in spans]
+
+
+def _param_shapes(dims) -> list[tuple[int, ...]]:
+    shapes = []
+    for din, dout in zip(dims[:-1], dims[1:]):
+        shapes.extend([(dout, din), (dout,)])
+    return shapes
 
 
 class Mlp:
@@ -52,17 +105,23 @@ class Mlp:
                 raise ValueError(f"unknown activation {act!r}")
         self.dims = dims
         self.activations = list(activations)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for k, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            bound = 1.0 / np.sqrt(din)
-            w = rng.uniform(-bound, bound, size=(dout, din))
-            b = rng.uniform(-bound, bound, size=dout)
+        self._bind(np.empty(sum(math.prod(s) for s in _param_shapes(dims))))
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
             if k == len(dims) - 2 and final_scale != 1.0:
                 w *= final_scale
                 b *= final_scale
-            self.weights.append(w)
-            self.biases.append(b)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Adopt ``flat`` as the parameter vector and rebuild the layer views."""
+        self.flat = flat
+        self._spans = _spans(_param_shapes(self.dims))
+        self._params = _views(flat, self._spans)
+        self.weights = self._params[0::2]
+        self.biases = self._params[1::2]
+        self._widest = max(self.dims[1:])
 
     @property
     def input_dim(self) -> int:
@@ -74,7 +133,7 @@ class Mlp:
 
     def param_count(self) -> int:
         """Total parameter count: sum of d_in*d_out + d_out over layers."""
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x, dtype=float)
@@ -86,60 +145,128 @@ class Mlp:
         return arr, squeezed
 
     def forward(self, x) -> np.ndarray:
-        out, _ = self.forward_cached(x)
+        out, cache = self.forward_cached(x)
+        self.release(cache, keep=cache[1][-1])
         return out
 
     def forward_cached(self, x):
-        """Forward pass returning (output, cache) for a later backward."""
+        """Forward pass returning (output, cache) for a later backward.
+
+        The cache is ``(pre, post, squeezed)``: per-layer pre-activations,
+        the input followed by per-layer activations, and whether ``x`` was
+        a single vector.  Hand its arrays back with :meth:`release` once
+        the backward pass is done.
+        """
         arr, squeezed = self._check_input(x)
+        rows = arr.shape[0]
+        # Work arrays come from the pool only when the widest layer reaches
+        # POOL_MIN elements; small calls (batch-1 inference) allocate plainly.
+        pooled = rows * self._widest >= POOL_MIN
         pre: list[np.ndarray] = []
         post: list[np.ndarray] = [arr]
         h = arr
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = h @ w.T + b
-            h = _apply_activation(act, z)
+            z = np.matmul(h, w.T, out=scratch.take((rows, w.shape[0]))) if pooled else h @ w.T
+            z += b
+            if act == "relu":
+                h = np.maximum(z, 0.0, out=scratch.take(z.shape)) if pooled else np.maximum(z, 0.0)
+            elif act == "tanh":
+                h = np.tanh(z, out=scratch.take(z.shape)) if pooled else np.tanh(z)
+            else:
+                h = z
             pre.append(z)
             post.append(h)
         out = h[0] if squeezed else h
         return out, (pre, post, squeezed)
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, param_grads: bool = True, input_grad: bool = True, out=None):
         """Backpropagate ``upstream`` (dLoss/dOutput) through the cache.
 
-        Returns ``(grads, input_grad)`` where grads is a list of (dW, db)
-        pairs aligned with the layers.
+        Returns ``(grads, input_grad)``.  ``grads`` is a list of (dW, db)
+        pairs aligned with the layers, views into ``out`` (a vector shaped
+        like ``flat``, allocated when not given), so ``out`` can go to
+        :meth:`Adam.step` as it is.  Pass ``param_grads=False`` or
+        ``input_grad=False`` to skip that part; it is then returned as None.
         """
+        if not (param_grads or input_grad):
+            raise ValueError("backward needs parameter gradients, the input gradient or both")
         pre, post, squeezed = cache
         g = np.asarray(upstream, dtype=float)
         if squeezed:
             g = g[None, :]
         if g.shape != (post[0].shape[0], self.output_dim):
             raise ValueError(f"upstream gradient shape {g.shape} does not match output")
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+        grads = None
+        if param_grads:
+            if out is None:
+                out = np.empty_like(self.flat)
+            elif out.shape != self.flat.shape:
+                raise ValueError(f"gradient vector shape {out.shape} does not match {self.flat.shape}")
+            views = _views(out, self._spans)
+            grads = list(zip(views[0::2], views[1::2]))
+        rows = g.shape[0]
+        pooled = rows * self._widest >= POOL_MIN  # as in forward_cached
+        owned = False  # g may still be the caller's array; never write into it
         for k in range(len(self.weights) - 1, -1, -1):
-            g = g * _activation_grad(self.activations[k], pre[k], post[k + 1])
-            grads[k] = (g.T @ post[k], g.sum(axis=0))
-            g = g @ self.weights[k]
-        input_grad = g[0] if squeezed else g
-        return grads, input_grad
+            act = self.activations[k]
+            if act != "linear":
+                if act == "relu":
+                    slope = pre[k] > 0.0
+                else:
+                    slope = np.square(post[k + 1])
+                    np.subtract(1.0, slope, out=slope)
+                if owned:
+                    g *= slope
+                else:
+                    g = np.multiply(g, slope, out=scratch.take(g.shape)) if pooled else g * slope
+                    owned = True
+            if param_grads:
+                dw, db = grads[k]
+                np.matmul(g.T, post[k], out=dw)
+                np.add.reduce(g, axis=0, out=db)
+            if k > 0 or input_grad:
+                w = self.weights[k]
+                below = np.matmul(g, w, out=scratch.take((rows, w.shape[1]))) if pooled else g @ w
+                if owned and pooled:
+                    scratch.give(g)
+                g, owned = below, True
+        if not input_grad:
+            if owned and pooled:
+                scratch.give(g)
+            return grads, None
+        return grads, g[0] if squeezed else g
+
+    def release(self, cache, keep=None) -> None:
+        """Give a spent cache's work arrays back to :data:`scratch`.
+
+        ``keep`` (an activation the caller still uses, such as the output)
+        stays out.  The cache is emptied, so a second release does nothing.
+        """
+        pre, post, _ = cache
+        if pre and pre[0].shape[0] * self._widest >= POOL_MIN:  # else nothing came from the pool
+            for z, h in zip(pre, post[1:]):
+                if z is not keep:
+                    scratch.give(z)
+                if h is not z and h is not keep:
+                    scratch.give(h)
+        pre.clear()
+        post.clear()
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        """Per-layer [w0, b0, w1, b1, ...], views into ``flat``."""
+        return list(self._params)
 
     def copy(self) -> "Mlp":
         dup = object.__new__(Mlp)
         dup.dims = list(self.dims)
         dup.activations = list(self.activations)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup._bind(self.flat.copy())
         return dup
 
     def copy_from(self, other: "Mlp") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst[...] = src
+        if other.dims != self.dims:
+            raise ValueError(f"cannot copy a {other.dims} network into a {self.dims} one")
+        np.copyto(self.flat, other.flat)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flat layer_dims/activation header plus row-major parameter arrays."""
@@ -159,18 +286,16 @@ class Mlp:
     def from_arrays(cls, arrays) -> "Mlp":
         dims = [int(d) for d in np.asarray(arrays["layer_dims"])]
         acts = [ACTIVATIONS[int(i)] for i in np.asarray(arrays["activations"])]
+        shapes = _param_shapes(dims)
+        params = []
+        for k in range(len(dims) - 1):
+            params.extend([np.asarray(arrays[f"w{k}"], dtype=float), np.asarray(arrays[f"b{k}"], dtype=float)])
+        if [p.shape for p in params] != shapes:
+            raise ValueError("checkpoint arrays do not match the layer-dims header")
         net = object.__new__(cls)
         net.dims = dims
         net.activations = acts
-        net.weights = []
-        net.biases = []
-        for k in range(len(dims) - 1):
-            w = np.array(arrays[f"w{k}"], dtype=float)
-            b = np.array(arrays[f"b{k}"], dtype=float)
-            if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
-                raise ValueError("checkpoint arrays do not match the layer-dims header")
-            net.weights.append(w)
-            net.biases.append(b)
+        net._bind(np.concatenate([p.ravel() for p in params]))
         return net
 
     @classmethod
@@ -180,7 +305,12 @@ class Mlp:
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter arrays."""
+    """Bias-corrected Adam with flat moment vectors.
+
+    ``params`` fixes the layout: the moments ``m`` and ``v`` are flat
+    vectors holding the given arrays back to back, so an ``Mlp``'s
+    ``parameters()`` give the layout of its ``flat`` vector.
+    """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = float(lr)
@@ -188,37 +318,85 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.shapes = [np.shape(p) for p in params]
+        self._spans = _spans(self.shapes)
+        size = sum(math.prod(s) for s in self.shapes)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+
+    def _flat(self, arrays, what: str) -> np.ndarray:
+        """``arrays`` as one flat vector: as it is if it already is one,
+        otherwise the per-layer arrays concatenated (a copy)."""
+        if isinstance(arrays, np.ndarray) and arrays.ndim == 1 and arrays.shape == self.m.shape:
+            return arrays
+        if isinstance(arrays, np.ndarray) or [np.shape(a) for a in arrays] != self.shapes:
+            raise ValueError(f"{what} layout does not match optimizer state")
+        return np.concatenate([np.ravel(a) for a in arrays])
 
     def step(self, params, grads) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("parameter/gradient count does not match optimizer state")
+        """One update of ``params`` in place.
+
+        ``params`` and ``grads`` are each either one flat vector in the
+        optimizer's layout (``Mlp.flat`` and a ``Mlp.backward`` gradient
+        vector) or a list of arrays shaped like the constructor's.
+        """
+        flat = self._flat(params, "parameter")
+        g = self._flat(grads, "gradient")
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        # Same per-element operations, in the same order, as
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
+        # taken a cache-sized chunk at a time.
+        tmp = scratch.take((min(CHUNK, flat.size),))
+        delta = scratch.take(tmp.shape)
+        for lo in range(0, flat.size, CHUNK):
+            hi = min(lo + CHUNK, flat.size)
+            p, gk, m, v = flat[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            t, d = tmp[: hi - lo], delta[: hi - lo]
+            np.multiply(gk, 1.0 - self.beta1, out=t)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += t
+            np.multiply(gk, 1.0 - self.beta2, out=t)
+            t *= gk
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            v += t
+            np.divide(v, b2c, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            np.divide(m, b1c, out=d)
+            d *= self.lr
+            d /= t
+            p -= d
+        scratch.give(tmp, delta)
+        if flat is not params:
+            for dst, src in zip(params, _views(flat, self._spans)):
+                dst[...] = src
 
     def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """Meta row plus per-layer ``m{k}``/``v{k}`` arrays."""
         arrays = {
             f"{prefix}meta": np.array([self.lr, self.beta1, self.beta2, self.eps, float(self.step_count)])
         }
-        for k, (m, v) in enumerate(zip(self.m, self.v)):
+        for k, (m, v) in enumerate(zip(_views(self.m, self._spans), _views(self.v, self._spans))):
             arrays[f"{prefix}m{k}"] = m
             arrays[f"{prefix}v{k}"] = v
         return arrays
 
     def load_arrays(self, arrays, prefix: str = "") -> None:
         meta = np.asarray(arrays[f"{prefix}meta"])
+        moments = {}
+        for name in ("m", "v"):
+            layers = [np.asarray(arrays[f"{prefix}{name}{k}"], dtype=float) for k in range(len(self.shapes))]
+            if [a.shape for a in layers] != self.shapes:
+                raise ValueError(f"optimizer state {prefix}{name}* does not match the parameter layout")
+            moments[name] = layers
         self.lr, self.beta1, self.beta2, self.eps = (float(x) for x in meta[:4])
         self.step_count = int(meta[4])
-        self.m = [np.array(arrays[f"{prefix}m{k}"], dtype=float) for k in range(len(self.m))]
-        self.v = [np.array(arrays[f"{prefix}v{k}"], dtype=float) for k in range(len(self.v))]
+        for name, flat in (("m", self.m), ("v", self.v)):
+            for dst, src in zip(_views(flat, self._spans), moments[name]):
+                dst[...] = src
 
 
 def flatten_grads(grads) -> list[np.ndarray]:

@@ -11,13 +11,15 @@ copies may serve inference concurrently.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ProtocolError
-from .nn import Adam, Mlp, flatten_grads
+from .nn import CHUNK, Adam, Mlp, scratch
 
 CHECKPOINT_VERSION = 1
 _NETWORK_FILES = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
@@ -36,6 +38,17 @@ class NoiseSchedule:
             return self.floor_std
         frac = min(max(episode, 0), self.decay_episodes) / self.decay_episodes
         return max(self.floor_std, self.initial_std - (self.initial_std - self.floor_std) * frac)
+
+
+def _mapped_zeros(shape) -> np.ndarray:
+    """A zeroed float64 array in its own anonymous memory mapping.
+
+    Pages are mapped on first write, so rows never pushed cost no resident
+    memory.  A ``np.zeros`` block of this size may instead come from the C
+    heap, where it is cleared (and so made resident) in full.
+    """
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), dtype=float, count=count).reshape(shape)
 
 
 class ReplayBuffer:
@@ -66,8 +79,7 @@ class ReplayBuffer:
         if self._storage is None:
             self._storage = {}
             for key, value in transition.items():
-                arr = np.asarray(value, dtype=float)
-                self._storage[key] = np.zeros((self.capacity, *arr.shape))
+                self._storage[key] = _mapped_zeros((self.capacity, *np.shape(value)))
         for key, store in self._storage.items():
             store[self._next] = np.asarray(transition[key], dtype=float)
         self._priorities[self._next] = self._priorities[: self._size].max() if self._size else 1.0
@@ -203,10 +215,13 @@ class Td3Agent:
         for critic, opt in ((self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2)):
             q, cache = critic.forward_cached(critic_inputs)
             err = q - y
-            losses.append(float(np.mean(err**2)))
+            losses.append(float(np.add.reduce(np.square(err), axis=None) / err.size))  # np.mean, without its overhead
             upstream = 2.0 * err / err.shape[0]
-            grads, _ = critic.backward(cache, upstream)
-            opt.step(critic.parameters(), flatten_grads(grads))
+            grad = scratch.take(critic.flat.shape)
+            critic.backward(cache, upstream, input_grad=False, out=grad)
+            critic.release(cache)
+            opt.step(critic.flat, grad)
+            scratch.give(grad)
         self.critic_update_count += 1
         return losses[0], losses[1]
 
@@ -237,12 +252,16 @@ class Td3Agent:
         q, critic_cache = self.critic1.forward_cached(inputs)
         batch = q.shape[0]
         upstream = np.full((batch, 1), -1.0 / batch)
-        _, dq_dinput = self.critic1.backward(critic_cache, upstream)
-        action_grad = dq_dinput[:, action_slice]
-        grads, _ = self.actor.backward(actor_cache, action_grad)
-        self.opt_actor.step(self.actor.parameters(), flatten_grads(grads))
+        value = -float(np.add.reduce(q, axis=None) / batch)
+        _, dq_dinput = self.critic1.backward(critic_cache, upstream, param_grads=False)
+        self.critic1.release(critic_cache)
+        grad = scratch.take(self.actor.flat.shape)
+        self.actor.backward(actor_cache, dq_dinput[:, action_slice], input_grad=False, out=grad)
+        self.actor.release(actor_cache)
+        self.opt_actor.step(self.actor.flat, grad)
+        scratch.give(grad, dq_dinput)
         self.actor_update_count += 1
-        return float(-np.mean(q))
+        return value
 
     def soft_update(self, tau: float | None = None) -> None:
         """Blend targets toward online parameters: tau*online + (1-tau)*target."""
@@ -255,9 +274,12 @@ class Td3Agent:
             (self.target_critic2, self.critic2),
         )
         for target, online in pairs:
-            for tp, op in zip(target.parameters(), online.parameters()):
+            scaled = scratch.take((min(CHUNK, online.flat.size),))
+            for lo in range(0, online.flat.size, CHUNK):
+                tp = target.flat[lo:lo + CHUNK]
                 tp *= 1.0 - t
-                tp += t * op
+                tp += np.multiply(online.flat[lo:lo + CHUNK], t, out=scaled[: len(tp)])
+            scratch.give(scaled)
 
     # ------------------------------------------------------------ checkpoints
     def _networks(self) -> dict[str, Mlp]:

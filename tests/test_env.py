@@ -9,7 +9,7 @@ from sixdma_isac.env import (
     benchmark_scenario,
     scenario_from_dict,
 )
-from sixdma_isac.errors import ConfigError, ProtocolError
+from sixdma_isac.errors import ConfigError, InvariantError, ProtocolError
 
 
 def zero_actions(env):
@@ -128,6 +128,17 @@ class TestUavKinematics:
         move = env.apply_uav_actions(acts)
         step = np.linalg.norm(move.positions - before, axis=1)
         assert np.all(step <= env.config.v_max * env.config.slot_duration + 1e-9)
+
+    def test_over_long_step_raises(self):
+        # A UAV found outside the flight box is pulled back inside in one
+        # slot, further than v_max * slot_duration: an explicit error, not
+        # an assert that vanishes under python -O.
+        env = IsacEnv(desk_scenario())
+        env.reset()
+        env.state.uav_positions[1, 0] = 10.0 * env.config.area_half_extent
+        uav, _ = zero_actions(env)
+        with pytest.raises(InvariantError, match="UAV 1 moved"):
+            env.apply_uav_actions(uav)
 
     def test_non_finite_action_rejected(self):
         env = IsacEnv(desk_scenario())

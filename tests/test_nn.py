@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sixdma_isac.nn import (
+    POOL_MIN,
     Adam,
     Mlp,
     finite_difference_gradients,
@@ -115,6 +116,128 @@ class TestBackward:
         np.testing.assert_allclose(input_grad, fd, rtol=1e-5, atol=1e-8)
 
 
+SKIP_CASES = [
+    ([5, 8, 8, 3], ["relu", "relu", "tanh"]),
+    ([6, 8, 8, 1], ["relu", "relu", "linear"]),
+    ([4, 7, 2], ["tanh", "relu"]),
+]
+
+
+class TestBackwardSkips:
+    @pytest.mark.parametrize("dims,acts", SKIP_CASES)
+    @pytest.mark.parametrize("batch", [None, 1, 6])  # None: a single squeezed vector
+    def test_partial_backward_matches_full_call(self, dims, acts, batch):
+        rng = np.random.default_rng(len(dims) * 10 + (batch or 0))
+        net = make_net(dims, acts, seed=18)
+        shape = (dims[0],) if batch is None else (batch, dims[0])
+        _, cache = net.forward_cached(rng.normal(size=shape))
+        up = rng.normal(size=shape[:-1] + (dims[-1],))
+        grads, input_grad = net.backward(cache, up)
+        params_only, none_input = net.backward(cache, up, input_grad=False)
+        none_params, input_only = net.backward(cache, up, param_grads=False)
+        assert none_input is None and none_params is None
+        assert input_grad.shape == shape
+        np.testing.assert_array_equal(input_only, input_grad)
+        for (dw, db), (dw2, db2) in zip(grads, params_only):
+            assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
+
+    @pytest.mark.parametrize("dims,acts", SKIP_CASES)
+    def test_gradients_land_in_the_given_flat_vector(self, dims, acts):
+        rng = np.random.default_rng(19)
+        net = make_net(dims, acts, seed=20)
+        _, cache = net.forward_cached(rng.normal(size=(3, dims[0])))
+        up = rng.normal(size=(3, dims[-1]))
+        out = np.full_like(net.flat, np.nan)
+        grads, _ = net.backward(cache, up, input_grad=False, out=out)
+        np.testing.assert_array_equal(out, np.concatenate([g.ravel() for g in flatten_grads(grads)]))
+        for dw, db in grads:
+            assert np.shares_memory(dw, out) and np.shares_memory(db, out)
+
+    def test_upstream_is_not_modified(self):
+        net = make_net([3, 4, 2], ["relu", "relu"], seed=21)
+        _, cache = net.forward_cached(np.random.default_rng(22).normal(size=(5, 3)))
+        up = np.random.default_rng(23).normal(size=(5, 2))
+        before = up.copy()
+        net.backward(cache, up)
+        np.testing.assert_array_equal(up, before)
+
+    def test_bad_requests_rejected(self):
+        net = make_net([3, 4, 2], ["relu", "tanh"], seed=24)
+        _, cache = net.forward_cached(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            net.backward(cache, np.ones((2, 2)), param_grads=False, input_grad=False)
+        with pytest.raises(ValueError):
+            net.backward(cache, np.ones((2, 2)), out=np.zeros(net.flat.size + 1))
+
+
+class TestScratchPool:
+    # 128 rows x 160 units reaches POOL_MIN: these calls take their work
+    # arrays from the pool and give them back.
+    DIMS, ACTS, ROWS = [8, 160, 120, 4], ["relu", "relu", "tanh"], 128
+
+    def test_pooled_forward_matches_plain_expressions(self):
+        assert self.ROWS * max(self.DIMS[1:]) >= POOL_MIN
+        net = make_net(self.DIMS, self.ACTS, seed=31)
+        x = np.random.default_rng(32).normal(size=(self.ROWS, 8))
+        for _ in range(2):  # the second pass reuses arrays the first gave back
+            h = x
+            for w, b, act in zip(net.weights, net.biases, net.activations):
+                z = h @ w.T + b
+                h = np.maximum(z, 0.0) if act == "relu" else np.tanh(z)
+            np.testing.assert_array_equal(net.forward(x), h)
+
+    def test_returned_arrays_survive_later_calls(self):
+        # forward's output and backward's input gradient are the caller's:
+        # later pooled calls must not write into them.
+        net = make_net(self.DIMS, self.ACTS, seed=33)
+        rng = np.random.default_rng(34)
+        y = net.forward(rng.normal(size=(self.ROWS, 8)))
+        out, cache = net.forward_cached(rng.normal(size=(self.ROWS, 8)))
+        _, input_grad = net.backward(cache, np.ones_like(out))
+        net.release(cache)
+        held = [y.copy(), input_grad.copy()]
+        for _ in range(2):
+            out, cache = net.forward_cached(rng.normal(size=(self.ROWS, 8)))
+            net.backward(cache, np.ones_like(out))
+            net.release(cache)
+            net.forward(rng.normal(size=(self.ROWS, 8)))
+        np.testing.assert_array_equal(y, held[0])
+        np.testing.assert_array_equal(input_grad, held[1])
+
+
+def assert_params_alias_flat(net):
+    assert net.flat.ndim == 1 and net.flat.size == net.param_count()
+    for p in net.parameters():
+        assert np.shares_memory(p, net.flat)
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.flat)
+
+
+class TestFlatStorage:
+    def test_new_copied_and_loaded_networks_alias_their_flat_vector(self, tmp_path):
+        net = make_net([5, 7, 3], ["relu", "tanh"], seed=25)
+        assert_params_alias_flat(net)
+        dup = net.copy()
+        assert_params_alias_flat(dup)
+        assert not np.shares_memory(dup.flat, net.flat)
+        other = make_net([5, 7, 3], ["relu", "tanh"], seed=26)
+        other.copy_from(net)
+        assert_params_alias_flat(other)
+        np.testing.assert_array_equal(other.flat, net.flat)
+        net.save(tmp_path / "net.npz")
+        assert_params_alias_flat(Mlp.load(tmp_path / "net.npz"))
+
+    def test_layer_views_write_through(self):
+        net = make_net([2, 3, 1], ["relu", "linear"], seed=27)
+        net.weights[1][...] = 7.0
+        net.biases[0][...] = -1.0
+        np.testing.assert_array_equal(net.flat[6:9], -1.0)
+        np.testing.assert_array_equal(net.flat[9:12], 7.0)
+
+    def test_copy_from_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            make_net([2, 3, 1], ["relu", "linear"]).copy_from(make_net([2, 4, 1], ["relu", "linear"]))
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate_sign(self):
         p = [np.array([1.0, -1.0])]
@@ -146,8 +269,57 @@ class TestAdam:
         clone = Adam([np.zeros((3, 2)), np.zeros(3)], lr=0.5)
         clone.load_arrays(arrays, "opt_")
         assert clone.step_count == opt.step_count
-        for a, b in zip(clone.m + clone.v, opt.m + opt.v):
+        np.testing.assert_array_equal(clone.m, opt.m)
+        np.testing.assert_array_equal(clone.v, opt.v)
+
+    def test_state_arrays_keep_the_per_layer_layout(self):
+        opt = Adam([np.zeros((3, 2)), np.zeros(3)], lr=0.01)
+        arrays = opt.state_arrays("opt_")
+        assert sorted(arrays) == ["opt_m0", "opt_m1", "opt_meta", "opt_v0", "opt_v1"]
+        assert arrays["opt_m0"].shape == (3, 2) and arrays["opt_v1"].shape == (3,)
+
+    def test_flat_step_matches_per_layer_reference_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        net = make_net([5, 7, 3], ["relu", "tanh"], seed=15)
+        ref_params = [p.copy() for p in net.parameters()]
+        ref_m = [np.zeros_like(p) for p in ref_params]
+        ref_v = [np.zeros_like(p) for p in ref_params]
+        opt = Adam(net.parameters(), lr=1e-2)
+        for step in range(1, 6):
+            grads = [rng.normal(size=p.shape) for p in ref_params]
+            opt.step(net.flat, np.concatenate([g.ravel() for g in grads]))
+            b1c, b2c = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for p, g, m, v in zip(ref_params, grads, ref_m, ref_v):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= 1e-2 * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+        for a, b in zip(net.parameters(), ref_params):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref_m]))
+
+    def test_list_and_flat_steps_agree(self):
+        rng = np.random.default_rng(16)
+        net = make_net([4, 6, 2], ["relu", "linear"], seed=17)
+        twin = net.copy()
+        opt_flat, opt_list = Adam(net.parameters(), lr=0.01), Adam(twin.parameters(), lr=0.01)
+        for _ in range(3):
+            grad = rng.normal(size=net.flat.size)
+            opt_flat.step(net.flat, grad)
+            layers = [grad[:24].reshape(6, 4), grad[24:30], grad[30:42].reshape(2, 6), grad[42:]]
+            opt_list.step(twin.parameters(), layers)
+        np.testing.assert_array_equal(net.flat, twin.flat)
+
+    def test_mismatched_layout_rejected(self):
+        opt = Adam([np.zeros((3, 2)), np.zeros(3)], lr=0.01)
+        with pytest.raises(ValueError):
+            opt.step(np.zeros(8), np.zeros(9))
+        with pytest.raises(ValueError):
+            opt.step([np.zeros((2, 3)), np.zeros(3)], [np.zeros((2, 3)), np.zeros(3)])
+        with pytest.raises(ValueError):
+            opt.load_arrays({"meta": np.zeros(5), "m0": np.zeros((2, 3)), "m1": np.zeros(3),
+                             "v0": np.zeros((3, 2)), "v1": np.zeros(3)})
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ import pytest
 
 from sixdma_isac.errors import ProtocolError
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import NoiseSchedule, ReplayBuffer, Td3Agent
+from sixdma_isac.rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent
 
 
 def make_agent(obs_dim=4, action_dim=2, hidden=(16, 16), seed=0, **kwargs):
@@ -309,3 +309,61 @@ class TestCheckpoints:
         obs = rng.normal(size=4)
         np.testing.assert_array_equal(agent.select_action(obs), loaded.select_action(obs))
         assert loaded.opt_critic1.step_count == agent.opt_critic1.step_count
+
+    def test_loaded_and_soft_updated_networks_alias_their_flat_vector(self, tmp_path):
+        agent = make_agent(seed=26)
+        agent.soft_update(0.5)
+        agent.save(tmp_path / "agent")
+        loaded = Td3Agent.load(tmp_path / "agent")
+        for owner in (agent, loaded):
+            for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+                net = getattr(owner, name)
+                for p in net.parameters():
+                    assert np.shares_memory(p, net.flat)
+
+    def test_loaded_agent_continues_bit_identically(self, tmp_path):
+        agent = make_agent(seed=27, policy_delay=1)
+        rng = np.random.default_rng(28)
+        for _ in range(3):
+            agent.critic_update(rng.normal(size=(8, 6)), rng.normal(size=8))
+            agent.actor_update(rng.normal(size=(8, 4)), rng.normal(size=(8, 6)), slice(4, 6))
+            agent.soft_update()
+        agent.save(tmp_path / "agent")
+        loaded = Td3Agent.load(tmp_path / "agent")
+        obs, inputs, targets = rng.normal(size=(8, 4)), rng.normal(size=(8, 6)), rng.normal(size=8)
+        for a in (agent, loaded):
+            a.critic_update(inputs, targets)
+            a.actor_update(obs, inputs, slice(4, 6))
+            a.soft_update()
+        for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+            np.testing.assert_array_equal(getattr(agent, name).flat, getattr(loaded, name).flat)
+        for opt in ("opt_actor", "opt_critic1", "opt_critic2"):
+            np.testing.assert_array_equal(getattr(agent, opt).m, getattr(loaded, opt).m)
+            np.testing.assert_array_equal(getattr(agent, opt).v, getattr(loaded, opt).v)
+
+    def test_loads_a_per_layer_optimizer_file(self, tmp_path):
+        agent = make_agent(seed=29)
+        agent.save(tmp_path / "agent")
+        assert CHECKPOINT_VERSION == 1
+        # optimizers.npz as the per-layer writer lays it out: one m{k} and
+        # v{k} array per parameter array, actor and critics prefixed.
+        rng = np.random.default_rng(30)
+        arrays, expected = {}, {}
+        for prefix, net in (("actor_", agent.actor), ("critic1_", agent.critic1), ("critic2_", agent.critic2)):
+            arrays[f"{prefix}meta"] = np.array([1e-3, 0.8, 0.99, 1e-7, 12.0])
+            for name in ("m", "v"):
+                layers = [np.abs(rng.normal(size=p.shape)) for p in net.parameters()]
+                arrays.update({f"{prefix}{name}{k}": layer for k, layer in enumerate(layers)})
+                expected[prefix + name] = np.concatenate([layer.ravel() for layer in layers])
+        np.savez(tmp_path / "agent" / "optimizers.npz", **arrays)
+        loaded = Td3Agent.load(tmp_path / "agent")
+        for prefix in ("actor_", "critic1_", "critic2_"):
+            opt = getattr(loaded, f"opt_{prefix[:-1]}")
+            assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.step_count) == (1e-3, 0.8, 0.99, 1e-7, 12)
+            np.testing.assert_array_equal(opt.m, expected[prefix + "m"])
+            np.testing.assert_array_equal(opt.v, expected[prefix + "v"])
+        loaded.save(tmp_path / "again")
+        with np.load(tmp_path / "again" / "optimizers.npz") as saved:
+            assert sorted(saved.files) == sorted(arrays)
+            for key in arrays:
+                np.testing.assert_array_equal(saved[key], arrays[key])
