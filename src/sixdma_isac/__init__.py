@@ -6,7 +6,14 @@ The package splits into a deterministic physics core (``geometry``,
 points are re-exported here.
 """
 
-from .channel import AnglePair, angles_from_positions, array_response, channel_vector, pointing_vector
+from .channel import (
+    AnglePair,
+    angles_from_positions,
+    array_response,
+    channel_matrix,
+    channel_vector,
+    pointing_vector,
+)
 from .env import (
     IsacEnv,
     Observations,
@@ -83,6 +90,7 @@ __all__ = [
     "WorldState",
     "angles_from_positions",
     "array_response",
+    "channel_matrix",
     "channel_vector",
     "cmd_compare",
     "cmd_eval",

@@ -9,6 +9,12 @@ parallel freely.
 Units: meters, seconds, radians, linear watts.  Slots are indexed
 ``0 .. num_slots-1``; surface decisions happen at slots
 ``{0, T_r, 2*T_r, ...}``.
+
+The channels of all M+J points (UAVs, then targets) are computed once per
+slot in one broadcast and shared by the slot's metrics and the
+observations that follow; kinematics and observation rows are array
+operations over all UAVs, element for element the same arithmetic as a
+per-UAV loop.
 """
 
 from __future__ import annotations
@@ -334,12 +340,18 @@ class IsacEnv:
         self.layout = config.antenna_layout()
         self.state: WorldState | None = None
         self._window_epsilon2 = 0
-        self._seed = None
+        self._channel_key = None
+        self._channel_rows = None
 
     # ------------------------------------------------------------ lifecycle
     def reset(self, seed: int = 0) -> tuple[WorldState, Observations]:
+        """Start a new episode from the configured initial state.
+
+        Rollouts are deterministic: the next state depends only on the
+        scenario and the actions.  ``seed`` is accepted for interface
+        compatibility and has no effect.
+        """
         cfg = self.config
-        self._seed = seed
         starts = cfg.uav_starts.copy()
         sep = self._min_separation(starts, cfg.target_positions)
         if sep < cfg.d_min:
@@ -392,17 +404,14 @@ class IsacEnv:
         if not np.all(np.isfinite(acts)):
             raise ValueError("UAV actions contain non-finite entries")
         a = cfg.area_half_extent
-        new_positions = st.uav_positions.copy()
-        for m in range(cfg.num_uavs):
-            raw_dir = acts[m, :3]
-            norm = np.linalg.norm(raw_dir)
-            speed = float(np.clip(cfg.v_max * (acts[m, 3] + 1.0) / 2.0, 0.0, cfg.v_max))
-            if norm > 1e-12 and speed > 0.0:
-                step = speed * cfg.slot_duration * raw_dir / norm
-                new_positions[m] = st.uav_positions[m] + step
-            new_positions[m, 0] = np.clip(new_positions[m, 0], -a, a)
-            new_positions[m, 1] = np.clip(new_positions[m, 1], -a, a)
-            new_positions[m, 2] = np.clip(new_positions[m, 2], 0.0, cfg.altitude_max)
+        raw_dir = acts[:, :3]
+        norm = geo.row_norms(raw_dir)
+        speed = np.clip(cfg.v_max * (acts[:, 3] + 1.0) / 2.0, 0.0, cfg.v_max)
+        moving = (norm > 1e-12) & (speed > 0.0)
+        step = (speed * cfg.slot_duration)[:, None] * raw_dir / np.where(moving, norm, 1.0)[:, None]
+        new_positions = np.where(moving[:, None], st.uav_positions + step, st.uav_positions)
+        new_positions[:, :2] = np.clip(new_positions[:, :2], -a, a)
+        new_positions[:, 2] = np.clip(new_positions[:, 2], 0.0, cfg.altitude_max)
         moved = np.linalg.norm(new_positions - st.uav_positions, axis=1)
         limit = cfg.v_max * cfg.slot_duration + 1e-9
         if not np.all(moved <= limit):
@@ -484,23 +493,30 @@ class IsacEnv:
         return PoseUpdate(pose, eps2, worst)
 
     # ------------------------------------------------------------ signals
-    def _channels(self) -> tuple[np.ndarray, np.ndarray]:
+    def _channel_matrix(self) -> np.ndarray:
+        """Read-only (M+J, N) channel rows, UAVs first, for the current state.
+
+        Computed once per distinct state and reused: the key holds the
+        pose object (``SurfacePose`` arrays are read-only, and holding it
+        keeps its identity from being reused) and the bytes of the UAV and
+        target positions, which callers may change in place.
+        """
         st = self._require_state()
-        cfg = self.config
-        antenna_positions = geo.global_antenna_positions(st.pose, self.layout)
-        h_uav = np.stack(
-            [
-                ch.channel_vector(st.pose.center, p, antenna_positions, cfg.wavelength)
-                for p in st.uav_positions
-            ]
-        )
-        h_tgt = np.stack(
-            [
-                ch.channel_vector(st.pose.center, p, antenna_positions, cfg.wavelength)
-                for p in st.target_positions
-            ]
-        )
-        return h_uav, h_tgt
+        key = (st.uav_positions.tobytes(), st.target_positions.tobytes())
+        cached = self._channel_key
+        if cached is None or cached[0] is not st.pose or cached[1:] != key:
+            antenna_positions = geo.global_antenna_positions(st.pose, self.layout)
+            points = np.concatenate([st.uav_positions, st.target_positions])
+            rows = ch.channel_matrix(st.pose.center, points, antenna_positions, self.config.wavelength)
+            rows.setflags(write=False)
+            self._channel_key = (st.pose, *key)
+            self._channel_rows = rows
+        return self._channel_rows
+
+    def _channels(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._channel_matrix()
+        m = self.config.num_uavs
+        return rows[:m], rows[m:]
 
     def set_precoder_action(self, beam_action) -> None:
         """Install the precoder from raw [-1, 1] outputs.
@@ -545,14 +561,11 @@ class IsacEnv:
         """Mean angle (rad) between the surface normal and UAV directions."""
         st = self._require_state()
         normal = geo.surface_normal(st.pose, self.layout)
-        angles = []
-        for p in st.uav_positions:
-            delta = p - st.pose.center
-            dist = np.linalg.norm(delta)
-            if dist < 1e-12:
-                angles.append(0.0)
-                continue
-            angles.append(float(np.arccos(np.clip(normal @ delta / dist, -1.0, 1.0))))
+        delta = st.uav_positions - st.pose.center
+        dist = geo.row_norms(delta)
+        away = dist >= 1e-12
+        cosines = np.matmul(delta[:, None, :], normal)[:, 0] / np.where(away, dist, 1.0)
+        angles = np.where(away, np.arccos(np.clip(cosines, -1.0, 1.0)), 0.0)
         return float(np.mean(angles))
 
     # ------------------------------------------------------------ rewards
@@ -647,21 +660,19 @@ class IsacEnv:
         cfg = self.config
         st = self._require_state()
         a = cfg.area_half_extent
-        t_norm = st.slot / cfg.num_slots
-        uav_obs = np.stack(
-            [
-                np.concatenate([st.uav_positions[m] / a, cfg.bs_position / a, cfg.uav_ends[m] / a, [t_norm]])
-                for m in range(cfg.num_uavs)
-            ]
-        )
-        h_uav, h_tgt = self._channels()
+        uav_scaled = st.uav_positions / a
+        uav_obs = np.empty((cfg.num_uavs, 10))
+        uav_obs[:, 0:3] = uav_scaled
+        uav_obs[:, 3:6] = cfg.bs_position / a
+        uav_obs[:, 6:9] = cfg.uav_ends / a
+        uav_obs[:, 9] = st.slot / cfg.num_slots
         ch_scale = cfg.wavelength / (4.0 * np.pi * cfg.obs_ref_distance)
-        rows = np.vstack([h_uav, h_tgt]) / ch_scale
+        rows = self._channel_matrix() / ch_scale
         # interleave per coefficient: [re, im, re, im, ...], UAV rows first
         beam_obs = np.empty(2 * rows.size)
         beam_obs[0::2] = rows.real.ravel()
         beam_obs[1::2] = rows.imag.ravel()
-        sixdma_obs = np.concatenate([cfg.bs_position / a] + [p / a for p in st.uav_positions])
+        sixdma_obs = np.concatenate([cfg.bs_position / a, uav_scaled.ravel()])
         return Observations(uav=uav_obs, beam=beam_obs, sixdma=sixdma_obs)
 
     # ------------------------------------------------------------ logging

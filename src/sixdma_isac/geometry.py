@@ -153,15 +153,27 @@ def half_space_ok(pose: SurfacePose, layout: AntennaLayout, points) -> tuple[boo
     return worst >= 0.0, worst
 
 
+def row_norms(vectors) -> np.ndarray:
+    """Euclidean norm of each row of a (P, 3) array.
+
+    Each row's dot product runs as a stacked ``matmul``, so every norm is
+    bit-identical to ``np.linalg.norm`` of that row alone (which
+    ``np.linalg.norm(axis=1)`` is not).
+    """
+    v = np.asarray(vectors, dtype=float)
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def min_pairwise_distance(points) -> float:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    if n < 2:
+    if pts.shape[0] < 2:
         return float("inf")
     deltas = pts[:, None, :] - pts[None, :, :]
     dists = np.linalg.norm(deltas, axis=-1)
-    iu = np.triu_indices(n, 1)
-    return float(dists[iu].min())
+    # the matrix is exactly symmetric, so the off-diagonal minimum is the
+    # minimum over pairs
+    np.fill_diagonal(dists, np.inf)
+    return float(dists.min())
 
 
 def validate_spacing(layout: AntennaLayout, wavelength: float) -> bool:

@@ -61,7 +61,8 @@ class ReplayBuffer:
     Fields are fixed on the first push; each later push must carry the
     same keys and shapes.  Uniform sampling draws without replacement;
     the prioritized mode draws proportionally to stored priorities (new
-    transitions enter at the current maximum priority).
+    transitions enter at the maximum stored priority).  Uniform mode
+    stores priority 1.0 for every transition.
     """
 
     def __init__(self, capacity: int, prioritized: bool = False, alpha: float = 0.6):
@@ -85,7 +86,10 @@ class ReplayBuffer:
                 self._storage[key] = _lazy_zeros((self.capacity, *np.shape(value)))
         for key, store in self._storage.items():
             store[self._next] = np.asarray(transition[key], dtype=float)
-        self._priorities[self._next] = self._priorities[: self._size].max() if self._size else 1.0
+        # uniform sampling ignores priorities and the trainer updates them only
+        # in prioritized mode, so a uniform buffer needs no O(size) scan
+        prioritized = self.prioritized and self._size
+        self._priorities[self._next] = self._priorities[: self._size].max() if prioritized else 1.0
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 

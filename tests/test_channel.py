@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.channel import (
     AnglePair,
     angles_from_positions,
     array_response,
+    channel_matrix,
     channel_vector,
     pointing_vector,
 )
 from sixdma_isac.errors import SingularityError
+from sixdma_isac.geometry import SurfacePose, global_antenna_positions, square_grid_layout
 
 
 def reference_channel(center, target, positions, wavelength):
@@ -27,6 +32,17 @@ def reference_channel(center, target, positions, wavelength):
         )
         entries.append(scale * g)
     return np.array(entries)
+
+
+def per_point_channel(center, target, positions, wavelength):
+    """One point at a time with Python-float scalars, the arithmetic the
+    channel rows must reproduce bit for bit so that rollouts stay
+    byte-stable."""
+    delta = np.asarray(target, float) - np.asarray(center, float)
+    dist = float(np.linalg.norm(delta))
+    amplitude = wavelength / (4.0 * np.pi * dist)
+    phase = np.exp(-1j * 2.0 * np.pi * dist / wavelength)
+    return amplitude * phase * array_response(delta / dist, positions, wavelength)
 
 
 class TestAngles:
@@ -154,3 +170,50 @@ class TestChannelVector:
     def test_target_at_center_is_singular(self):
         with pytest.raises(SingularityError):
             channel_vector([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [[0.0, 0.1, 0.0]], self.wavelength)
+
+
+coords = st.floats(-300.0, 300.0, allow_nan=False)
+
+
+class TestChannelMatrix:
+    wavelength = 0.125
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        center=hnp.arrays(float, 3, elements=st.floats(-50.0, 50.0)),
+        angles=hnp.arrays(float, 3, elements=st.floats(-np.pi, np.pi)),
+        offsets=hnp.arrays(float, st.tuples(st.integers(1, 8), st.just(3)), elements=coords),
+        n_side=st.integers(1, 4),
+        side_length=st.floats(0.1, 2.0),
+        wavelength=st.floats(0.01, 1.0),
+    )
+    def test_rows_equal_per_point_channels(self, center, angles, offsets, n_side, side_length, wavelength):
+        assume(np.all(np.linalg.norm(offsets, axis=1) > 1e-6))
+        positions = global_antenna_positions(SurfacePose(center, angles), square_grid_layout(n_side, side_length))
+        points = center + offsets
+        rows = channel_matrix(center, points, positions, wavelength)
+        assert rows.shape == (len(points), n_side * n_side)
+        for row, point in zip(rows, points):
+            assert np.array_equal(row, channel_vector(center, point, positions, wavelength))
+            assert np.array_equal(row, per_point_channel(center, point, positions, wavelength))
+
+    def test_matches_straight_line_oracle(self):
+        rng = np.random.default_rng(47)
+        center = np.array([0.0, 0.0, 200.0])
+        points = center + rng.normal(size=(5, 3)) * 80.0
+        positions = center + rng.normal(size=(4, 3)) * 0.3
+        want = np.stack([reference_channel(center, p, positions, self.wavelength) for p in points])
+        np.testing.assert_allclose(channel_matrix(center, points, positions, self.wavelength), want,
+                                   rtol=1e-10, atol=1e-18)
+
+    def test_any_point_at_center_is_singular(self):
+        center = np.array([1.0, 2.0, 3.0])
+        points = np.array([[10.0, 0.0, 0.0], center, [0.0, 10.0, 0.0]])
+        with pytest.raises(SingularityError):
+            channel_matrix(center, points, [[0.0, 0.1, 0.0]], self.wavelength)
+
+    def test_rejects_bad_shapes_and_wavelength(self):
+        with pytest.raises(ValueError):
+            channel_matrix(np.zeros(3), np.ones(3), [[0.0, 0.1, 0.0]], self.wavelength)
+        with pytest.raises(ValueError):
+            channel_matrix(np.zeros(3), np.ones((2, 3)), [[0.0, 0.1, 0.0]], 0.0)

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from sixdma_isac import channel as ch
 from sixdma_isac import geometry as geo
 from sixdma_isac import isac
 from sixdma_isac.env import (
     IsacEnv,
+    WorldState,
     desk_scenario,
     benchmark_scenario,
     scenario_from_dict,
 )
-from sixdma_isac.errors import ConfigError, InvariantError, ProtocolError
+from sixdma_isac.errors import ConfigError, InvariantError, ProtocolError, SingularityError
 
 
 def zero_actions(env):
@@ -464,3 +469,169 @@ class TestDeterminismAndEpisode:
                     "delta4", "delta5", "shaping", "mean_target_snr", "pointing_angle",
                     "min_uav_separation", "done"):
             assert key in parsed
+
+
+def per_uav_positions(env, acts):
+    """Reference UAV kinematics: one UAV at a time with scalar arithmetic."""
+    cfg = env.config
+    a = cfg.area_half_extent
+    old = env.state.uav_positions
+    new = old.copy()
+    for m in range(cfg.num_uavs):
+        raw_dir = acts[m, :3]
+        norm = np.linalg.norm(raw_dir)
+        speed = float(np.clip(cfg.v_max * (acts[m, 3] + 1.0) / 2.0, 0.0, cfg.v_max))
+        if norm > 1e-12 and speed > 0.0:
+            new[m] = old[m] + speed * cfg.slot_duration * raw_dir / norm
+        new[m, 0] = np.clip(new[m, 0], -a, a)
+        new[m, 1] = np.clip(new[m, 1], -a, a)
+        new[m, 2] = np.clip(new[m, 2], 0.0, cfg.altitude_max)
+    return new
+
+
+def per_uav_pointing_angle(env):
+    """Reference pointing angle: one UAV at a time."""
+    st_ = env.state
+    normal = geo.surface_normal(st_.pose, env.layout)
+    angles = []
+    for p in st_.uav_positions:
+        delta = p - st_.pose.center
+        dist = np.linalg.norm(delta)
+        if dist < 1e-12:
+            angles.append(0.0)
+            continue
+        angles.append(float(np.arccos(np.clip(normal @ delta / dist, -1.0, 1.0))))
+    return float(np.mean(angles))
+
+
+def fresh_channels(env):
+    st_ = env.state
+    positions = geo.global_antenna_positions(st_.pose, env.layout)
+    points = np.vstack([st_.uav_positions, st_.target_positions])
+    return ch.channel_matrix(st_.pose.center, points, positions, env.config.wavelength)
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+def uav_actions(count):
+    # raw actions up to 1.5 in size exercise the speed clamp; zero rows
+    # (held position) come up often enough on their own
+    return hnp.arrays(float, (count, 4), elements=st.floats(-1.5, 1.5))
+
+
+def box_positions(cfg):
+    a = cfg.area_half_extent
+    return hnp.arrays(float, (cfg.num_uavs, 3), elements=st.floats(-1.0, 1.0)).map(
+        lambda u: u * [a, a, cfg.altitude_max / 2.0] + [0.0, 0.0, cfg.altitude_max / 2.0]
+    )
+
+
+class TestSlotPhysicsMatchesPerUavLoops:
+    cfg = benchmark_scenario()
+
+    @settings(max_examples=150, deadline=None)
+    @given(positions=box_positions(cfg), acts=uav_actions(cfg.num_uavs))
+    def test_apply_uav_actions(self, positions, acts):
+        env = IsacEnv(self.cfg)
+        env.reset()
+        env.state.uav_positions = positions
+        want = per_uav_positions(env, acts)
+        move = env.apply_uav_actions(acts)
+        assert np.array_equal(move.positions, want)
+        assert move.min_separation == geo.min_pairwise_distance(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        positions=box_positions(cfg),
+        delta=hnp.arrays(float, 3, elements=unit),
+        center=hnp.arrays(float, 3, elements=unit),
+        at_center=st.booleans(),
+    )
+    def test_pointing_angle(self, positions, delta, center, at_center):
+        env = IsacEnv(self.cfg)
+        env.reset()
+        env.apply_6dma_action(delta * self.cfg.theta_max, center)
+        if at_center:  # the zero-distance branch
+            positions[0] = env.state.pose.center
+        env.state.uav_positions = positions
+        assert env.pointing_angle() == per_uav_pointing_angle(env)
+
+
+class TestChannelCache:
+    def test_in_place_position_changes_invalidate(self):
+        env = IsacEnv(desk_scenario())
+        env.reset()
+        before = env._channel_matrix().copy()
+        env.state.uav_positions[0, 1] += 1.0
+        after = env._channel_matrix()
+        assert not np.array_equal(after[0], before[0])
+        assert np.array_equal(after, fresh_channels(env))
+        env.state.target_positions[1, 2] -= 1.0
+        assert np.array_equal(env._channel_matrix(), fresh_channels(env))
+        assert not np.array_equal(env._channel_matrix()[-1], after[-1])
+
+    def test_pose_update_invalidates(self):
+        env = IsacEnv(desk_scenario())
+        env.reset()
+        before = env._channel_matrix().copy()
+        env.apply_6dma_action([0.1, -0.1, 0.05], [0.5, 0.0, -0.5])
+        after = env._channel_matrix()
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh_channels(env))
+
+    def test_one_computation_per_slot(self, monkeypatch):
+        env = IsacEnv(desk_scenario())
+        env.reset()
+        calls = []
+        real = ch.channel_matrix
+        monkeypatch.setattr(ch, "channel_matrix", lambda *args: calls.append(1) or real(*args))
+        uav, beam = zero_actions(env)
+        uav[:, 1] = uav[:, 3] = 1.0  # full speed along +Y
+        env.step_slot(uav, beam)
+        env.observations()
+        assert len(calls) == 1
+
+    def test_cached_rows_are_read_only(self):
+        env = IsacEnv(desk_scenario())
+        env.reset()
+        h_uav, h_tgt = env._channels()
+        with pytest.raises(ValueError):
+            h_uav[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            h_tgt[0, 0] = 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from([1, 2, 3, 4, 5]),
+        seed=st.integers(0, 2**32 - 1),
+        slots=st.integers(1, 20),
+    )
+    def test_observations_after_step_equal_a_fresh_env(self, scheme, seed, slots):
+        cfg = desk_scenario()
+        rng = np.random.default_rng(seed)
+        env = IsacEnv(cfg, scheme=scheme)
+        env.reset()
+        for _ in range(slots):
+            if env.is_pose_slot():
+                env.apply_6dma_action(rng.uniform(-0.2, 0.2, 3), rng.uniform(-1, 1, 3))
+            env.step_slot(rng.uniform(-1, 1, (cfg.num_uavs, 4)), rng.uniform(-1, 1, 16))
+        obs = env.observations()
+        other = IsacEnv(cfg, scheme=scheme)
+        other.reset()
+        st_ = env.state
+        other.state = WorldState(st_.slot, st_.uav_positions.copy(), st_.target_positions.copy(),
+                                 st_.pose, st_.precoder.copy(), st_.precoder_raw.copy())
+        want = other.observations()
+        assert np.array_equal(obs.uav, want.uav)
+        assert np.array_equal(obs.beam, want.beam)
+        assert np.array_equal(obs.sixdma, want.sixdma)
+
+    def test_target_at_surface_center_is_singular(self):
+        env = IsacEnv(desk_scenario())
+        env.reset()  # the initial channels are now cached
+        env.state.target_positions[1] = env.state.pose.center
+        with pytest.raises(SingularityError):
+            env.observations()
+        with pytest.raises(SingularityError):
+            env.step_metrics()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.geometry import (
     AntennaLayout,
@@ -8,6 +11,7 @@ from sixdma_isac.geometry import (
     half_space_ok,
     min_pairwise_distance,
     rotation_matrix,
+    row_norms,
     square_grid_layout,
     surface_normal,
     validate_spacing,
@@ -144,6 +148,31 @@ class TestSpacing:
         layout = AntennaLayout(np.array([[0.0, 0.0, 0.0]]), np.array([1.0, 0.0, 0.0]))
         assert min_pairwise_distance(layout.local_positions) == np.inf
         assert validate_spacing(layout, 0.125)
+
+
+point_sets = hnp.arrays(
+    float, st.tuples(st.integers(1, 9), st.just(3)), elements=st.floats(-1e3, 1e3, allow_nan=False)
+)
+
+
+class TestDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(points=point_sets)
+    def test_min_pairwise_distance_equals_upper_triangle_minimum(self, points):
+        n = len(points)
+        if n < 2:
+            assert min_pairwise_distance(points) == np.inf
+            return
+        dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        assert min_pairwise_distance(points) == dists[np.triu_indices(n, 1)].min()
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=point_sets)
+    def test_row_norms_equal_one_row_norms(self, points):
+        norms = row_norms(points)
+        assert norms.shape == (len(points),)
+        for norm, row in zip(norms, points):
+            assert norm == np.linalg.norm(row)
 
 
 class TestLayoutValidation:

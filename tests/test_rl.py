@@ -285,6 +285,20 @@ class TestReplayBuffer:
         batch, idx = buf.sample(64, np.random.default_rng(2))
         assert np.mean(idx == 3) > 0.9
 
+    def test_new_entry_priorities(self):
+        uniform = ReplayBuffer(capacity=3)
+        for k in range(7):  # wraps twice
+            uniform.push({"x": np.array([float(k)])})
+        np.testing.assert_array_equal(uniform.state_arrays()["buffer_priorities"], [1.0, 1.0, 1.0])
+        prioritized = ReplayBuffer(capacity=4, prioritized=True)
+        for k in range(3):
+            prioritized.push({"x": np.array([float(k)])})
+        prioritized.update_priorities([0, 1, 2], [5.0, 0.5, 0.25])
+        prioritized.update_priorities([0], [0.75])  # the maximum ever seen was 5.0
+        prioritized.push({"x": np.array([3.0])})
+        prioritized.push({"x": np.array([4.0])})  # wraps onto row 0
+        np.testing.assert_array_equal(prioritized.state_arrays()["buffer_priorities"], [0.75, 0.5, 0.25, 0.75])
+
     def test_state_round_trip(self):
         buf = ReplayBuffer(capacity=6)
         for k in range(4):
