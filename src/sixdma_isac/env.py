@@ -20,7 +20,7 @@ per-UAV loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +45,13 @@ def _points(v, count, name) -> np.ndarray:
     if a.shape != (count, 3):
         raise ConfigError(f"{name} must have shape ({count}, 3), got {a.shape}")
     return a
+
+
+_POSITIVE_FIELDS = (
+    "num_uavs", "num_targets", "num_antennas", "num_slots", "slot_duration", "v_max", "d_min",
+    "wavelength", "sigma_c_sq", "sigma_s_sq", "p_max", "gamma_min", "theta_max", "pose_update_period",
+    "area_half_extent", "altitude_max", "surface_side_length", "surface_box_half_extent", "center_step_limit",
+)
 
 
 @dataclass(frozen=True)
@@ -101,28 +108,8 @@ class ScenarioConfig:
             object.__setattr__(self, "obs_ref_distance", ref)
 
     def validate(self) -> None:
-        positive = {
-            "num_uavs": self.num_uavs,
-            "num_targets": self.num_targets,
-            "num_antennas": self.num_antennas,
-            "num_slots": self.num_slots,
-            "slot_duration": self.slot_duration,
-            "v_max": self.v_max,
-            "d_min": self.d_min,
-            "wavelength": self.wavelength,
-            "sigma_c_sq": self.sigma_c_sq,
-            "sigma_s_sq": self.sigma_s_sq,
-            "p_max": self.p_max,
-            "gamma_min": self.gamma_min,
-            "theta_max": self.theta_max,
-            "pose_update_period": self.pose_update_period,
-            "area_half_extent": self.area_half_extent,
-            "altitude_max": self.altitude_max,
-            "surface_side_length": self.surface_side_length,
-            "surface_box_half_extent": self.surface_box_half_extent,
-            "center_step_limit": self.center_step_limit,
-        }
-        for name, value in positive.items():
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.pose_update_period > self.num_slots:
@@ -147,39 +134,12 @@ class ScenarioConfig:
         return list(range(0, self.num_slots, self.pose_update_period))
 
     def to_dict(self) -> dict:
-        return {
-            "num_uavs": self.num_uavs,
-            "num_targets": self.num_targets,
-            "num_antennas": self.num_antennas,
-            "num_slots": self.num_slots,
-            "slot_duration": self.slot_duration,
-            "v_max": self.v_max,
-            "d_min": self.d_min,
-            "wavelength": self.wavelength,
-            "sigma_c_sq": self.sigma_c_sq,
-            "sigma_s_sq": self.sigma_s_sq,
-            "p_max": self.p_max,
-            "gamma_min": self.gamma_min,
-            "theta_max": self.theta_max,
-            "pose_update_period": self.pose_update_period,
-            "area_half_extent": self.area_half_extent,
-            "altitude_max": self.altitude_max,
-            "bs_position": self.bs_position.tolist(),
-            "initial_surface_center": self.initial_surface_center.tolist(),
-            "uav_starts": self.uav_starts.tolist(),
-            "uav_ends": self.uav_ends.tolist(),
-            "target_positions": self.target_positions.tolist(),
-            "surface_side_length": self.surface_side_length,
-            "surface_box_half_extent": self.surface_box_half_extent,
-            "center_step_limit": self.center_step_limit,
-            "collision_penalty": self.collision_penalty,
-            "blockage_penalty": self.blockage_penalty,
-            "progress_bonus_weight": self.progress_bonus_weight,
-            "pose_reward_mode": self.pose_reward_mode,
-            "scheme4_circle_radius": self.scheme4_circle_radius,
-            "include_targets_in_collision": self.include_targets_in_collision,
-            "obs_ref_distance": self.obs_ref_distance,
-        }
+        """Plain JSON-ready values in field order; arrays become nested lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
 
 
 _CONVENIENCE_KEYS = ("sigma_c_dbm", "sigma_s_dbm", "p_max_dbm", "gamma_min_db", "theta_max_deg")
@@ -537,16 +497,6 @@ class IsacEnv:
         scale = np.sqrt(cfg.p_max / (2 * n * m))
         entries = scale * (raw[0::2] + 1j * raw[1::2])
         w = entries.reshape(m, n).T  # stream-major raw layout -> (N, M)
-        st.precoder_raw = w
-        st.precoder = isac.project_power(w, cfg.p_max)
-
-    def set_precoder(self, precoder) -> None:
-        """Install an explicit complex (N, M) precoder (tests, demos)."""
-        cfg = self.config
-        st = self._require_state()
-        w = np.asarray(precoder, dtype=complex)
-        if w.shape != (cfg.num_antennas, cfg.num_uavs):
-            raise ValueError(f"precoder must be ({cfg.num_antennas}, {cfg.num_uavs})")
         st.precoder_raw = w
         st.precoder = isac.project_power(w, cfg.p_max)
 

@@ -103,9 +103,12 @@ class SurfacePose:
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(_as_vec3(self.center, "center")))
         object.__setattr__(self, "angles", _freeze(_as_vec3(self.angles, "angles")))
+        # a pose lives for a whole decision window: build its rotation once
+        object.__setattr__(self, "_rotation", _freeze(rotation_matrix(self.angles)))
 
     def rotation(self) -> np.ndarray:
-        return rotation_matrix(self.angles)
+        """The read-only ``rotation_matrix(angles)`` of this pose."""
+        return self._rotation
 
 
 def square_grid_layout(n_side: int = 2, side_length: float = 1.0) -> AntennaLayout:

@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -78,21 +79,6 @@ class ExperimentSpec:
                 raise ConfigError("sweep p_max values must be positive")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "train": self.train.to_dict(),
-            "schemes": list(self.schemes),
-            "seeds": list(self.seeds),
-            "out_dir": str(self.out_dir),
-            "sweep_pmax": list(self.sweep_pmax),
-            "sweep_tr": list(self.sweep_tr),
-            "eval_episodes": self.eval_episodes,
-            "converged_window": self.converged_window,
-            "episode_logs": self.episode_logs,
-            "snapshot_interval": self.snapshot_interval,
-        }
-
 
 def spec_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentSpec:
     data = dict(data)
@@ -101,12 +87,7 @@ def spec_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentSpec:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
     scenario_factory, train_factory = _PRESETS[preset]
     scenario = scenario_factory(**data.pop("scenario", {}))
-    train_overrides = data.pop("train", {})
-    train_cfg = (
-        train_factory(**train_overrides)
-        if preset == "desk"
-        else train_config_from_dict({**TrainConfig().to_dict(), **train_overrides})
-    )
+    train_cfg = train_config_from_dict({**train_factory().to_dict(), **data.pop("train", {})})
     out_dir = Path(data.pop("out_dir", "runs"))
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir
@@ -180,14 +161,14 @@ def content_hash(scenario: ScenarioConfig, train_cfg: TrainConfig) -> str:
 
 
 # ------------------------------------------------------------------ metrics io
+_COLUMN_TYPES = tuple(get_type_hints(EpisodeMetrics).values())
+
+
 def write_metrics_csv(path, metrics) -> None:
     """Fixed columns, repr-formatted floats: byte-stable per spec+seed."""
     lines = [",".join(METRIC_COLUMNS)]
     for m in metrics:
-        row = m.as_row()
-        cells = [str(row[0])]
-        cells += [repr(float(v)) for v in row[1:6]]
-        cells += [str(int(v)) for v in row[6:]]
+        cells = (repr(float(v)) if kind is float else str(int(v)) for kind, v in zip(_COLUMN_TYPES, m.as_row()))
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -196,22 +177,8 @@ def read_metrics_csv(path) -> list[EpisodeMetrics]:
     lines = Path(path).read_text().strip().splitlines()
     if lines[0] != ",".join(METRIC_COLUMNS):
         raise ValueError(f"unexpected metrics header in {path}")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        out.append(
-            EpisodeMetrics(
-                episode=int(cells[0]),
-                reward_uav=float(cells[1]),
-                reward_beam=float(cells[2]),
-                reward_pose=float(cells[3]),
-                sum_rate=float(cells[4]),
-                mean_snr=float(cells[5]),
-                collisions=int(cells[6]),
-                blockages=int(cells[7]),
-            )
-        )
-    return out
+    rows = (zip(_COLUMN_TYPES, line.split(",")) for line in lines[1:])
+    return [EpisodeMetrics(*(kind(cell) for kind, cell in row)) for row in rows]
 
 
 # ------------------------------------------------------------------ run execution
@@ -221,10 +188,14 @@ def _execute_run(payload: dict) -> dict:
     scenario = scenario_from_dict(payload["scenario"])
     train_cfg = train_config_from_dict(payload["train"])
     run_dir.mkdir(parents=True, exist_ok=True)
+    digest = content_hash(scenario, train_cfg)
     manifest_path = run_dir / "manifest.json"
     if payload["resume"] and manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("status") == "complete":
+            if manifest.get("content_hash") != digest:
+                raise ConfigError(f"run {payload['name']} is complete under a different config; "
+                                  "resume needs the spec it was trained with, or a fresh output directory")
             return {"name": payload["name"], "status": "skipped"}
     resume_from = None
     snapshot_dir = run_dir / "snapshots"
@@ -253,7 +224,7 @@ def _execute_run(payload: dict) -> dict:
         "seed": train_cfg.seed,
         "scenario": scenario.to_dict(),
         "train": train_cfg.to_dict(),
-        "content_hash": content_hash(scenario, train_cfg),
+        "content_hash": digest,
         "episodes": len(result.metrics),
         "status": "complete",
     }

@@ -6,6 +6,12 @@ action (scheme 2 narrows each critic to its own observation/action).  The
 surface agent acts only at decision slots and receives its reward one
 window later, aggregated over the slots its pose was live.
 
+Training and evaluation share one episode loop, :func:`_rollout`, which
+keeps the paper's slot order: on its cadence the surface agent re-poses
+the 6DMA, then the UAV agents pick flight directions, the beam agent the
+precoder, and the slot is scored.  ``train`` adds learning on top of it,
+``evaluate`` decision latencies and trajectories.
+
 Training is sequential and deterministic per seed; run several seeds as
 independent processes if parallelism is needed.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,17 +28,6 @@ import numpy as np
 from .env import IsacEnv, ScenarioConfig
 from .errors import ConfigError
 from .rl import NoiseSchedule, ReplayBuffer, Td3Agent
-
-METRIC_COLUMNS = (
-    "episode",
-    "reward_uav",
-    "reward_beam",
-    "reward_pose",
-    "sum_rate",
-    "mean_snr",
-    "collisions",
-    "blockages",
-)
 
 UAV_OBS_DIM = 10
 UAV_ACT_DIM = 4
@@ -69,35 +64,14 @@ class TrainConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def to_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "batch_size": self.batch_size,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "lr_critic": self.lr_critic,
-            "lr_actor": self.lr_actor,
-            "explore_episodes": self.explore_episodes,
-            "noise_std": self.noise_std,
-            "noise_floor": self.noise_floor,
-            "policy_delay": self.policy_delay,
-            "hidden": list(self.hidden),
-            "buffer_capacity": self.buffer_capacity,
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "smoothing_std": self.smoothing_std,
-            "prioritized_replay": self.prioritized_replay,
-            "pose_buffer_capacity": self.pose_buffer_capacity,
-        }
+        return {**asdict(self), "hidden": list(self.hidden)}
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
-    kwargs = dict(data)
-    unknown = set(kwargs) - set(TrainConfig.__dataclass_fields__)
+    unknown = set(data) - set(TrainConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown train-config keys: {sorted(unknown)}")
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
-    return TrainConfig(**kwargs)
+    return TrainConfig(**data)
 
 
 def desk_train_config(**overrides) -> TrainConfig:
@@ -136,17 +110,9 @@ class FastLayout:
     def width(self, act_beam: int) -> int:
         return self.num_uavs * (self.obs_uav + self.act_uav) + self.obs_beam + act_beam
 
-    def uav_obs_slice(self, m: int) -> slice:
-        start = m * self._uav_stride
-        return slice(start, start + self.obs_uav)
-
     def uav_act_slice(self, m: int) -> slice:
         start = m * self._uav_stride + self.obs_uav
         return slice(start, start + self.act_uav)
-
-    def beam_obs_slice(self) -> slice:
-        start = self.num_uavs * self._uav_stride
-        return slice(start, start + self.obs_beam)
 
     def beam_act_slice(self, act_beam: int) -> slice:
         start = self.num_uavs * self._uav_stride + self.obs_beam
@@ -164,13 +130,6 @@ class FastLayout:
         per_uav = np.concatenate([uav_obs, uav_act], axis=2)
         flat = per_uav.reshape(per_uav.shape[0], -1)
         return np.concatenate([flat, beam_obs, beam_act], axis=1)
-
-
-def centralized_critic_inputs(layout: FastLayout, observations, actions) -> np.ndarray:
-    """Functional wrapper over :meth:`FastLayout.build` for (obs, act) sets."""
-    uav_obs, beam_obs = observations
-    uav_act, beam_act = actions
-    return layout.build(uav_obs, uav_act, beam_obs, beam_act)
 
 
 class AgentRoster:
@@ -297,16 +256,10 @@ class EpisodeMetrics:
     blockages: int
 
     def as_row(self) -> tuple:
-        return (
-            self.episode,
-            self.reward_uav,
-            self.reward_beam,
-            self.reward_pose,
-            self.sum_rate,
-            self.mean_snr,
-            self.collisions,
-            self.blockages,
-        )
+        return astuple(self)
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics))
 
 
 @dataclass
@@ -321,6 +274,64 @@ class TrainResult:
 
 def _rng_from(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag]))
+
+
+@dataclass
+class _EpisodeSums:
+    """Per-episode totals that training and evaluation both report."""
+
+    rate: float = 0.0
+    snr: float = 0.0
+    feasible: int = 0
+    collisions: int = 0
+    blockages: int = 0
+    reward_beam: float = 0.0
+
+
+def _rollout(env: IsacEnv, roster: AgentRoster, seed: int, sums: _EpisodeSums, noise_std: float = 0.0,
+             noise_rng: np.random.Generator | None = None, latencies: dict[str, list[float]] | None = None):
+    """Run one episode in the paper's slot order, yielding after each slot.
+
+    Per slot: at decision slots the surface agent acts and the 6DMA is
+    re-posed; then UAV agents 0..M-1 act, the beam agent acts (so
+    exploration noise is drawn from ``noise_rng`` in that order), the
+    environment scores the slot and ``sums`` takes its totals.  Yields
+    ``(obs, pose, uav_actions, beam_action, outcome, next_obs)`` where
+    ``pose`` is ``(action, PoseUpdate)`` at decision slots and None
+    otherwise.  With ``latencies`` given, each agent's decision time in
+    milliseconds is appended under its roster name.
+    """
+
+    def act(name: str, agent: Td3Agent, obs: np.ndarray) -> np.ndarray:
+        if latencies is None:
+            return agent.select_action(obs, noise_std, noise_rng)
+        t0 = time.perf_counter()
+        action = agent.select_action(obs, noise_std, noise_rng)
+        latencies[name].append((time.perf_counter() - t0) * 1e3)
+        return action
+
+    cfg = env.config
+    env.reset(seed=seed)
+    obs = env.observations()
+    for _ in range(cfg.num_slots):
+        pose = None
+        if env.is_pose_slot():
+            action = act("sixdma", roster.pose_agent, obs.sixdma)
+            update = env.apply_6dma_action(action[:3] * cfg.theta_max, action[3:])
+            sums.blockages += update.epsilon2
+            pose = action, update
+        uav_actions = np.stack([act(f"uav_{m}", agent, obs.uav[m])
+                                for m, agent in enumerate(roster.uav_agents)])
+        beam_action = act("beam", roster.beam_agent, obs.beam)
+        outcome = env.step_slot(uav_actions, beam_action)
+        next_obs = env.observations()
+        sums.rate += outcome.metrics.sum_rate
+        sums.snr += outcome.mean_target_snr
+        sums.feasible += int(outcome.mean_target_snr >= cfg.gamma_min)
+        sums.collisions += outcome.epsilon1
+        sums.reward_beam += outcome.reward_beam
+        yield obs, pose, uav_actions, beam_action, outcome, next_obs
+        obs = next_obs
 
 
 def _pose_transition(env: IsacEnv, pending: PendingPoseWindow, next_obs, done: float) -> tuple[dict, float]:
@@ -402,11 +413,11 @@ def train(
 ) -> TrainResult:
     """Run the two-timescale training loop for one (scheme, seed) pair.
 
-    Per slot: at decision slots the pose agent finalizes the previous
-    window, acts, and updates; then every fast agent observes, acts, the
-    environment advances one slot, the joint transition is stored and the
-    fast critics update (actors on the delayed cadence).  Episode metrics
-    are accumulated into one row per episode.
+    Each slot of :func:`_rollout` is followed by learning: at decision
+    slots the previous window is finalized into the surface agent's
+    buffer and that agent updates; then the joint fast transition is
+    stored and the fast critics update (actors on the delayed cadence).
+    Episode metrics are accumulated into one row per episode.
 
     ``episode_log`` is an optional text stream receiving one JSON record
     per slot.  Snapshots (networks, optimizers, buffers, RNG states)
@@ -432,40 +443,24 @@ def train(
             Path(resume_from), roster, fast_buffer, pose_buffer, noise_rng, sample_rng, scenario, config
         )
 
-    theta_max = scenario.theta_max
+    num_slots = scenario.num_slots
     for episode in range(start_episode, config.episodes):
-        std = schedule.std(episode)
-        env.reset(seed=config.seed)
-        obs = env.observations()
-        pending: PendingPoseWindow | None = None
+        sums = _EpisodeSums()
         reward_uav_total = 0.0
-        reward_beam_total = 0.0
         reward_pose_total = 0.0
-        rate_sum = 0.0
-        snr_sum = 0.0
-        collisions = 0
-        blockages = 0
-        for _ in range(scenario.num_slots):
-            if env.is_pose_slot():
-                pose_obs = obs.sixdma
-                if pending is not None:
-                    transition, reward = _pose_transition(env, pending, pose_obs, 0.0)
-                    pose_buffer.push(transition)
-                    pose_transitions += 1
-                    reward_pose_total += reward
-                action = roster.pose_agent.select_action(pose_obs, std, noise_rng)
-                update = env.apply_6dma_action(action[:3] * theta_max, action[3:])
-                blockages += update.epsilon2
-                pending = PendingPoseWindow(pose_obs.copy(), action, update.epsilon2)
+        slots = _rollout(env, roster, config.seed, sums, schedule.std(episode), noise_rng)
+        for obs, pose, uav_actions, beam_action, outcome, next_obs in slots:
+            if pose is not None:
+                action, update = pose
+                pending = PendingPoseWindow(obs.sixdma.copy(), action, update.epsilon2)
                 _update_pose_agent(roster.pose_agent, pose_buffer, config.batch_size,
                                    roster.obs_pose, sample_rng)
-            uav_actions = np.stack(
-                [agent.select_action(obs.uav[m], std, noise_rng) for m, agent in enumerate(roster.uav_agents)]
-            )
-            beam_action = roster.beam_agent.select_action(obs.beam, std, noise_rng)
-            outcome = env.step_slot(uav_actions, beam_action)
-            next_obs = env.observations()
             pending.add(outcome.metrics.sum_rate, outcome.pointing_angle)
+            if outcome.done or env.is_pose_slot():  # the window ends before the next decision
+                transition, reward = _pose_transition(env, pending, next_obs.sixdma, float(outcome.done))
+                pose_buffer.push(transition)
+                pose_transitions += 1
+                reward_pose_total += reward
             fast_buffer.push(
                 {
                     "uav_obs": obs.uav,
@@ -482,27 +477,18 @@ def train(
             fast_transitions += 1
             _update_fast_agents(roster, fast_buffer, config.batch_size, sample_rng)
             reward_uav_total += float(np.mean(outcome.rewards_uav))
-            reward_beam_total += outcome.reward_beam
-            rate_sum += outcome.metrics.sum_rate
-            snr_sum += outcome.mean_target_snr
-            collisions += outcome.epsilon1
             if episode_log is not None:
                 episode_log.write(json.dumps({"episode": episode, **env.episode_record(outcome)}) + "\n")
-            obs = next_obs
-        transition, reward = _pose_transition(env, pending, obs.sixdma, 1.0)
-        pose_buffer.push(transition)
-        pose_transitions += 1
-        reward_pose_total += reward
         metrics.append(
             EpisodeMetrics(
                 episode=episode,
                 reward_uav=reward_uav_total,
-                reward_beam=reward_beam_total,
+                reward_beam=sums.reward_beam,
                 reward_pose=reward_pose_total,
-                sum_rate=rate_sum / scenario.num_slots,
-                mean_snr=snr_sum / scenario.num_slots,
-                collisions=collisions,
-                blockages=blockages,
+                sum_rate=sums.rate / num_slots,
+                mean_snr=sums.snr / num_slots,
+                collisions=sums.collisions,
+                blockages=sums.blockages,
             )
         )
         if snapshot_dir is not None and snapshot_interval and (episode + 1) % snapshot_interval == 0:
@@ -588,48 +574,21 @@ def evaluate(
     env = IsacEnv(scenario, scheme=roster.scheme)
     latencies: dict[str, list[float]] = {name: [] for name, _ in roster.all_agents()}
     rows = []
+    num_slots = scenario.num_slots
     for episode, seed in enumerate(seeds):
-        env.reset(seed=seed)
-        obs = env.observations()
-        trajectory = [env.state.uav_positions.tolist()]
-        rate_sum = 0.0
-        snr_sum = 0.0
-        feasible = 0
-        collisions = 0
-        blockages = 0
-        reward_beam_total = 0.0
-        for _ in range(scenario.num_slots):
-            if env.is_pose_slot():
-                t0 = time.perf_counter()
-                action = roster.pose_agent.select_action(obs.sixdma)
-                latencies["sixdma"].append((time.perf_counter() - t0) * 1e3)
-                update = env.apply_6dma_action(action[:3] * scenario.theta_max, action[3:])
-                blockages += update.epsilon2
-            uav_actions = []
-            for m, agent in enumerate(roster.uav_agents):
-                t0 = time.perf_counter()
-                uav_actions.append(agent.select_action(obs.uav[m]))
-                latencies[f"uav_{m}"].append((time.perf_counter() - t0) * 1e3)
-            t0 = time.perf_counter()
-            beam_action = roster.beam_agent.select_action(obs.beam)
-            latencies["beam"].append((time.perf_counter() - t0) * 1e3)
-            outcome = env.step_slot(np.stack(uav_actions), beam_action)
-            obs = env.observations()
+        sums = _EpisodeSums()
+        trajectory = [scenario.uav_starts.tolist()]  # reset puts every UAV at its start
+        for _ in _rollout(env, roster, seed, sums, latencies=latencies):
             trajectory.append(env.state.uav_positions.tolist())
-            rate_sum += outcome.metrics.sum_rate
-            snr_sum += outcome.mean_target_snr
-            feasible += int(outcome.mean_target_snr >= scenario.gamma_min)
-            collisions += outcome.epsilon1
-            reward_beam_total += outcome.reward_beam
         row = {
             "episode": episode,
             "seed": seed,
-            "sum_rate": rate_sum / scenario.num_slots,
-            "mean_snr": snr_sum / scenario.num_slots,
-            "snr_feasible_fraction": feasible / scenario.num_slots,
-            "collisions": collisions,
-            "blockages": blockages,
-            "reward_beam": reward_beam_total,
+            "sum_rate": sums.rate / num_slots,
+            "mean_snr": sums.snr / num_slots,
+            "snr_feasible_fraction": sums.feasible / num_slots,
+            "collisions": sums.collisions,
+            "blockages": sums.blockages,
+            "reward_beam": sums.reward_beam,
         }
         if include_trajectories:
             row["trajectory"] = trajectory

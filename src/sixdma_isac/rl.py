@@ -289,14 +289,7 @@ class Td3Agent:
 
     # ------------------------------------------------------------ checkpoints
     def _networks(self) -> dict[str, Mlp]:
-        return {
-            "actor": self.actor,
-            "critic1": self.critic1,
-            "critic2": self.critic2,
-            "target_actor": self.target_actor,
-            "target_critic1": self.target_critic1,
-            "target_critic2": self.target_critic2,
-        }
+        return {name: getattr(self, name) for name in _NETWORK_FILES}
 
     def manifest(self) -> dict:
         return {

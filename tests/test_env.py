@@ -48,6 +48,44 @@ class TestConfig:
         clone = scenario_from_dict(cfg.to_dict())
         assert clone.to_dict() == cfg.to_dict()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "slot_duration": st.floats(0.1, 5.0),
+                "v_max": st.floats(0.5, 20.0),
+                "p_max": st.floats(1e-4, 1.0),
+                "gamma_min": st.floats(1e-3, 100.0),
+                "theta_max": st.floats(1e-3, 1.0),
+                "pose_update_period": st.integers(1, 20),
+                "center_step_limit": st.floats(0.1, 5.0),
+                "collision_penalty": st.floats(0.0, 50.0),
+                "progress_bonus_weight": st.floats(-2.0, 2.0),
+                "pose_reward_mode": st.sampled_from(["mean", "sum"]),
+                "scheme4_circle_radius": st.floats(0.0, 5.0),
+                "include_targets_in_collision": st.booleans(),
+                "obs_ref_distance": st.none() | st.floats(1.0, 100.0),
+                "uav_starts": hnp.arrays(float, (2, 3), elements=st.floats(-40.0, 40.0)),
+                "target_positions": hnp.arrays(float, (2, 3), elements=st.floats(-40.0, 40.0)),
+            },
+        )
+    )
+    def test_dict_round_trip_through_json(self, overrides):
+        import dataclasses
+        import json
+
+        cfg = desk_scenario(**overrides)
+        clone = scenario_from_dict(json.loads(json.dumps(cfg.to_dict())))
+        for f in dataclasses.fields(cfg):
+            a, b = getattr(cfg, f.name), getattr(clone, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert type(a) is type(b) and a == b, f.name
+        assert json.dumps(clone.to_dict()) == json.dumps(cfg.to_dict())
+
     def test_rejects_bad_period(self):
         with pytest.raises(ConfigError):
             desk_scenario(pose_update_period=21)
@@ -284,7 +322,7 @@ class TestMetricsAndRewards:
         env = IsacEnv(cfg)
         env.reset()
         w = np.array([[0.1 + 0.0j]])
-        env.set_precoder(w)
+        env.state.precoder = isac.project_power(w, cfg.p_max)
         metrics = env.step_metrics()
         d = np.linalg.norm(cfg.uav_starts[0] - cfg.initial_surface_center)
         expected = isac.tx_power(w) * (cfg.wavelength / (4 * np.pi * d)) ** 2 / cfg.sigma_c_sq

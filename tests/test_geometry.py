@@ -54,6 +54,16 @@ class TestRotationMatrix:
         with pytest.raises(ValueError):
             rotation_matrix([np.nan, 0.0, 0.0])
 
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(float, 3, elements=st.floats(-np.pi, np.pi)))
+    def test_pose_rotation_is_the_frozen_rotation_matrix(self, angles):
+        pose = SurfacePose(np.zeros(3), angles)
+        rot = pose.rotation()
+        assert np.array_equal(rot, rotation_matrix(angles))
+        assert rot is pose.rotation()
+        with pytest.raises(ValueError):
+            rot[0, 0] = 2.0
+
 
 class TestAntennaPositions:
     def test_zero_rotation_translates_layout(self):

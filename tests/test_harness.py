@@ -62,9 +62,30 @@ class TestSpec:
         with pytest.raises(ConfigError):
             spec_from_dict({"nope": 1})
 
+    @pytest.mark.parametrize("preset", ["desk", "benchmark"])
+    def test_unknown_train_key_is_a_usage_error(self, tmp_path, preset, capsys):
+        config_path = tmp_path / "spec.json"
+        config_path.write_text(json.dumps({"preset": preset, "train": {"episodez": 3}}))
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert "unknown train-config keys: ['episodez']" in capsys.readouterr().err
+
     def test_sweep_tr_must_fit(self, tmp_path):
         with pytest.raises(ConfigError):
             tiny_spec(tmp_path, sweep_tr=(100,))
+
+
+class TestContentHash:
+    def test_pinned_values(self):
+        # The run identity of existing manifests: serialisation changes
+        # must keep these digests.
+        from sixdma_isac.env import benchmark_scenario
+
+        assert content_hash(desk_scenario(), desk_train_config(seed=3, scheme=4)) == (
+            "ba6f2521eda10a6fccaafdfaf4c200096b834f8ac92b7641a28cf09cd475db38"
+        )
+        assert content_hash(benchmark_scenario(), TrainConfig()) == (
+            "9d5090343a420225a3f5c7faea2f3a0f04e5efdc3e4a38af805a3372fcf3db35"
+        )
 
 
 class TestPlanning:
@@ -139,6 +160,14 @@ class TestTrainCommand:
         cmd_train(spec)
         statuses = cmd_train(spec, resume=True)
         assert statuses == [{"name": "scheme1_seed0", "status": "skipped"}]
+
+    def test_resume_refuses_a_complete_run_with_another_config(self, tmp_path, capsys):
+        common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--out", str(tmp_path)]
+        assert main([*common, "--episodes", "1"]) == 0
+        metrics = (tmp_path / "scheme1_seed0" / "metrics.csv").read_bytes()
+        assert main([*common, "--episodes", "2", "--resume"]) == 1
+        assert "scheme1_seed0" in capsys.readouterr().err
+        assert (tmp_path / "scheme1_seed0" / "metrics.csv").read_bytes() == metrics
 
     def test_episode_logs_written(self, tmp_path):
         spec = tiny_spec(tmp_path, episode_logs=True)

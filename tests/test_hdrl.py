@@ -1,13 +1,16 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
 from sixdma_isac.hdrl import (
     AgentRoster,
+    EpisodeMetrics,
     FastLayout,
     PendingPoseWindow,
     TrainConfig,
-    centralized_critic_inputs,
     desk_train_config,
     evaluate,
     percentile_leq,
@@ -42,10 +45,10 @@ class TestLayout:
         beam_act = np.array([[300.0, 301.0]])
         vec = layout.build(uav_obs, uav_act, beam_obs, beam_act)[0]
         assert vec.shape == (2 * 14 + 3 + 2,)
-        np.testing.assert_array_equal(vec[layout.uav_obs_slice(0)], np.arange(10))
+        np.testing.assert_array_equal(vec[0:10], np.arange(10))
         np.testing.assert_array_equal(vec[layout.uav_act_slice(0)], [100, 101, 102, 103])
-        np.testing.assert_array_equal(vec[layout.uav_obs_slice(1)], np.arange(10, 20))
-        np.testing.assert_array_equal(vec[layout.beam_obs_slice()], [200, 201, 202])
+        np.testing.assert_array_equal(vec[14:24], np.arange(10, 20))
+        np.testing.assert_array_equal(vec[28:31], [200, 201, 202])
         np.testing.assert_array_equal(vec[layout.beam_act_slice(2)], [300, 301])
 
     def test_permuting_agents_changes_vector(self):
@@ -58,15 +61,6 @@ class TestLayout:
         vec = layout.build(uav_obs, uav_act, beam_obs, beam_act)
         swapped = layout.build(uav_obs[:, ::-1], uav_act[:, ::-1], beam_obs, beam_act)
         assert np.max(np.abs(vec - swapped)) > 0
-
-    def test_functional_wrapper(self):
-        layout = FastLayout(num_uavs=1, obs_beam=2)
-        vec = centralized_critic_inputs(
-            layout,
-            (np.zeros((1, 1, 10)), np.ones((1, 2))),
-            (np.zeros((1, 1, 4)), np.full((1, 3), 2.0)),
-        )
-        assert vec.shape == (1, 19)
 
     def test_scheme2_critic_views_are_own_only(self):
         scenario = desk_scenario()
@@ -229,6 +223,40 @@ class TestTrainLoop:
             for p, q in zip(a1.actor.parameters(), a2.actor.parameters()):
                 np.testing.assert_array_equal(p, q)
 
+    def test_rows_equal_the_sums_of_their_slot_records(self):
+        scenario = desk_scenario()
+        log = io.StringIO()
+        result = train(scenario, tiny_config(episodes=3, seed=2), episode_log=log)
+        records = [json.loads(line) for line in log.getvalue().splitlines()]
+        env = IsacEnv(scenario)
+        k, period = scenario.num_slots, scenario.pose_update_period
+        assert len(records) == 3 * k
+        for row in result.metrics:
+            slots = [r for r in records if r["episode"] == row.episode]
+            assert [r["slot"] for r in slots] == list(range(k))
+            windows = [slots[start:start + period] for start in range(0, k, period)]
+            reward_uav = reward_beam = reward_pose = rate = snr = 0.0
+            for window in windows:
+                reward, _ = env.pose_window_reward([r["sum_rate"] for r in window],
+                                                   [r["pointing_angle"] for r in window],
+                                                   window[0]["epsilon2"])
+                reward_pose += reward
+            for r in slots:
+                reward_uav += float(np.mean(r["rewards_uav"]))
+                reward_beam += r["reward_beam"]
+                rate += r["sum_rate"]
+                snr += r["mean_target_snr"]
+            assert row == EpisodeMetrics(
+                episode=row.episode,
+                reward_uav=reward_uav,
+                reward_beam=reward_beam,
+                reward_pose=reward_pose,
+                sum_rate=rate / k,
+                mean_snr=snr / k,
+                collisions=sum(r["epsilon1"] for r in slots),
+                blockages=sum(window[0]["epsilon2"] for window in windows),
+            )
+
     def test_prioritized_mode_runs(self):
         scenario = desk_scenario()
         result = train(scenario, tiny_config(episodes=1, prioritized_replay=True))
@@ -254,6 +282,41 @@ class TestEvaluate:
         r1 = evaluate(trained.roster, trained.scenario, episodes=2, measure_latency=False)
         r2 = evaluate(trained.roster, trained.scenario, episodes=2, measure_latency=False)
         assert r1 == r2
+
+    def test_row_equals_a_hand_driven_rollout(self, trained):
+        roster, scenario = trained.roster, trained.scenario
+        row = evaluate(roster, scenario, episodes=1, seeds=[7], measure_latency=False)["rows"][0]
+        env = IsacEnv(scenario, scheme=roster.scheme)
+        env.reset(seed=7)
+        obs = env.observations()
+        trajectory = [env.state.uav_positions.tolist()]
+        rate = snr = reward_beam = 0.0
+        feasible = collisions = blockages = 0
+        for _ in range(scenario.num_slots):
+            if env.is_pose_slot():
+                action = roster.pose_agent.select_action(obs.sixdma)
+                blockages += env.apply_6dma_action(action[:3] * scenario.theta_max, action[3:]).epsilon2
+            uav_actions = np.stack([agent.select_action(obs.uav[m]) for m, agent in enumerate(roster.uav_agents)])
+            outcome = env.step_slot(uav_actions, roster.beam_agent.select_action(obs.beam))
+            obs = env.observations()
+            trajectory.append(env.state.uav_positions.tolist())
+            rate += outcome.metrics.sum_rate
+            snr += outcome.mean_target_snr
+            feasible += int(outcome.mean_target_snr >= scenario.gamma_min)
+            collisions += outcome.epsilon1
+            reward_beam += outcome.reward_beam
+        k = scenario.num_slots
+        assert row == {
+            "episode": 0,
+            "seed": 7,
+            "sum_rate": rate / k,
+            "mean_snr": snr / k,
+            "snr_feasible_fraction": feasible / k,
+            "collisions": collisions,
+            "blockages": blockages,
+            "reward_beam": reward_beam,
+            "trajectory": trajectory,
+        }
 
     def test_trajectories_have_full_length(self, trained):
         report = evaluate(trained.roster, trained.scenario, episodes=1)
