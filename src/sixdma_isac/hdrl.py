@@ -32,6 +32,8 @@ from .rl import NoiseSchedule, ReplayBuffer, Td3Agent
 UAV_OBS_DIM = 10
 UAV_ACT_DIM = 4
 POSE_ACT_DIM = 6
+# TrainConfig fields every Td3Agent of a roster is built with.
+_AGENT_SETTINGS = ("hidden", "lr_actor", "lr_critic", "gamma", "tau", "policy_delay", "smoothing_std")
 
 
 @dataclass(frozen=True)
@@ -132,44 +134,41 @@ class FastLayout:
         return np.concatenate([flat, beam_obs, beam_act], axis=1)
 
 
+def _agent_dims(scenario: ScenarioConfig, config: TrainConfig) -> dict[str, tuple[int, int, int]]:
+    """``(obs_dim, action_dim, critic_input_dim)`` of every agent, by name, in
+    roster order: UAV agents, beam agent, surface agent."""
+    m, j, n = scenario.num_uavs, scenario.num_targets, scenario.num_antennas
+    obs_beam, act_beam, obs_pose = 2 * n * (m + j), 2 * n * m, 3 * (m + 1)
+    if config.scheme == 2:
+        uav_critic_in, beam_critic_in = UAV_OBS_DIM + UAV_ACT_DIM, obs_beam + act_beam
+    else:
+        uav_critic_in = beam_critic_in = FastLayout(num_uavs=m, obs_beam=obs_beam).width(act_beam)
+    dims = {f"uav_{k}": (UAV_OBS_DIM, UAV_ACT_DIM, uav_critic_in) for k in range(m)}
+    dims["beam"] = (obs_beam, act_beam, beam_critic_in)
+    dims["sixdma"] = (obs_pose, POSE_ACT_DIM, obs_pose + POSE_ACT_DIM)
+    return dims
+
+
 class AgentRoster:
-    """All agents of one run: M UAV agents, one beam agent, one pose agent."""
+    """All agents of one run: M UAV agents, one beam agent, one pose agent,
+    seeded from ``config.seed`` unless :meth:`load` passes ``agents`` by name."""
 
-    def __init__(self, scenario: ScenarioConfig, config: TrainConfig):
-        m, j, n = scenario.num_uavs, scenario.num_targets, scenario.num_antennas
+    def __init__(self, scenario: ScenarioConfig, config: TrainConfig, agents: dict[str, Td3Agent] | None = None):
+        dims = _agent_dims(scenario, config)
         self.scheme = config.scheme
-        self.num_uavs = m
-        self.obs_beam = 2 * n * (m + j)
-        self.act_beam = 2 * n * m
-        self.obs_pose = 3 * (m + 1)
-        self.layout = FastLayout(num_uavs=m, obs_beam=self.obs_beam)
+        self.num_uavs = scenario.num_uavs
+        self.obs_beam, self.act_beam, _ = dims["beam"]
+        self.obs_pose = dims["sixdma"][0]
+        self.layout = FastLayout(num_uavs=self.num_uavs, obs_beam=self.obs_beam)
         self.central_width = self.layout.width(self.act_beam)
-
-        init_seeds = np.random.SeedSequence([config.seed, 101]).spawn(m + 2)
-        common = dict(
-            hidden=config.hidden,
-            lr_actor=config.lr_actor,
-            lr_critic=config.lr_critic,
-            gamma=config.gamma,
-            tau=config.tau,
-            policy_delay=config.policy_delay,
-            smoothing_std=config.smoothing_std,
-        )
-        if config.scheme == 2:
-            uav_critic_in = UAV_OBS_DIM + UAV_ACT_DIM
-            beam_critic_in = self.obs_beam + self.act_beam
-        else:
-            uav_critic_in = self.central_width
-            beam_critic_in = self.central_width
-        self.uav_agents = [
-            Td3Agent(UAV_OBS_DIM, UAV_ACT_DIM, uav_critic_in,
-                     rng=np.random.default_rng(init_seeds[k]), **common)
-            for k in range(m)
-        ]
-        self.beam_agent = Td3Agent(self.obs_beam, self.act_beam, beam_critic_in,
-                                   rng=np.random.default_rng(init_seeds[m]), **common)
-        self.pose_agent = Td3Agent(self.obs_pose, POSE_ACT_DIM, self.obs_pose + POSE_ACT_DIM,
-                                   rng=np.random.default_rng(init_seeds[m + 1]), **common)
+        if agents is None:
+            init_seeds = np.random.SeedSequence([config.seed, 101]).spawn(len(dims))
+            common = {key: getattr(config, key) for key in _AGENT_SETTINGS}
+            agents = {name: Td3Agent(*d, rng=np.random.default_rng(seed), **common)
+                      for (name, d), seed in zip(dims.items(), init_seeds)}
+        self.uav_agents = [agents[f"uav_{k}"] for k in range(self.num_uavs)]
+        self.beam_agent = agents["beam"]
+        self.pose_agent = agents["sixdma"]
 
     def fast_agents(self) -> list[tuple[str, Td3Agent]]:
         named = [(f"uav_{k}", agent) for k, agent in enumerate(self.uav_agents)]
@@ -213,20 +212,24 @@ class AgentRoster:
 
     @classmethod
     def load(cls, directory, scenario: ScenarioConfig, config: TrainConfig) -> "AgentRoster":
+        """The roster :meth:`save` wrote, each agent built once from its files.
+
+        ConfigError names the field (and the agent) where the checkpoint
+        differs from what ``(scenario, config)`` imply."""
         directory = Path(directory)
         manifest = json.loads((directory / "roster.json").read_text())
-        roster = cls(scenario, config)
-        if manifest["scheme"] != roster.scheme or manifest["num_uavs"] != roster.num_uavs:
-            raise ConfigError("checkpoint does not match the scenario/config")
-        for name, _ in roster.all_agents():
-            loaded = Td3Agent.load(directory / name)
-            if name == "sixdma":
-                roster.pose_agent = loaded
-            elif name == "beam":
-                roster.beam_agent = loaded
-            else:
-                roster.uav_agents[int(name.split("_")[1])] = loaded
-        return roster
+        for key, want in (("scheme", config.scheme), ("num_uavs", scenario.num_uavs)):
+            if manifest[key] != want:
+                raise ConfigError(f"checkpoint {directory} has {key} {manifest[key]}, the config implies {want}")
+        agents = {}
+        for name, dims in _agent_dims(scenario, config).items():
+            agent = Td3Agent.load(directory / name)
+            for key, want in zip(("obs_dim", "action_dim", "critic_input_dim", "hidden"), (*dims, config.hidden)):
+                if getattr(agent, key) != want:
+                    raise ConfigError(f"checkpoint agent {name} has {key} {getattr(agent, key)}, "
+                                      f"the config implies {want}")
+            agents[name] = agent
+        return cls(scenario, config, agents)
 
 
 @dataclass
@@ -347,7 +350,7 @@ def _pose_transition(env: IsacEnv, pending: PendingPoseWindow, next_obs, done: f
 
 
 def _update_pose_agent(agent: Td3Agent, buffer: ReplayBuffer, batch_size: int,
-                       obs_dim: int, sample_rng: np.random.Generator) -> None:
+                       sample_rng: np.random.Generator) -> None:
     if len(buffer) < batch_size:
         return
     batch, idx = buffer.sample(batch_size, sample_rng)
@@ -359,7 +362,7 @@ def _update_pose_agent(agent: Td3Agent, buffer: ReplayBuffer, batch_size: int,
         buffer.update_priorities(idx, agent.td_errors(inputs, targets))
     agent.critic_update(inputs, targets)
     if agent.should_update_actor():
-        agent.actor_update(batch["obs"], inputs, slice(obs_dim, obs_dim + POSE_ACT_DIM))
+        agent.actor_update(batch["obs"], inputs, slice(agent.obs_dim, agent.obs_dim + POSE_ACT_DIM))
         agent.soft_update()
 
 
@@ -380,15 +383,8 @@ def _update_fast_agents(roster: AgentRoster, buffer: ReplayBuffer, batch_size: i
     priority_errors = np.zeros(batch_size)
     for index, (name, agent) in enumerate(roster.fast_agents()):
         inputs, act_slice = roster.critic_view(index, central, uav_obs, uav_act, beam_obs, beam_act)
-        if roster.scheme == 2:
-            if index < roster.num_uavs:
-                next_inputs = np.concatenate(
-                    [batch["next_uav_obs"][:, index], next_uav_act[:, index]], axis=1
-                )
-            else:
-                next_inputs = np.concatenate([batch["next_beam_obs"], next_beam_act], axis=1)
-        else:
-            next_inputs = central_next
+        next_inputs, _ = roster.critic_view(index, central_next, batch["next_uav_obs"], next_uav_act,
+                                            batch["next_beam_obs"], next_beam_act)
         rewards = batch["rewards_uav"][:, index] if index < roster.num_uavs else batch["reward_beam"]
         targets = agent.td_targets(rewards, next_inputs, batch["done"])
         if buffer.prioritized:
@@ -424,7 +420,6 @@ def train(
     enable exact resumption via ``resume_from``.
     """
     env = IsacEnv(scenario, scheme=config.scheme)
-    roster = AgentRoster(scenario, config)
     fast_buffer = ReplayBuffer(config.buffer_capacity, prioritized=config.prioritized_replay)
     # the slow agent sees few transitions; a short buffer keeps its batch
     # close to the current fast-layer behaviour
@@ -438,9 +433,11 @@ def train(
     fast_transitions = 0
     pose_transitions = 0
 
-    if resume_from is not None:
-        start_episode, metrics = _load_snapshot(
-            Path(resume_from), roster, fast_buffer, pose_buffer, noise_rng, sample_rng, scenario, config
+    if resume_from is None:
+        roster = AgentRoster(scenario, config)
+    else:
+        roster, start_episode, metrics = _load_snapshot(
+            Path(resume_from), fast_buffer, pose_buffer, noise_rng, sample_rng, scenario, config
         )
 
     num_slots = scenario.num_slots
@@ -453,8 +450,7 @@ def train(
             if pose is not None:
                 action, update = pose
                 pending = PendingPoseWindow(obs.sixdma.copy(), action, update.epsilon2)
-                _update_pose_agent(roster.pose_agent, pose_buffer, config.batch_size,
-                                   roster.obs_pose, sample_rng)
+                _update_pose_agent(roster.pose_agent, pose_buffer, config.batch_size, sample_rng)
             pending.add(outcome.metrics.sum_rate, outcome.pointing_angle)
             if outcome.done or env.is_pose_slot():  # the window ends before the next decision
                 transition, reward = _pose_transition(env, pending, next_obs.sixdma, float(outcome.done))
@@ -493,13 +489,21 @@ def train(
         )
         if snapshot_dir is not None and snapshot_interval and (episode + 1) % snapshot_interval == 0:
             _save_snapshot(Path(snapshot_dir), episode + 1, metrics, roster, fast_buffer, pose_buffer,
-                           noise_rng, sample_rng)
+                           noise_rng, sample_rng, _snapshot_config(scenario, config))
     return TrainResult(roster, metrics, scenario, config, fast_transitions, pose_transitions)
 
 
 # ---------------------------------------------------------------- snapshots
+def _snapshot_config(scenario: ScenarioConfig, config: TrainConfig) -> dict:
+    """The run settings a snapshot records and a resume must match, as JSON
+    values: all but ``episodes``, so that a resume may extend a run."""
+    settings = {f"scenario.{key}": value for key, value in scenario.to_dict().items()}
+    settings.update((f"train.{key}", value) for key, value in config.to_dict().items() if key != "episodes")
+    return json.loads(json.dumps(settings))
+
+
 def _save_snapshot(directory: Path, next_episode: int, metrics, roster, fast_buffer, pose_buffer,
-                   noise_rng, sample_rng) -> None:
+                   noise_rng, sample_rng, run_config: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     roster.save(directory / "roster")
     np.savez(directory / "fast_buffer.npz", **fast_buffer.state_arrays())
@@ -509,17 +513,25 @@ def _save_snapshot(directory: Path, next_episode: int, metrics, roster, fast_buf
         "metrics": [m.as_row() for m in metrics],
         "noise_rng": noise_rng.bit_generator.state,
         "sample_rng": sample_rng.bit_generator.state,
+        "config": run_config,
     }
     (directory / "train_state.json").write_text(json.dumps(state))
 
 
-def _load_snapshot(directory: Path, roster, fast_buffer, pose_buffer, noise_rng, sample_rng,
-                   scenario, config) -> tuple[int, list[EpisodeMetrics]]:
+def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_rng,
+                   scenario, config) -> tuple[AgentRoster, int, list[EpisodeMetrics]]:
+    """Restore buffers and generators; returns (roster, next episode, rows).
+    A snapshot written under other settings, or with none recorded, raises ConfigError."""
     state = json.loads((directory / "train_state.json").read_text())
-    loaded = AgentRoster.load(directory / "roster", scenario, config)
-    roster.uav_agents = loaded.uav_agents
-    roster.beam_agent = loaded.beam_agent
-    roster.pose_agent = loaded.pose_agent
+    if "config" not in state:
+        raise ConfigError(f"snapshot {directory} records no run settings to check; start afresh")
+    saved, current = state["config"], _snapshot_config(scenario, config)
+    changed = [f"{key} {saved.get(key)!r} -> {current.get(key)!r}"
+               for key in sorted(saved.keys() | current.keys()) if saved.get(key) != current.get(key)]
+    if changed:
+        raise ConfigError(f"snapshot {directory} was written under other settings ({'; '.join(changed)}); "
+                          "resume needs the settings it was written with, or a fresh output directory")
+    roster = AgentRoster.load(directory / "roster", scenario, config)
     with np.load(directory / "fast_buffer.npz") as arrays:
         fast_buffer.load_arrays(arrays)
     with np.load(directory / "pose_buffer.npz") as arrays:
@@ -527,7 +539,7 @@ def _load_snapshot(directory: Path, roster, fast_buffer, pose_buffer, noise_rng,
     noise_rng.bit_generator.state = state["noise_rng"]
     sample_rng.bit_generator.state = state["sample_rng"]
     metrics = [EpisodeMetrics(*row) for row in state["metrics"]]
-    return state["next_episode"], metrics
+    return roster, state["next_episode"], metrics
 
 
 # ---------------------------------------------------------------- evaluation

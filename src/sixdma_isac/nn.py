@@ -265,11 +265,6 @@ class Mlp:
         dup._bind(self.flat.copy())
         return dup
 
-    def copy_from(self, other: "Mlp") -> None:
-        if other.dims != self.dims:
-            raise ValueError(f"cannot copy a {other.dims} network into a {self.dims} one")
-        np.copyto(self.flat, other.flat)
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flat layer_dims/activation header plus row-major parameter arrays."""
         arrays = {
@@ -285,25 +280,16 @@ class Mlp:
         np.savez(path, **self.state_arrays())
 
     @classmethod
-    def from_arrays(cls, arrays) -> "Mlp":
-        dims = [int(d) for d in np.asarray(arrays["layer_dims"])]
-        acts = [ACTIVATIONS[int(i)] for i in np.asarray(arrays["activations"])]
-        shapes = _param_shapes(dims)
-        params = []
-        for k in range(len(dims) - 1):
-            params.extend([np.asarray(arrays[f"w{k}"], dtype=float), np.asarray(arrays[f"b{k}"], dtype=float)])
-        if [p.shape for p in params] != shapes:
-            raise ValueError("checkpoint arrays do not match the layer-dims header")
-        net = object.__new__(cls)
-        net.dims = dims
-        net.activations = acts
-        net._bind(np.concatenate([p.ravel() for p in params]))
-        return net
-
-    @classmethod
     def load(cls, path) -> "Mlp":
+        """The network :meth:`save` wrote, built without a random
+        initialisation; its ``flat`` vector is the only copy it keeps."""
+        net = object.__new__(cls)
         with np.load(path) as arrays:
-            return cls.from_arrays(arrays)
+            net.dims = [int(d) for d in np.asarray(arrays["layer_dims"])]
+            net.activations = [ACTIVATIONS[int(i)] for i in np.asarray(arrays["activations"])]
+            net._bind(np.empty(sum(math.prod(s) for s in _param_shapes(net.dims))))
+            _fill(net._params, arrays, [f"{kind}{k}" for k in range(len(net.dims) - 1) for kind in "wb"])
+        return net
 
 
 class Adam:
@@ -373,19 +359,25 @@ class Adam:
             arrays[f"{prefix}v{k}"] = v
         return arrays
 
-    def load_arrays(self, arrays, prefix: str = "") -> None:
-        meta = np.asarray(arrays[f"{prefix}meta"])
-        moments = {}
-        for name in ("m", "v"):
-            layers = [np.asarray(arrays[f"{prefix}{name}{k}"], dtype=float) for k in range(len(self.shapes))]
-            if [a.shape for a in layers] != self.shapes:
-                raise ValueError(f"optimizer state {prefix}{name}* does not match the parameter layout")
-            moments[name] = layers
-        self.lr, self.beta1, self.beta2, self.eps = (float(x) for x in meta[:4])
-        self.step_count = int(meta[4])
-        for name, flat in (("m", self.m), ("v", self.v)):
-            for dst, src in zip(_views(flat, self._spans), moments[name]):
-                dst[...] = src
+    @classmethod
+    def from_arrays(cls, params, arrays, prefix: str = "") -> "Adam":
+        """An optimizer for ``params`` in the state :meth:`state_arrays` saved."""
+        lr, beta1, beta2, eps, step_count = (float(x) for x in np.asarray(arrays[f"{prefix}meta"]))
+        opt = cls(params, lr, beta1, beta2, eps)
+        opt.step_count = int(step_count)
+        for name, flat in (("m", opt.m), ("v", opt.v)):
+            _fill(_views(flat, opt._spans), arrays, [f"{prefix}{name}{k}" for k in range(len(opt.shapes))])
+        return opt
+
+
+def _fill(views, arrays, names) -> None:
+    """Copy ``arrays[name]`` into each view, reading one array at a time so
+    that a load holds at most one array besides the vector it fills."""
+    for view, name in zip(views, names):
+        layer = np.asarray(arrays[name], dtype=float)
+        if layer.shape != view.shape:
+            raise ValueError(f"checkpoint array {name} has shape {layer.shape}, expected {view.shape}")
+        view[...] = layer
 
 
 def flatten_grads(grads) -> list[np.ndarray]:

@@ -23,6 +23,14 @@ from .nn import CHUNK, Adam, Mlp, scratch
 
 CHECKPOINT_VERSION = 1
 _NETWORK_FILES = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
+_OPTIMIZED = ("actor", "critic1", "critic2")  # the networks with an optimizer, in optimizers.npz order
+# Constructor arguments an agent stores and its manifest records, in the
+# manifest's key order, with the type each is stored as.
+_HYPERPARAMETERS = {
+    "obs_dim": int, "action_dim": int, "critic_input_dim": int, "hidden": lambda h: tuple(int(x) for x in h),
+    "lr_actor": float, "lr_critic": float, "gamma": float, "tau": float, "policy_delay": int,
+    "smoothing_std": float, "smoothing_clip": float,
+}
 
 
 @dataclass(frozen=True)
@@ -148,29 +156,12 @@ class Td3Agent:
         smoothing_clip: float = 0.5,
         rng: np.random.Generator | None = None,
     ):
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 < tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if policy_delay < 1:
-            raise ValueError("policy_delay must be >= 1")
+        self._set_hyperparameters(locals())
         rng = rng if rng is not None else np.random.default_rng()
-        self.obs_dim = int(obs_dim)
-        self.action_dim = int(action_dim)
-        self.critic_input_dim = int(critic_input_dim)
-        self.hidden = tuple(int(h) for h in hidden)
-        self.gamma = float(gamma)
-        self.tau = float(tau)
-        self.policy_delay = int(policy_delay)
-        self.smoothing_std = float(smoothing_std)
-        self.smoothing_clip = float(smoothing_clip)
-        self.lr_actor = float(lr_actor)
-        self.lr_critic = float(lr_critic)
-
-        relu = ["relu"] * len(self.hidden)
-        self.actor = Mlp([obs_dim, *self.hidden, action_dim], relu + ["tanh"], rng, final_scale=1e-3)
-        self.critic1 = Mlp([critic_input_dim, *self.hidden, 1], relu + ["linear"], rng)
-        self.critic2 = Mlp([critic_input_dim, *self.hidden, 1], relu + ["linear"], rng)
+        plan = self._layer_plan()
+        self.actor = Mlp(*plan["actor"], rng, final_scale=1e-3)
+        self.critic1 = Mlp(*plan["critic1"], rng)
+        self.critic2 = Mlp(*plan["critic2"], rng)
         self.target_actor = self.actor.copy()
         self.target_critic1 = self.critic1.copy()
         self.target_critic2 = self.critic2.copy()
@@ -179,6 +170,25 @@ class Td3Agent:
         self.opt_critic2 = Adam(self.critic2.parameters(), lr_critic)
         self.critic_update_count = 0
         self.actor_update_count = 0
+
+    def _set_hyperparameters(self, values) -> None:
+        """Check and store the :data:`_HYPERPARAMETERS` entries of ``values``
+        (the constructor's arguments or a checkpoint manifest)."""
+        if not 0.0 <= values["gamma"] < 1.0:
+            raise ValueError("gamma must lie in [0, 1)")
+        if not 0.0 < values["tau"] <= 1.0:
+            raise ValueError("tau must lie in (0, 1]")
+        if values["policy_delay"] < 1:
+            raise ValueError("policy_delay must be >= 1")
+        for key, kind in _HYPERPARAMETERS.items():
+            setattr(self, key, kind(values[key]))
+
+    def _layer_plan(self) -> dict[str, tuple[list[int], list[str]]]:
+        """Layer dims and activations of every network, by checkpoint name."""
+        relu = ["relu"] * len(self.hidden)
+        actor = ([self.obs_dim, *self.hidden, self.action_dim], relu + ["tanh"])
+        critic = ([self.critic_input_dim, *self.hidden, 1], relu + ["linear"])
+        return {name: actor if name.endswith("actor") else critic for name in _NETWORK_FILES}
 
     # ------------------------------------------------------------ acting
     def select_action(self, obs, noise_std: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -288,23 +298,10 @@ class Td3Agent:
                 tp += np.multiply(online.flat[lo:lo + CHUNK], t, out=scaled[: len(tp)])
 
     # ------------------------------------------------------------ checkpoints
-    def _networks(self) -> dict[str, Mlp]:
-        return {name: getattr(self, name) for name in _NETWORK_FILES}
-
     def manifest(self) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
-            "obs_dim": self.obs_dim,
-            "action_dim": self.action_dim,
-            "critic_input_dim": self.critic_input_dim,
-            "hidden": list(self.hidden),
-            "lr_actor": self.lr_actor,
-            "lr_critic": self.lr_critic,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "policy_delay": self.policy_delay,
-            "smoothing_std": self.smoothing_std,
-            "smoothing_clip": self.smoothing_clip,
+            **{key: getattr(self, key) for key in _HYPERPARAMETERS},
             "critic_update_count": self.critic_update_count,
             "actor_update_count": self.actor_update_count,
         }
@@ -313,42 +310,35 @@ class Td3Agent:
         """One .npz per network plus optimizer state and a manifest."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for name, net in self._networks().items():
-            net.save(directory / f"{name}.npz")
+        for name in _NETWORK_FILES:
+            getattr(self, name).save(directory / f"{name}.npz")
         opt_arrays = {}
-        opt_arrays.update(self.opt_actor.state_arrays("actor_"))
-        opt_arrays.update(self.opt_critic1.state_arrays("critic1_"))
-        opt_arrays.update(self.opt_critic2.state_arrays("critic2_"))
+        for name in _OPTIMIZED:
+            opt_arrays.update(getattr(self, f"opt_{name}").state_arrays(f"{name}_"))
         np.savez(directory / "optimizers.npz", **opt_arrays)
         (directory / "manifest.json").write_text(json.dumps(self.manifest(), indent=2))
 
     @classmethod
     def load(cls, directory) -> "Td3Agent":
+        """The agent :meth:`save` wrote, built once from its files: networks
+        and moments go straight into their flat vectors, with no random
+        initialisation to overwrite.  The constructor's checks still apply."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         if manifest["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {manifest['version']}")
-        agent = cls(
-            manifest["obs_dim"],
-            manifest["action_dim"],
-            manifest["critic_input_dim"],
-            hidden=tuple(manifest["hidden"]),
-            lr_actor=manifest["lr_actor"],
-            lr_critic=manifest["lr_critic"],
-            gamma=manifest["gamma"],
-            tau=manifest["tau"],
-            policy_delay=manifest["policy_delay"],
-            smoothing_std=manifest["smoothing_std"],
-            smoothing_clip=manifest["smoothing_clip"],
-            rng=np.random.default_rng(0),
-        )
-        for name in _NETWORK_FILES:
-            loaded = Mlp.load(directory / f"{name}.npz")
-            getattr(agent, name).copy_from(loaded)
+        agent = object.__new__(cls)
+        agent._set_hyperparameters(manifest)
+        for name, plan in agent._layer_plan().items():
+            net = Mlp.load(directory / f"{name}.npz")
+            if (net.dims, net.activations) != plan:
+                raise ValueError(f"{directory / name}.npz holds a {net.dims} {net.activations} network, "
+                                 f"the manifest implies {plan[0]} {plan[1]}")
+            setattr(agent, name, net)
         with np.load(directory / "optimizers.npz") as arrays:
-            agent.opt_actor.load_arrays(arrays, "actor_")
-            agent.opt_critic1.load_arrays(arrays, "critic1_")
-            agent.opt_critic2.load_arrays(arrays, "critic2_")
+            for name in _OPTIMIZED:
+                opt = Adam.from_arrays(getattr(agent, name).parameters(), arrays, f"{name}_")
+                setattr(agent, f"opt_{name}", opt)
         agent.critic_update_count = manifest["critic_update_count"]
         agent.actor_update_count = manifest["actor_update_count"]
         return agent

@@ -1,10 +1,13 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
+from sixdma_isac.errors import ConfigError
+from sixdma_isac.nn import Mlp
 from sixdma_isac.hdrl import (
     AgentRoster,
     EpisodeMetrics,
@@ -223,6 +226,27 @@ class TestTrainLoop:
             for p, q in zip(a1.actor.parameters(), a2.actor.parameters()):
                 np.testing.assert_array_equal(p, q)
 
+    def test_snapshot_resume_refuses_other_settings(self, tmp_path):
+        snap_dir = tmp_path / "snap"
+        train(desk_scenario(p_max=0.04), tiny_config(seed=1, lr_critic=5e-4),
+              snapshot_dir=snap_dir, snapshot_interval=2)
+        with pytest.raises(ConfigError) as err:
+            train(desk_scenario(p_max=0.01), tiny_config(episodes=3, seed=7, lr_critic=0.1), resume_from=snap_dir)
+        message = str(err.value)
+        for change in ("scenario.p_max 0.04 -> 0.01", "train.seed 1 -> 7", "train.lr_critic 0.0005 -> 0.1"):
+            assert change in message
+        assert message.count(" -> ") == 3
+
+    def test_snapshot_without_recorded_settings_is_refused(self, tmp_path):
+        snap_dir = tmp_path / "snap"
+        train(desk_scenario(), tiny_config(), snapshot_dir=snap_dir, snapshot_interval=2)
+        state_path = snap_dir / "train_state.json"
+        state = json.loads(state_path.read_text())
+        del state["config"]
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(ConfigError, match="records no run settings"):
+            train(desk_scenario(), tiny_config(episodes=3), resume_from=snap_dir)
+
     def test_rows_equal_the_sums_of_their_slot_records(self):
         scenario = desk_scenario()
         log = io.StringIO()
@@ -323,6 +347,77 @@ class TestEvaluate:
         traj = report["rows"][0]["trajectory"]
         assert len(traj) == trained.scenario.num_slots + 1
         assert len(traj[0]) == trained.scenario.num_uavs
+
+
+NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
+OPTIMIZERS = ("opt_actor", "opt_critic1", "opt_critic2")
+
+
+def state_bytes(roster) -> int:
+    """Bytes of every parameter vector and Adam moment of a roster."""
+    total = 0
+    for _, agent in roster.all_agents():
+        total += sum(getattr(agent, name).flat.nbytes for name in NETWORKS)
+        total += sum(getattr(agent, opt).m.nbytes + getattr(agent, opt).v.nbytes for opt in OPTIMIZERS)
+    return total
+
+
+class TestRosterCheckpoints:
+    @pytest.mark.parametrize("scheme", [1, 2, 5])
+    def test_round_trip_is_bitwise(self, tmp_path, scheme):
+        scenario = desk_scenario()
+        config = tiny_config(scheme=scheme, episodes=3)  # enough pose windows for surface-agent updates
+        roster = train(scenario, config).roster
+        roster.save(tmp_path / "roster")
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        assert [name for name, _ in loaded.all_agents()] == [name for name, _ in roster.all_agents()]
+        for (name, a), (_, b) in zip(roster.all_agents(), loaded.all_agents()):
+            assert a.critic_update_count > 0
+            assert (b.critic_update_count, b.actor_update_count) == (a.critic_update_count, a.actor_update_count)
+            for net in NETWORKS:
+                assert getattr(a, net).flat.tobytes() == getattr(b, net).flat.tobytes(), (name, net)
+            for opt in OPTIMIZERS:
+                x, y = getattr(a, opt), getattr(b, opt)
+                assert (y.lr, y.beta1, y.beta2, y.eps, y.step_count) == (x.lr, x.beta1, x.beta2, x.eps, x.step_count)
+                assert (y.m.tobytes(), y.v.tobytes()) == (x.m.tobytes(), x.v.tobytes()), (name, opt)
+
+    @pytest.mark.parametrize("saved_scheme, scenario_overrides, config_overrides, pattern", [
+        (1, {}, {"hidden": (16, 16)}, "agent uav_0 has hidden"),
+        (1, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {}, "agent uav_0 has critic_input_dim"),
+        (2, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {"scheme": 2}, "agent beam has obs_dim"),
+        (1, {}, {"scheme": 3}, "has scheme 1"),
+        (1, {"num_uavs": 1, "uav_starts": [(10.0, -25.0, 22.0)], "uav_ends": [(10.0, 25.0, 22.0)]}, {},
+         "has num_uavs 2"),
+    ])
+    def test_mismatch_is_a_config_error_naming_the_field(self, tmp_path, saved_scheme, scenario_overrides,
+                                                          config_overrides, pattern):
+        AgentRoster(desk_scenario(), tiny_config(scheme=saved_scheme)).save(tmp_path / "roster")
+        with pytest.raises(ConfigError, match=pattern):
+            AgentRoster.load(tmp_path / "roster", desk_scenario(**scenario_overrides), tiny_config(**config_overrides))
+
+    def test_load_builds_no_network_by_initialisation(self, tmp_path, monkeypatch):
+        scenario, config = desk_scenario(), tiny_config()
+        roster = AgentRoster(scenario, config)
+        roster.save(tmp_path / "roster")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Mlp.__init__ called during a load")
+
+        monkeypatch.setattr(Mlp, "__init__", refuse)
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        obs = np.linspace(-1.0, 1.0, roster.obs_beam)
+        np.testing.assert_array_equal(loaded.beam_agent.select_action(obs), roster.beam_agent.select_action(obs))
+
+    def test_load_holds_about_one_copy_of_the_checkpoint(self, tmp_path):
+        scenario, config = desk_scenario(), desk_train_config()
+        AgentRoster(scenario, config).save(tmp_path / "roster")
+        tracemalloc.start()
+        try:
+            loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * state_bytes(loaded)
 
 
 class TestLatency:

@@ -87,7 +87,7 @@ class TestCriticUpdate:
         inputs = rng.normal(size=(8, 6))
         targets = agent.critic1.forward(inputs).reshape(-1)
         # give critic2 the same parameters so both fit exactly
-        agent.critic2.copy_from(agent.critic1)
+        np.copyto(agent.critic2.flat, agent.critic1.flat)
         before = [p.copy() for p in agent.critic1.parameters()]
         loss1, loss2 = agent.critic_update(inputs, targets)
         assert loss1 == 0.0 and loss2 == 0.0
@@ -374,6 +374,25 @@ class TestCheckpoints:
         for opt in ("opt_actor", "opt_critic1", "opt_critic2"):
             np.testing.assert_array_equal(getattr(agent, opt).m, getattr(loaded, opt).m)
             np.testing.assert_array_equal(getattr(agent, opt).v, getattr(loaded, opt).v)
+
+    def test_load_keeps_the_constructor_checks(self, tmp_path):
+        import json
+
+        make_agent(seed=31).save(tmp_path / "agent")
+        manifest_path = tmp_path / "agent" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "gamma": 1.5}))
+        with pytest.raises(ValueError, match="gamma"):
+            Td3Agent.load(tmp_path / "agent")
+        manifest_path.write_text(json.dumps({**manifest, "version": 2}))
+        with pytest.raises(ValueError, match="version"):
+            Td3Agent.load(tmp_path / "agent")
+
+    def test_network_unlike_its_manifest_is_rejected(self, tmp_path):
+        make_agent(seed=32).save(tmp_path / "agent")
+        make_agent(hidden=(8, 8), seed=33).critic2.save(tmp_path / "agent" / "critic2.npz")
+        with pytest.raises(ValueError, match="critic2"):
+            Td3Agent.load(tmp_path / "agent")
 
     def test_loads_a_per_layer_optimizer_file(self, tmp_path):
         agent = make_agent(seed=29)
