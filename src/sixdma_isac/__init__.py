@@ -35,7 +35,7 @@ from .geometry import (
     surface_normal,
     validate_spacing,
 )
-from .harness import ExperimentSpec, cmd_compare, cmd_eval, cmd_profile, cmd_train, load_spec, main
+from .harness import ExperimentSpec, cmd_compare, cmd_eval, cmd_profile, cmd_train, main
 from .hdrl import (
     AgentRoster,
     EpisodeMetrics,
@@ -104,7 +104,6 @@ __all__ = [
     "global_antenna_positions",
     "half_space_ok",
     "link_metrics",
-    "load_spec",
     "main",
     "benchmark_scenario",
     "pointing_vector",

@@ -142,26 +142,38 @@ class ScenarioConfig:
         return out
 
 
-_CONVENIENCE_KEYS = ("sigma_c_dbm", "sigma_s_dbm", "p_max_dbm", "gamma_min_db", "theta_max_deg")
+# Keys that give a field in another unit: (key, field, conversion to the field's unit).
+_UNIT_KEYS = (
+    ("sigma_c_dbm", "sigma_c_sq", isac.dbm_to_watts),
+    ("sigma_s_dbm", "sigma_s_sq", isac.dbm_to_watts),
+    ("p_max_dbm", "p_max", isac.dbm_to_watts),
+    ("gamma_min_db", "gamma_min", isac.db_to_linear),
+    ("theta_max_deg", "theta_max", math.radians),
+)
+_FIELD_OF_KEY = {key: name for key, name, _ in _UNIT_KEYS}
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build a scenario from a plain dict, accepting dBm/dB/degree keys."""
+    """Build a scenario from a plain dict, accepting dBm/dB/degree keys.
+
+    One dict may give a field in one unit only."""
     kwargs = dict(data)
-    if "sigma_c_dbm" in kwargs:
-        kwargs["sigma_c_sq"] = isac.dbm_to_watts(float(kwargs.pop("sigma_c_dbm")))
-    if "sigma_s_dbm" in kwargs:
-        kwargs["sigma_s_sq"] = isac.dbm_to_watts(float(kwargs.pop("sigma_s_dbm")))
-    if "p_max_dbm" in kwargs:
-        kwargs["p_max"] = isac.dbm_to_watts(float(kwargs.pop("p_max_dbm")))
-    if "gamma_min_db" in kwargs:
-        kwargs["gamma_min"] = isac.db_to_linear(float(kwargs.pop("gamma_min_db")))
-    if "theta_max_deg" in kwargs:
-        kwargs["theta_max"] = math.radians(float(kwargs.pop("theta_max_deg")))
+    for key, name, convert in _UNIT_KEYS:
+        if key in kwargs:
+            if name in kwargs:
+                raise ConfigError(f"scenario keys {key} and {name} both give {name}; keep one")
+            kwargs[name] = convert(float(kwargs.pop(key)))
     unknown = set(kwargs) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     return ScenarioConfig(**kwargs)
+
+
+def _preset(base: dict, overrides: dict) -> ScenarioConfig:
+    """``base`` under ``overrides``; an override in either unit replaces the base's value."""
+    given = {_FIELD_OF_KEY.get(key, key) for key in overrides}
+    kept = {key: value for key, value in base.items() if _FIELD_OF_KEY.get(key, key) not in given}
+    return scenario_from_dict({**kept, **overrides})
 
 
 def benchmark_scenario(**overrides) -> ScenarioConfig:
@@ -189,31 +201,21 @@ def benchmark_scenario(**overrides) -> ScenarioConfig:
         uav_ends=[(60.0, 200.0, 120.0), (120.0, 200.0, 130.0), (180.0, 200.0, 140.0), (240.0, 200.0, 150.0)],
         target_positions=[(80.0, 40.0, 160.0), (150.0, -60.0, 180.0), (220.0, 30.0, 140.0)],
     )
-    base.update(overrides)
-    return scenario_from_dict(base)
+    return _preset(base, overrides)
 
 
 def desk_scenario(**overrides) -> ScenarioConfig:
     """Small, fast scenario with short ranges so sensing targets are
-    reachable at the benchmark power budget."""
+    reachable at the benchmark power budget: the benchmark scenario with
+    2 UAVs and 2 targets over 100 m x 100 m, 20 slots."""
     base = dict(
         num_uavs=2,
         num_targets=2,
-        num_antennas=4,
         num_slots=20,
         slot_duration=2.5,
-        v_max=8.0,
-        d_min=3.0,
-        wavelength=0.125,
-        sigma_c_dbm=-50.0,
-        sigma_s_dbm=-50.0,
-        p_max=0.04,
-        gamma_min_db=1.0,
-        theta_max_deg=10.0,
         pose_update_period=5,
         area_half_extent=50.0,
         altitude_max=45.0,
-        bs_position=(0.0, 0.0, 0.0),
         initial_surface_center=(0.0, 0.0, 20.0),
         center_step_limit=2.5,
         progress_bonus_weight=1.0,
@@ -221,8 +223,7 @@ def desk_scenario(**overrides) -> ScenarioConfig:
         uav_ends=[(10.0, 25.0, 22.0), (18.0, 25.0, 26.0)],
         target_positions=[(8.0, 2.0, 22.0), (12.0, -4.0, 24.0)],
     )
-    base.update(overrides)
-    return scenario_from_dict(base)
+    return benchmark_scenario(**{**base, **overrides})
 
 
 @dataclass

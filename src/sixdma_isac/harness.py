@@ -21,7 +21,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -49,15 +50,22 @@ _PRESETS = {
 }
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one experiment needs: configs, schemes, seeds, sweeps."""
+    """Everything one experiment needs: configs, schemes, seeds, sweeps.
+
+    Its fields are the keys of a JSON spec and the ``dest``s of the CLI
+    flags; sequences become tuples and counts ints on construction."""
 
     scenario: ScenarioConfig
     train: TrainConfig
-    schemes: tuple[int, ...]
-    seeds: tuple[int, ...]
-    out_dir: Path
+    schemes: tuple[int, ...] = (1,)
+    seeds: tuple[int, ...] = (0,)
+    out_dir: Path = Path("runs")
     sweep_pmax: tuple[float, ...] = ()
     sweep_tr: tuple[int, ...] = ()
     eval_episodes: int = 20
@@ -66,6 +74,10 @@ class ExperimentSpec:
     snapshot_interval: int | None = None
 
     def __post_init__(self):
+        coercions = {"schemes": _ints, "seeds": _ints, "sweep_tr": _ints, "sweep_pmax": tuple,
+                     "eval_episodes": int, "converged_window": int, "episode_logs": bool, "out_dir": Path}
+        for name, coerce in coercions.items():
+            object.__setattr__(self, name, coerce(getattr(self, name)))
         if not self.schemes or not self.seeds:
             raise ConfigError("at least one scheme and one seed are required")
         for scheme in self.schemes:
@@ -77,38 +89,24 @@ class ExperimentSpec:
         for p in self.sweep_pmax:
             if p <= 0:
                 raise ConfigError("sweep p_max values must be positive")
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
 def spec_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentSpec:
+    """A spec from JSON-style data: ``preset`` plus :class:`ExperimentSpec`
+    fields, where ``scenario`` and ``train`` hold overrides of the preset."""
     data = dict(data)
     preset = data.pop("preset", "benchmark")
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
+    unknown = set(data) - {f.name for f in fields(ExperimentSpec)}
+    if unknown:
+        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
     scenario_factory, train_factory = _PRESETS[preset]
-    scenario = scenario_factory(**data.pop("scenario", {}))
-    train_cfg = train_config_from_dict({**train_factory().to_dict(), **data.pop("train", {})})
-    out_dir = Path(data.pop("out_dir", "runs"))
-    if base_dir is not None and not out_dir.is_absolute():
-        out_dir = base_dir / out_dir
-    known = {
-        "schemes": tuple(data.pop("schemes", (1,))),
-        "seeds": tuple(data.pop("seeds", (0,))),
-        "sweep_pmax": tuple(data.pop("sweep_pmax", ())),
-        "sweep_tr": tuple(data.pop("sweep_tr", ())),
-        "eval_episodes": int(data.pop("eval_episodes", 20)),
-        "converged_window": int(data.pop("converged_window", 20)),
-        "episode_logs": bool(data.pop("episode_logs", False)),
-        "snapshot_interval": data.pop("snapshot_interval", None),
-    }
-    if data:
-        raise ConfigError(f"unknown experiment keys: {sorted(data)}")
-    return ExperimentSpec(scenario=scenario, train=train_cfg, out_dir=out_dir, **known)
-
-
-def load_spec(path) -> ExperimentSpec:
-    path = Path(path)
-    return spec_from_dict(json.loads(path.read_text()), base_dir=path.parent)
+    data["scenario"] = scenario_factory(**data.get("scenario", {}))
+    data["train"] = train_config_from_dict({**train_factory().to_dict(), **data.get("train", {})})
+    out_dir = Path(data.get("out_dir", "runs"))
+    data["out_dir"] = base_dir / out_dir if base_dir is not None and not out_dir.is_absolute() else out_dir
+    return ExperimentSpec(**data)
 
 
 # ------------------------------------------------------------------ planning
@@ -119,39 +117,31 @@ class RunSpec:
     seed: int
     scenario: ScenarioConfig
     train: TrainConfig
+    point: float | int | None = None  # sweep-axis value; None without a sweep
 
 
 def plan_runs(spec: ExperimentSpec) -> list[RunSpec]:
-    """Expand schemes x seeds x sweep axes into concrete runs.
+    """Expand schemes x seeds x sweep axis into concrete runs, point by point.
 
-    In a T_r sweep, scheme 5 never re-poses the surface, so it is trained
-    once per seed (at the first sweep value) and reused for every axis
-    point when comparing.
+    The only place that names runs.  In a T_r sweep, scheme 5 never
+    re-poses the surface, so it is trained once per seed (at the first
+    sweep value) and that run serves every axis point when comparing.
     """
-    runs: list[RunSpec] = []
-
-    def add(scheme, seed, scenario, train_cfg, suffix=""):
-        name = f"scheme{scheme}_seed{seed}{suffix}"
-        runs.append(RunSpec(name, scheme, seed, scenario, replace(train_cfg, scheme=scheme, seed=seed)))
-
     if spec.sweep_pmax:
-        for p_max in spec.sweep_pmax:
-            scenario = scenario_from_dict({**spec.scenario.to_dict(), "p_max": p_max})
-            for scheme in spec.schemes:
-                for seed in spec.seeds:
-                    add(scheme, seed, scenario, spec.train, f"_pmax{p_max:g}")
+        key, points, suffix = "p_max", spec.sweep_pmax, "_pmax{:g}"
     elif spec.sweep_tr:
-        for index, t_r in enumerate(spec.sweep_tr):
-            scenario = scenario_from_dict({**spec.scenario.to_dict(), "pose_update_period": t_r})
-            for scheme in spec.schemes:
-                if scheme == 5 and index > 0:
-                    continue  # pose is frozen: one run serves the whole axis
-                for seed in spec.seeds:
-                    add(scheme, seed, scenario, spec.train, f"_tr{t_r}")
+        key, points, suffix = "pose_update_period", spec.sweep_tr, "_tr{}"
     else:
+        key, points, suffix = None, (None,), ""
+    runs: list[RunSpec] = []
+    for index, point in enumerate(points):
+        scenario = spec.scenario if key is None else scenario_from_dict({**spec.scenario.to_dict(), key: point})
         for scheme in spec.schemes:
+            if scheme == 5 and key == "pose_update_period" and index > 0:
+                continue  # pose is frozen: one run serves the whole axis
             for seed in spec.seeds:
-                add(scheme, seed, spec.scenario, spec.train)
+                name = f"scheme{scheme}_seed{seed}" + suffix.format(point)
+                runs.append(RunSpec(name, scheme, seed, scenario, replace(spec.train, scheme=scheme, seed=seed), point))
     return runs
 
 
@@ -182,35 +172,33 @@ def read_metrics_csv(path) -> list[EpisodeMetrics]:
 
 
 # ------------------------------------------------------------------ run execution
-def _execute_run(payload: dict) -> dict:
+def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
     """Train one run into its directory (module-level for process pools)."""
-    run_dir = Path(payload["run_dir"])
-    scenario = scenario_from_dict(payload["scenario"])
-    train_cfg = train_config_from_dict(payload["train"])
+    run_dir = spec.out_dir / run.name
     run_dir.mkdir(parents=True, exist_ok=True)
-    digest = content_hash(scenario, train_cfg)
+    digest = content_hash(run.scenario, run.train)
     manifest_path = run_dir / "manifest.json"
-    if payload["resume"] and manifest_path.exists():
+    if resume and manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("status") == "complete":
             if manifest.get("content_hash") != digest:
-                raise ConfigError(f"run {payload['name']} is complete under a different config; "
+                raise ConfigError(f"run {run.name} is complete under a different config; "
                                   "resume needs the spec it was trained with, or a fresh output directory")
-            return {"name": payload["name"], "status": "skipped"}
+            return {"name": run.name, "status": "skipped"}
     resume_from = None
     snapshot_dir = run_dir / "snapshots"
-    if payload["resume"] and (snapshot_dir / "train_state.json").exists():
+    if resume and (snapshot_dir / "train_state.json").exists():
         resume_from = snapshot_dir
     log_stream = None
-    if payload["episode_logs"]:
+    if spec.episode_logs:
         log_stream = open(run_dir / "episodes.ndjson", "w" if resume_from is None else "a")
     try:
         result = train(
-            scenario,
-            train_cfg,
+            run.scenario,
+            run.train,
             episode_log=log_stream,
-            snapshot_dir=snapshot_dir if payload["snapshot_interval"] else None,
-            snapshot_interval=payload["snapshot_interval"],
+            snapshot_dir=snapshot_dir if spec.snapshot_interval else None,
+            snapshot_interval=spec.snapshot_interval,
             resume_from=resume_from,
         )
     finally:
@@ -219,17 +207,17 @@ def _execute_run(payload: dict) -> dict:
     write_metrics_csv(run_dir / "metrics.csv", result.metrics)
     result.roster.save(run_dir / "checkpoints")
     manifest = {
-        "name": payload["name"],
-        "scheme": train_cfg.scheme,
-        "seed": train_cfg.seed,
-        "scenario": scenario.to_dict(),
-        "train": train_cfg.to_dict(),
+        "name": run.name,
+        "scheme": run.train.scheme,
+        "seed": run.train.seed,
+        "scenario": run.scenario.to_dict(),
+        "train": run.train.to_dict(),
         "content_hash": digest,
         "episodes": len(result.metrics),
         "status": "complete",
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return {"name": payload["name"], "status": "trained"}
+    return {"name": run.name, "status": "trained"}
 
 
 def worker_count() -> int:
@@ -245,23 +233,11 @@ def cmd_train(spec: ExperimentSpec, resume: bool = False) -> list[dict]:
     """Train every planned run; returns one status dict per run."""
     runs = plan_runs(spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        {
-            "name": run.name,
-            "run_dir": str(spec.out_dir / run.name),
-            "scenario": run.scenario.to_dict(),
-            "train": run.train.to_dict(),
-            "episode_logs": spec.episode_logs,
-            "snapshot_interval": spec.snapshot_interval,
-            "resume": resume,
-        }
-        for run in runs
-    ]
     workers = worker_count()
     if workers == 1:
-        return [_execute_run(p) for p in payloads]
+        return [_execute_run(run, spec, resume) for run in runs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_run, payloads))
+        return list(pool.map(_execute_run, runs, repeat(spec), repeat(resume)))
 
 
 # ------------------------------------------------------------------ evaluation
@@ -291,47 +267,37 @@ def cmd_eval(spec: ExperimentSpec, run_dirs=None) -> list[dict]:
 
 
 # ------------------------------------------------------------------ comparison
-def converged_sum_rate(metrics: list[EpisodeMetrics], window: int) -> float:
+def converged_scores(metrics: list[EpisodeMetrics], window: int) -> tuple[float, float]:
+    """Mean sum rate and mean sensing SNR over the last ``window`` episodes."""
     tail = metrics[-min(window, len(metrics)):]
-    return float(np.mean([m.sum_rate for m in tail]))
-
-
-def converged_mean_snr(metrics: list[EpisodeMetrics], window: int) -> float:
-    tail = metrics[-min(window, len(metrics)):]
-    return float(np.mean([m.mean_snr for m in tail]))
-
-
-def _collect_run(out_dir: Path, name: str):
-    path = out_dir / name / "metrics.csv"
-    if not path.exists():
-        return None
-    return read_metrics_csv(path)
+    return float(np.mean([m.sum_rate for m in tail])), float(np.mean([m.mean_snr for m in tail]))
 
 
 def cmd_compare(spec: ExperimentSpec) -> dict:
     """Summarize finished runs into tables and plot-ready columns.
 
-    Writes ``comparison.csv`` (per-scheme medians over seeds) and, when a
-    sweep axis is active, ``sweep_pmax.csv`` or ``sweep_tr.csv`` with one
-    x column and one series column per scheme, plus a matplotlib render
-    script.  Missing runs abort with an explicit list.
+    Writes ``comparison.csv`` (per-scheme medians over the scheme's runs)
+    and, when a sweep axis is active, ``sweep_pmax.csv`` or ``sweep_tr.csv``
+    with one x column and one series column per scheme (medians over seeds;
+    a scheme planned at one point serves every point), plus a matplotlib
+    render script.  Missing runs abort with an explicit list.
     """
     runs = plan_runs(spec)
-    missing = [run.name for run in runs if _collect_run(spec.out_dir, run.name) is None]
+    missing = [run.name for run in runs if not (spec.out_dir / run.name / "metrics.csv").exists()]
     if missing:
         raise FileNotFoundError(f"missing trained runs: {', '.join(sorted(missing))}")
 
     window = spec.converged_window
+    # (rate, snr) of every run, by scheme and by sweep point
+    scores: dict[int, dict] = {scheme: {} for scheme in spec.schemes}
+    for run in runs:
+        metrics = read_metrics_csv(spec.out_dir / run.name / "metrics.csv")
+        scores[run.scheme].setdefault(run.point, []).append(converged_scores(metrics, window))
+
     result: dict = {"schemes": {}}
     table_lines = ["scheme,converged_sum_rate,converged_mean_snr,n_seeds"]
-    for scheme in spec.schemes:
-        rates, snrs = [], []
-        for run in runs:
-            if run.scheme != scheme:
-                continue
-            metrics = _collect_run(spec.out_dir, run.name)
-            rates.append(converged_sum_rate(metrics, window))
-            snrs.append(converged_mean_snr(metrics, window))
+    for scheme, by_point in scores.items():
+        rates, snrs = zip(*(score for point_scores in by_point.values() for score in point_scores))
         entry = {
             "converged_sum_rate": float(np.median(rates)),
             "converged_mean_snr": float(np.median(snrs)),
@@ -344,35 +310,16 @@ def cmd_compare(spec: ExperimentSpec) -> dict:
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     (spec.out_dir / "comparison.csv").write_text("\n".join(table_lines) + "\n")
 
-    axis = None
-    if spec.sweep_pmax:
-        axis = ("p_max", list(spec.sweep_pmax), "sweep_pmax.csv")
-    elif spec.sweep_tr:
-        axis = ("t_r", list(spec.sweep_tr), "sweep_tr.csv")
-    if axis is not None:
-        axis_name, values, filename = axis
-        header = [axis_name] + [f"scheme_{s}" for s in spec.schemes]
-        lines = [",".join(header)]
+    if spec.sweep_pmax or spec.sweep_tr:
+        axis_name, filename = ("p_max", "sweep_pmax.csv") if spec.sweep_pmax else ("t_r", "sweep_tr.csv")
+        values = list(spec.sweep_pmax or spec.sweep_tr)
+        lines = [",".join([axis_name] + [f"scheme_{s}" for s in spec.schemes])]
         series: dict[int, list[float]] = {s: [] for s in spec.schemes}
-        for index, value in enumerate(values):
-            suffix = f"_pmax{value:g}" if axis_name == "p_max" else f"_tr{value}"
-            cells = [repr(float(value))]
-            for scheme in spec.schemes:
-                if axis_name == "t_r" and scheme == 5:
-                    # frozen-pose scheme: reuse the single trained run
-                    suffix_used = f"_tr{values[0]}"
-                else:
-                    suffix_used = suffix
-                rates = []
-                for seed in spec.seeds:
-                    metrics = _collect_run(spec.out_dir, f"scheme{scheme}_seed{seed}{suffix_used}")
-                    if metrics is None:
-                        raise FileNotFoundError(f"missing run scheme{scheme}_seed{seed}{suffix_used}")
-                    rates.append(converged_sum_rate(metrics, window))
-                median = float(np.median(rates))
-                series[scheme].append(median)
-                cells.append(repr(median))
-            lines.append(",".join(cells))
+        for value in values:
+            for scheme, by_point in scores.items():
+                point_scores = by_point[value] if len(by_point) > 1 else next(iter(by_point.values()))
+                series[scheme].append(float(np.median([rate for rate, _ in point_scores])))
+            lines.append(",".join([repr(float(value))] + [repr(series[s][-1]) for s in spec.schemes]))
         (spec.out_dir / filename).write_text("\n".join(lines) + "\n")
         (spec.out_dir / "render_plots.py").write_text(RENDER_SCRIPT)
         result["sweep"] = {"axis": axis_name, "values": values, "series": series}
@@ -445,7 +392,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return _ints(x for x in text.split(",") if x.strip())
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -459,10 +406,10 @@ def build_parser() -> _Parser:
     def add_spec_args(p):
         p.add_argument("--config", type=Path, help="JSON experiment spec")
         p.add_argument("--preset", choices=sorted(_PRESETS), help="base config preset (default benchmark)")
-        p.add_argument("--scheme", type=_int_list, help="comma-separated scheme ids")
+        p.add_argument("--scheme", dest="schemes", type=_int_list, help="comma-separated scheme ids")
         p.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
         p.add_argument("--episodes", type=int, help="training episodes override")
-        p.add_argument("--out", type=Path, help="output directory")
+        p.add_argument("--out", dest="out_dir", type=Path, help="output directory")
         p.add_argument("--sweep-pmax", type=_float_list, help="power-budget sweep values (watts)")
         p.add_argument("--sweep-tr", type=_int_list, help="pose-update-period sweep values (slots)")
 
@@ -486,32 +433,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Flags whose dest is a key of the JSON spec; a given flag overrides --config.
+_SPEC_FLAGS = ("preset", "schemes", "seeds", "out_dir", "sweep_pmax", "sweep_tr", "episode_logs",
+               "snapshot_interval", "eval_episodes")
+
+
 def _spec_from_args(args) -> ExperimentSpec:
-    data: dict = {}
-    if args.config is not None:
-        data = json.loads(Path(args.config).read_text())
-    if getattr(args, "preset", None):
-        data["preset"] = args.preset
-    if getattr(args, "scheme", None):
-        data["schemes"] = list(args.scheme)
-    if getattr(args, "seeds", None):
-        data["seeds"] = list(args.seeds)
-    if getattr(args, "episodes", None):
+    data = json.loads(args.config.read_text()) if args.config is not None else {}
+    for key in _SPEC_FLAGS:
+        if getattr(args, key, None):
+            data[key] = getattr(args, key)
+    if args.episodes:
         data.setdefault("train", {})["episodes"] = args.episodes
-    if getattr(args, "out", None):
-        data["out_dir"] = str(args.out)
-    if getattr(args, "sweep_pmax", None):
-        data["sweep_pmax"] = list(args.sweep_pmax)
-    if getattr(args, "sweep_tr", None):
-        data["sweep_tr"] = list(args.sweep_tr)
-    if getattr(args, "episode_logs", False):
-        data["episode_logs"] = True
-    if getattr(args, "snapshot_interval", None):
-        data["snapshot_interval"] = args.snapshot_interval
-    if getattr(args, "eval_episodes", None):
-        data["eval_episodes"] = args.eval_episodes
-    base_dir = Path(args.config).parent if args.config is not None else None
-    return spec_from_dict(data, base_dir=base_dir)
+    return spec_from_dict(data, base_dir=args.config.parent if args.config is not None else None)
 
 
 def main(argv=None) -> int:

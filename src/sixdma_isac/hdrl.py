@@ -271,8 +271,8 @@ class TrainResult:
     metrics: list[EpisodeMetrics]
     scenario: ScenarioConfig
     config: TrainConfig
-    fast_transitions: int = 0
-    pose_transitions: int = 0
+    fast_transitions: int
+    pose_transitions: int
 
 
 def _rng_from(seed: int, tag: int) -> np.random.Generator:
@@ -355,7 +355,7 @@ def _update_pose_agent(agent: Td3Agent, buffer: ReplayBuffer, batch_size: int,
         return
     batch, idx = buffer.sample(batch_size, sample_rng)
     inputs = np.concatenate([batch["obs"], batch["action"]], axis=1)
-    next_actions = agent.target_actions(batch["next_obs"])
+    next_actions = agent.target_actions(batch["next_obs"], sample_rng)
     next_inputs = np.concatenate([batch["next_obs"], next_actions], axis=1)
     targets = agent.td_targets(batch["reward"], next_inputs, batch["done"])
     if buffer.prioritized:
@@ -375,10 +375,10 @@ def _update_fast_agents(roster: AgentRoster, buffer: ReplayBuffer, batch_size: i
     beam_obs, beam_act = batch["beam_obs"], batch["beam_act"]
     central = roster.layout.build(uav_obs, uav_act, beam_obs, beam_act)
     next_uav_act = np.stack(
-        [agent.target_actions(batch["next_uav_obs"][:, m]) for m, agent in enumerate(roster.uav_agents)],
+        [agent.target_actions(batch["next_uav_obs"][:, m], sample_rng) for m, agent in enumerate(roster.uav_agents)],
         axis=1,
     )
-    next_beam_act = roster.beam_agent.target_actions(batch["next_beam_obs"])
+    next_beam_act = roster.beam_agent.target_actions(batch["next_beam_obs"], sample_rng)
     central_next = roster.layout.build(batch["next_uav_obs"], next_uav_act, batch["next_beam_obs"], next_beam_act)
     priority_errors = np.zeros(batch_size)
     for index, (name, agent) in enumerate(roster.fast_agents()):
@@ -430,8 +430,6 @@ def train(
     schedule = NoiseSchedule(config.noise_std, config.noise_floor, config.explore_episodes)
     metrics: list[EpisodeMetrics] = []
     start_episode = 0
-    fast_transitions = 0
-    pose_transitions = 0
 
     if resume_from is None:
         roster = AgentRoster(scenario, config)
@@ -455,7 +453,6 @@ def train(
             if outcome.done or env.is_pose_slot():  # the window ends before the next decision
                 transition, reward = _pose_transition(env, pending, next_obs.sixdma, float(outcome.done))
                 pose_buffer.push(transition)
-                pose_transitions += 1
                 reward_pose_total += reward
             fast_buffer.push(
                 {
@@ -470,7 +467,6 @@ def train(
                     "done": float(outcome.done),
                 }
             )
-            fast_transitions += 1
             _update_fast_agents(roster, fast_buffer, config.batch_size, sample_rng)
             reward_uav_total += float(np.mean(outcome.rewards_uav))
             if episode_log is not None:
@@ -490,7 +486,9 @@ def train(
         if snapshot_dir is not None and snapshot_interval and (episode + 1) % snapshot_interval == 0:
             _save_snapshot(Path(snapshot_dir), episode + 1, metrics, roster, fast_buffer, pose_buffer,
                            noise_rng, sample_rng, _snapshot_config(scenario, config))
-    return TrainResult(roster, metrics, scenario, config, fast_transitions, pose_transitions)
+    # one fast transition per slot and one pose transition per window, resumed episodes included
+    return TrainResult(roster, metrics, scenario, config, len(metrics) * num_slots,
+                       len(metrics) * len(scenario.pose_decision_slots()))
 
 
 # ---------------------------------------------------------------- snapshots

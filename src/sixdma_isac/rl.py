@@ -127,15 +127,15 @@ class ReplayBuffer:
         return arrays
 
     def load_arrays(self, arrays) -> None:
+        """Restore :meth:`state_arrays` output, adopting the float arrays
+        without a copy: pass arrays that nothing else holds (as ``np.load``
+        returns them), or copies."""
         meta = np.asarray(arrays["buffer_meta"])
         self._size, self._next = int(meta[0]), int(meta[1])
-        self._priorities = np.array(arrays["buffer_priorities"], dtype=float)
-        self._storage = {}
-        for key in arrays:
-            if key.startswith("field_"):
-                self._storage[key[len("field_"):]] = np.array(arrays[key], dtype=float)
-        if not self._storage:
-            self._storage = None
+        self._priorities = np.asarray(arrays["buffer_priorities"], dtype=float)
+        storage = {key[len("field_"):]: np.asarray(arrays[key], dtype=float)
+                   for key in arrays if key.startswith("field_")}
+        self._storage = storage or None
 
 
 class Td3Agent:

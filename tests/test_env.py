@@ -94,6 +94,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             desk_scenario(num_antennas=3)
 
+    # (key in another unit, field, value in that unit, the same value in the field's unit)
+    @pytest.mark.parametrize("key, name, value, linear", [
+        ("sigma_c_dbm", "sigma_c_sq", -40.0, 1e-7),
+        ("sigma_s_dbm", "sigma_s_sq", -40.0, 1e-7),
+        ("p_max_dbm", "p_max", 10.0, 0.01),
+        ("gamma_min_db", "gamma_min", 3.0, 10 ** 0.3),
+        ("theta_max_deg", "theta_max", 20.0, np.radians(20.0)),
+    ])
+    @pytest.mark.parametrize("preset", [desk_scenario, benchmark_scenario])
+    def test_an_override_in_either_unit_replaces_the_preset_value(self, preset, key, name, value, linear):
+        base = preset().to_dict()
+        assert getattr(preset(**{name: linear}), name) == linear != base[name]
+        for overrides in ({name: linear}, {key: value}):
+            cfg = preset(**overrides).to_dict()
+            assert cfg[name] == pytest.approx(linear, rel=1e-12)
+            assert {k: v for k, v in cfg.items() if k != name} == {k: v for k, v in base.items() if k != name}
+        with pytest.raises(ConfigError, match=key):
+            preset(**{key: value, name: linear})
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict({**base, key: value})
+
 
 class TestReset:
     def test_initial_state(self):

@@ -1,13 +1,18 @@
+import argparse
 import json
 import os
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sixdma_isac import harness
 from sixdma_isac.env import desk_scenario
 from sixdma_isac.errors import ConfigError
 from sixdma_isac.harness import (
     ExperimentSpec,
+    build_parser,
     cmd_compare,
     cmd_eval,
     cmd_profile,
@@ -72,6 +77,55 @@ class TestSpec:
     def test_sweep_tr_must_fit(self, tmp_path):
         with pytest.raises(ConfigError):
             tiny_spec(tmp_path, sweep_tr=(100,))
+
+    def test_defaults_and_coercion_live_on_the_spec(self, tmp_path):
+        spec = ExperimentSpec(desk_scenario(), desk_train_config(), seeds=[2, 3], sweep_tr=[5.0], out_dir="x")
+        assert spec.schemes == (1,) and spec.seeds == (2, 3) and spec.sweep_tr == (5,)
+        assert spec.out_dir == Path("x") and spec.eval_episodes == 20 and spec.snapshot_interval is None
+
+    @pytest.mark.parametrize("name, value", [("sigma_c_sq", 2e-8), ("sigma_s_sq", 3e-8), ("p_max", 0.02),
+                                             ("gamma_min", 2.0), ("theta_max", 0.25)])
+    def test_json_scenario_override_in_linear_units_is_kept(self, name, value):
+        spec = spec_from_dict({"preset": "desk", "scenario": {name: value}})
+        assert getattr(spec.scenario, name) == value
+
+
+def _spec_values(spec):
+    return {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "scenario"} | {
+        "scenario": spec.scenario.to_dict()}
+
+
+class TestCliSpecFlags:
+    # dests of the train/eval/compare flags that are not keys of the JSON spec
+    COMMAND_ONLY = {"help", "config", "episodes", "resume", "run"}
+
+    def _spec_commands(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return [sub.choices[name] for name in ("train", "eval", "compare")]
+
+    def test_every_spec_flag_dest_is_a_spec_key(self):
+        spec_fields = {f.name for f in fields(ExperimentSpec)}
+        dests = {action.dest for parser in self._spec_commands() for action in parser._actions}
+        assert dests - self.COMMAND_ONLY == set(harness._SPEC_FLAGS)
+        assert set(harness._SPEC_FLAGS) - {"preset"} <= spec_fields
+
+    @pytest.mark.parametrize("flags, data", [
+        (["train", "--preset", "desk", "--scheme", "1,5", "--seeds", "0,1", "--episodes", "3",
+          "--sweep-tr", "5,10", "--episode-logs", "--snapshot-interval", "2"],
+         {"preset": "desk", "schemes": [1, 5], "seeds": [0, 1], "train": {"episodes": 3}, "sweep_tr": [5, 10],
+          "episode_logs": True, "snapshot_interval": 2}),
+        (["eval", "--scheme", "3", "--seeds", "4", "--sweep-pmax", "0.02,0.04", "--eval-episodes", "5"],
+         {"schemes": [3], "seeds": [4], "sweep_pmax": [0.02, 0.04], "eval_episodes": 5}),
+        (["compare", "--preset", "desk", "--scheme", "2"], {"preset": "desk", "schemes": [2]}),
+    ])
+    def test_json_spec_and_flags_give_equal_specs(self, tmp_path, flags, data):
+        out = tmp_path / "runs"
+        config_path = tmp_path / "spec.json"
+        config_path.write_text(json.dumps({**data, "out_dir": str(out)}))
+        parser = build_parser()
+        from_flags = harness._spec_from_args(parser.parse_args([*flags, "--out", str(out)]))
+        from_json = harness._spec_from_args(parser.parse_args([flags[0], "--config", str(config_path)]))
+        assert _spec_values(from_flags) == _spec_values(from_json)
 
 
 class TestContentHash:
@@ -257,23 +311,13 @@ class TestResume:
         reference = (full.out_dir / "scheme1_seed0" / "metrics.csv").read_bytes()
 
         partial_dir = tmp_path / "partial" / "scheme1_seed0"
-        run = plan_runs(tiny_spec(tmp_path, out_dir=tmp_path / "partial"))[0]
-        _execute_run(
-            {
-                "name": run.name,
-                "run_dir": str(partial_dir),
-                "scenario": run.scenario.to_dict(),
-                "train": {**run.train.to_dict(), "episodes": 1},
-                "episode_logs": False,
-                "snapshot_interval": 1,
-                "resume": False,
-            }
-        )
+        spec = tiny_spec(tmp_path, out_dir=tmp_path / "partial", snapshot_interval=1)
+        run = plan_runs(spec)[0]
+        _execute_run(replace(run, train=replace(run.train, episodes=1)), spec, resume=False)
         # simulate a crash after the snapshot: no manifest, stale metrics
         (partial_dir / "manifest.json").unlink()
         (partial_dir / "metrics.csv").unlink()
 
-        spec = tiny_spec(tmp_path, out_dir=tmp_path / "partial", snapshot_interval=1)
         statuses = cmd_train(spec, resume=True)
         assert statuses[0]["status"] == "trained"
         resumed = (partial_dir / "metrics.csv").read_bytes()
@@ -302,6 +346,39 @@ class TestSweepCompare:
         lines = (spec.out_dir / "sweep_pmax.csv").read_text().splitlines()
         assert lines[0] == "p_max,scheme_1"
         assert len(lines) == 3
+
+
+class TestCompareOfPlannedRuns:
+    # (sum_rate, mean_snr) of the two rows in the converged window of every
+    # run a T_r sweep of schemes 1 and 5 plans; each run also has an earlier
+    # row (9.0, 9.0) outside the window
+    TAILS = {
+        "scheme1_seed0_tr5": ((1.0, 0.5), (2.0, 0.25)),
+        "scheme1_seed1_tr5": ((2.0, 0.5), (3.0, 0.75)),
+        "scheme5_seed0_tr5": ((0.5, 0.125), (0.5, 0.125)),
+        "scheme5_seed1_tr5": ((1.0, 0.25), (2.0, 0.75)),
+        "scheme1_seed0_tr10": ((4.0, 1.0), (5.0, 1.5)),
+        "scheme1_seed1_tr10": ((6.0, 2.0), (6.0, 2.0)),
+    }
+
+    def test_tr_sweep_tables_match_a_hand_built_expectation(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path, schemes=(1, 5), seeds=(0, 1), sweep_tr=(5, 10), converged_window=2)
+        assert [run.name for run in plan_runs(spec)] == list(self.TAILS)
+        for name, tail in self.TAILS.items():
+            rows = [EpisodeMetrics(k, 0.0, 0.0, 0.0, rate, snr, 0, 0) for k, (rate, snr) in enumerate(((9.0, 9.0), *tail))]
+            (spec.out_dir / name).mkdir(parents=True)
+            write_metrics_csv(spec.out_dir / name / "metrics.csv", rows)
+        reads = []
+        monkeypatch.setattr(harness, "read_metrics_csv",
+                            lambda path: reads.append(Path(path).parent.name) or read_metrics_csv(path))
+        result = cmd_compare(spec)
+        assert sorted(reads) == sorted(self.TAILS)  # every metrics.csv read once
+        # scheme 1: run means 1.5, 2.5 (t_r 5) and 4.5, 6.0 (t_r 10); scheme 5: 0.5, 1.5 at every t_r
+        assert (spec.out_dir / "comparison.csv").read_text() == (
+            "scheme,converged_sum_rate,converged_mean_snr,n_seeds\n1,3.5,0.9375,4\n5,1.0,0.3125,2\n"
+        )
+        assert (spec.out_dir / "sweep_tr.csv").read_text() == "t_r,scheme_1,scheme_5\n5.0,2.0,1.0\n10.0,5.25,1.0\n"
+        assert result["sweep"]["series"] == {1: [2.0, 5.25], 5: [1.0, 1.0]}
 
 
 class TestCli:

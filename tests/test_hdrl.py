@@ -222,8 +222,21 @@ class TestTrainLoop:
         train(scenario, tiny_config(episodes=2, seed=9), snapshot_dir=snap_dir, snapshot_interval=2)
         resumed = train(scenario, config, resume_from=snap_dir)
         assert [m.as_row() for m in straight.metrics] == [m.as_row() for m in resumed.metrics]
+        # the counts cover the episodes before the resume too: 4 x 20 slots, 4 x 4 windows
+        assert (resumed.fast_transitions, resumed.pose_transitions) == (80, 16)
+        assert (straight.fast_transitions, straight.pose_transitions) == (80, 16)
         for (_, a1), (_, a2) in zip(straight.roster.all_agents(), resumed.roster.all_agents()):
             for p, q in zip(a1.actor.parameters(), a2.actor.parameters()):
+                np.testing.assert_array_equal(p, q)
+
+    def test_target_smoothing_run_completes_and_repeats_bit_for_bit(self):
+        scenario = desk_scenario()
+        runs = [train(scenario, tiny_config(episodes=3, smoothing_std=0.2)) for _ in range(2)]
+        plain = train(scenario, tiny_config(episodes=3))
+        assert [m.as_row() for m in runs[0].metrics] == [m.as_row() for m in runs[1].metrics]
+        assert [m.as_row() for m in runs[0].metrics] != [m.as_row() for m in plain.metrics]
+        for (_, a1), (_, a2) in zip(runs[0].roster.all_agents(), runs[1].roster.all_agents()):
+            for p, q in zip(a1.critic1.parameters(), a2.critic1.parameters()):
                 np.testing.assert_array_equal(p, q)
 
     def test_snapshot_resume_refuses_other_settings(self, tmp_path):

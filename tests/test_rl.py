@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,13 +305,32 @@ class TestReplayBuffer:
         for k in range(4):
             buf.push({"x": np.array([float(k)]), "r": float(k) * 2.0})
         clone = ReplayBuffer(capacity=6)
-        clone.load_arrays(buf.state_arrays())
+        # load_arrays adopts its arrays, so hand it copies of a live buffer's
+        clone.load_arrays({key: value.copy() for key, value in buf.state_arrays().items()})
         assert len(clone) == len(buf)
         b1, i1 = buf.sample(4, np.random.default_rng(3))
         b2, i2 = clone.sample(4, np.random.default_rng(3))
         np.testing.assert_array_equal(i1, i2)
         np.testing.assert_array_equal(b1["x"], b2["x"])
         np.testing.assert_array_equal(b1["r"], b2["r"])
+
+    def test_load_from_npz_holds_one_copy(self, tmp_path):
+        buf = ReplayBuffer(capacity=20_000)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            buf.push({"x": rng.normal(size=50), "y": rng.normal(size=49), "r": 1.0})
+        np.savez(tmp_path / "buffer.npz", **buf.state_arrays())
+        nbytes = sum(array.nbytes for array in buf.state_arrays().values())
+        clone = ReplayBuffer(capacity=20_000)
+        tracemalloc.start()
+        try:
+            with np.load(tmp_path / "buffer.npz") as arrays:
+                clone.load_arrays(arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * nbytes  # a copying load peaks near 2x
+        np.testing.assert_array_equal(clone.state_arrays()["field_x"], buf.state_arrays()["field_x"])
 
 
 class TestNoiseSchedule:
