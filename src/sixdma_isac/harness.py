@@ -80,6 +80,15 @@ class ExperimentSpec:
             object.__setattr__(self, name, coerce(getattr(self, name)))
         if not self.schemes or not self.seeds:
             raise ConfigError("at least one scheme and one seed are required")
+        for name in ("schemes", "seeds", "sweep_pmax", "sweep_tr"):  # a repeat would plan the same run twice
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} repeats the value {repeated[0]}")
+        if self.eval_episodes < 1 or self.converged_window < 1:
+            raise ConfigError("eval_episodes and converged_window must be >= 1")
+        if self.snapshot_interval is not None and self.snapshot_interval < 1:
+            raise ConfigError("snapshot_interval must be >= 1 when given")
         for scheme in self.schemes:
             if scheme not in (1, 2, 3, 4, 5):
                 raise ConfigError(f"unknown scheme id {scheme}")
@@ -416,7 +425,7 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train runs for every scheme/seed/sweep point")
     add_spec_args(p_train)
     p_train.add_argument("--resume", action="store_true", help="skip complete runs, resume partial ones")
-    p_train.add_argument("--episode-logs", action="store_true", help="stream per-slot NDJSON records")
+    p_train.add_argument("--episode-logs", action="store_true", default=None, help="stream per-slot NDJSON records")
     p_train.add_argument("--snapshot-interval", type=int, help="episodes between resumable snapshots")
 
     p_eval = sub.add_parser("eval", help="evaluate trained runs")
@@ -433,7 +442,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-# Flags whose dest is a key of the JSON spec; a given flag overrides --config.
+# Flags whose dest is a key of the JSON spec; a given flag (default None when
+# absent) overrides --config, whatever its value.
 _SPEC_FLAGS = ("preset", "schemes", "seeds", "out_dir", "sweep_pmax", "sweep_tr", "episode_logs",
                "snapshot_interval", "eval_episodes")
 
@@ -441,9 +451,9 @@ _SPEC_FLAGS = ("preset", "schemes", "seeds", "out_dir", "sweep_pmax", "sweep_tr"
 def _spec_from_args(args) -> ExperimentSpec:
     data = json.loads(args.config.read_text()) if args.config is not None else {}
     for key in _SPEC_FLAGS:
-        if getattr(args, key, None):
+        if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
-    if args.episodes:
+    if args.episodes is not None:
         data.setdefault("train", {})["episodes"] = args.episodes
     return spec_from_dict(data, base_dir=args.config.parent if args.config is not None else None)
 

@@ -1,10 +1,12 @@
 """Hierarchical training: slow surface agent over fast multi-agent TD3.
 
 The fast layer holds one TD3 agent per UAV plus one beamforming agent;
-their critics see the concatenation of every fast agent's observation and
-action (scheme 2 narrows each critic to its own observation/action).  The
-surface agent acts only at decision slots and receives its reward one
-window later, aggregated over the slots its pose was live.
+the surface agent acts only at decision slots and receives its reward one
+window later, aggregated over the slots its pose was live.  Every critic
+sees ``[o_1, a_1, ..., o_K, a_K]``, the (observation, action) pairs of the
+agents it judges: all fast agents under the shared critic, only its own
+agent under scheme 2 and for the surface agent.  One TD3 round,
+:func:`_learn`, updates either layer.
 
 Training and evaluation share one episode loop, :func:`_rollout`, which
 keeps the paper's slot order: on its cadence the surface agent re-poses
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,10 @@ class TrainConfig:
             raise ConfigError(f"unknown scheme id {self.scheme}")
         if self.pose_buffer_capacity is not None and self.pose_buffer_capacity < 1:
             raise ConfigError("pose_buffer_capacity must be positive when given")
+        pose_capacity = self.pose_buffer_capacity or self.buffer_capacity
+        if self.batch_size > min(self.buffer_capacity, pose_capacity):  # that buffer's agents would never learn
+            raise ConfigError(f"batch_size {self.batch_size} exceeds a replay capacity "
+                              f"(buffer_capacity {self.buffer_capacity}, pose buffer {pose_capacity})")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def to_dict(self) -> dict:
@@ -93,58 +99,14 @@ def desk_train_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-@dataclass(frozen=True)
-class FastLayout:
-    """Offsets of every fast agent inside the centralized critic input.
-
-    Fixed order: [o_1, a_1, ..., o_M, a_M, o_beam, a_beam]; permuting the
-    agents changes the vector, so the order is part of the contract.
-    """
-
-    num_uavs: int
-    obs_beam: int
-    obs_uav: int = UAV_OBS_DIM
-    act_uav: int = UAV_ACT_DIM
-
-    def __post_init__(self):
-        object.__setattr__(self, "_uav_stride", self.obs_uav + self.act_uav)
-
-    def width(self, act_beam: int) -> int:
-        return self.num_uavs * (self.obs_uav + self.act_uav) + self.obs_beam + act_beam
-
-    def uav_act_slice(self, m: int) -> slice:
-        start = m * self._uav_stride + self.obs_uav
-        return slice(start, start + self.act_uav)
-
-    def beam_act_slice(self, act_beam: int) -> slice:
-        start = self.num_uavs * self._uav_stride + self.obs_beam
-        return slice(start, start + act_beam)
-
-    def build(self, uav_obs, uav_act, beam_obs, beam_act) -> np.ndarray:
-        """Concatenate batched per-agent pieces into (B, width)."""
-        uav_obs = np.asarray(uav_obs, dtype=float)
-        uav_act = np.asarray(uav_act, dtype=float)
-        beam_obs = np.atleast_2d(np.asarray(beam_obs, dtype=float))
-        beam_act = np.atleast_2d(np.asarray(beam_act, dtype=float))
-        if uav_obs.ndim == 2:  # single sample (M, obs) -> (1, M, obs)
-            uav_obs = uav_obs[None]
-            uav_act = uav_act[None]
-        per_uav = np.concatenate([uav_obs, uav_act], axis=2)
-        flat = per_uav.reshape(per_uav.shape[0], -1)
-        return np.concatenate([flat, beam_obs, beam_act], axis=1)
-
-
 def _agent_dims(scenario: ScenarioConfig, config: TrainConfig) -> dict[str, tuple[int, int, int]]:
     """``(obs_dim, action_dim, critic_input_dim)`` of every agent, by name, in
     roster order: UAV agents, beam agent, surface agent."""
     m, j, n = scenario.num_uavs, scenario.num_targets, scenario.num_antennas
     obs_beam, act_beam, obs_pose = 2 * n * (m + j), 2 * n * m, 3 * (m + 1)
-    if config.scheme == 2:
-        uav_critic_in, beam_critic_in = UAV_OBS_DIM + UAV_ACT_DIM, obs_beam + act_beam
-    else:
-        uav_critic_in = beam_critic_in = FastLayout(num_uavs=m, obs_beam=obs_beam).width(act_beam)
-    dims = {f"uav_{k}": (UAV_OBS_DIM, UAV_ACT_DIM, uav_critic_in) for k in range(m)}
-    dims["beam"] = (obs_beam, act_beam, beam_critic_in)
+    fast = {f"uav_{k}": (UAV_OBS_DIM, UAV_ACT_DIM) for k in range(m)} | {"beam": (obs_beam, act_beam)}
+    shared = sum(obs + act for obs, act in fast.values())  # the width of every fast agent's pair
+    dims = {name: (obs, act, obs + act if config.scheme == 2 else shared) for name, (obs, act) in fast.items()}
     dims["sixdma"] = (obs_pose, POSE_ACT_DIM, obs_pose + POSE_ACT_DIM)
     return dims
 
@@ -157,43 +119,21 @@ class AgentRoster:
         dims = _agent_dims(scenario, config)
         self.scheme = config.scheme
         self.num_uavs = scenario.num_uavs
-        self.obs_beam, self.act_beam, _ = dims["beam"]
-        self.obs_pose = dims["sixdma"][0]
-        self.layout = FastLayout(num_uavs=self.num_uavs, obs_beam=self.obs_beam)
-        self.central_width = self.layout.width(self.act_beam)
         if agents is None:
             init_seeds = np.random.SeedSequence([config.seed, 101]).spawn(len(dims))
             common = {key: getattr(config, key) for key in _AGENT_SETTINGS}
             agents = {name: Td3Agent(*d, rng=np.random.default_rng(seed), **common)
                       for (name, d), seed in zip(dims.items(), init_seeds)}
+        self.agents = {name: agents[name] for name in dims}  # roster order
         self.uav_agents = [agents[f"uav_{k}"] for k in range(self.num_uavs)]
         self.beam_agent = agents["beam"]
         self.pose_agent = agents["sixdma"]
 
     def fast_agents(self) -> list[tuple[str, Td3Agent]]:
-        named = [(f"uav_{k}", agent) for k, agent in enumerate(self.uav_agents)]
-        named.append(("beam", self.beam_agent))
-        return named
+        return self.all_agents()[:-1]
 
     def all_agents(self) -> list[tuple[str, Td3Agent]]:
-        return self.fast_agents() + [("sixdma", self.pose_agent)]
-
-    def critic_view(self, agent_index: int, central, uav_obs, uav_act, beam_obs, beam_act):
-        """Critic input and action slice for one fast agent.
-
-        ``agent_index`` counts UAV agents first, then the beam agent.
-        Under scheme 2 the view narrows to the agent's own observation and
-        action; otherwise it is the shared centralized vector.
-        """
-        if self.scheme != 2:
-            if agent_index < self.num_uavs:
-                return central, self.layout.uav_act_slice(agent_index)
-            return central, self.layout.beam_act_slice(self.act_beam)
-        if agent_index < self.num_uavs:
-            own = np.concatenate([uav_obs[:, agent_index], uav_act[:, agent_index]], axis=1)
-            return own, slice(UAV_OBS_DIM, UAV_OBS_DIM + UAV_ACT_DIM)
-        own = np.concatenate([beam_obs, beam_act], axis=1)
-        return own, slice(self.obs_beam, self.obs_beam + self.act_beam)
+        return list(self.agents.items())
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -204,9 +144,9 @@ class AgentRoster:
             "version": 1,
             "scheme": self.scheme,
             "num_uavs": self.num_uavs,
-            "obs_beam": self.obs_beam,
-            "act_beam": self.act_beam,
-            "obs_pose": self.obs_pose,
+            "obs_beam": self.beam_agent.obs_dim,
+            "act_beam": self.beam_agent.action_dim,
+            "obs_pose": self.pose_agent.obs_dim,
         }
         (directory / "roster.json").write_text(json.dumps(manifest, indent=2))
 
@@ -230,21 +170,6 @@ class AgentRoster:
                                       f"the config implies {want}")
             agents[name] = agent
         return cls(scenario, config, agents)
-
-
-@dataclass
-class PendingPoseWindow:
-    """Surface-agent transition waiting for its delayed window reward."""
-
-    obs: np.ndarray
-    action: np.ndarray
-    epsilon2: int
-    rates: list[float] = field(default_factory=list)
-    angles: list[float] = field(default_factory=list)
-
-    def add(self, sum_rate: float, pointing_angle: float) -> None:
-        self.rates.append(sum_rate)
-        self.angles.append(pointing_angle)
 
 
 @dataclass(frozen=True)
@@ -337,65 +262,58 @@ def _rollout(env: IsacEnv, roster: AgentRoster, seed: int, sums: _EpisodeSums, n
         obs = next_obs
 
 
-def _pose_transition(env: IsacEnv, pending: PendingPoseWindow, next_obs, done: float) -> tuple[dict, float]:
-    reward, _ = env.pose_window_reward(pending.rates, pending.angles, pending.epsilon2)
-    transition = {
-        "obs": pending.obs,
-        "action": pending.action,
-        "reward": reward,
-        "next_obs": np.asarray(next_obs, dtype=float),
-        "done": done,
-    }
-    return transition, reward
+def _critic_inputs(pairs) -> np.ndarray:
+    """The critic input ``[o_1, a_1, ..., o_K, a_K]`` of batched (obs, action) pairs."""
+    return np.concatenate([part for pair in pairs for part in pair], axis=1)
 
 
-def _update_pose_agent(agent: Td3Agent, buffer: ReplayBuffer, batch_size: int,
-                       sample_rng: np.random.Generator) -> None:
+def _fast_columns(batch: dict) -> list[tuple]:
+    """``(obs, action, next_obs, reward)`` of each fast agent in a fast batch:
+    UAV agents 0..M-1, then the beam agent."""
+    columns = [(batch["uav_obs"][:, m], batch["uav_act"][:, m], batch["next_uav_obs"][:, m],
+                batch["rewards_uav"][:, m]) for m in range(batch["uav_obs"].shape[1])]
+    return columns + [(batch["beam_obs"], batch["beam_act"], batch["next_beam_obs"], batch["reward_beam"])]
+
+
+def _pose_columns(batch: dict) -> list[tuple]:
+    return [(batch["obs"], batch["action"], batch["next_obs"], batch["reward"])]
+
+
+def _learn(agents: list[Td3Agent], buffer: ReplayBuffer, columns, shared: bool, batch_size: int,
+           sample_rng: np.random.Generator) -> None:
+    """One TD3 round for ``agents`` on a batch from ``buffer``, once it holds one.
+
+    ``columns`` splits the batch into each agent's (obs, action, next_obs,
+    reward).  Every agent's target actions are drawn first, in list order;
+    then each agent updates its critics on the shared input (``shared``) or
+    its own pair, and its actor and targets on the delayed cadence.  In
+    prioritized mode each sample's priority becomes the mean |q1 - y| over
+    the agents.
+    """
     if len(buffer) < batch_size:
         return
     batch, idx = buffer.sample(batch_size, sample_rng)
-    inputs = np.concatenate([batch["obs"], batch["action"]], axis=1)
-    next_actions = agent.target_actions(batch["next_obs"], sample_rng)
-    next_inputs = np.concatenate([batch["next_obs"], next_actions], axis=1)
-    targets = agent.td_targets(batch["reward"], next_inputs, batch["done"])
-    if buffer.prioritized:
-        buffer.update_priorities(idx, agent.td_errors(inputs, targets))
-    agent.critic_update(inputs, targets)
-    if agent.should_update_actor():
-        agent.actor_update(batch["obs"], inputs, slice(agent.obs_dim, agent.obs_dim + POSE_ACT_DIM))
-        agent.soft_update()
-
-
-def _update_fast_agents(roster: AgentRoster, buffer: ReplayBuffer, batch_size: int,
-                        sample_rng: np.random.Generator) -> None:
-    if len(buffer) < batch_size:
-        return
-    batch, idx = buffer.sample(batch_size, sample_rng)
-    uav_obs, uav_act = batch["uav_obs"], batch["uav_act"]
-    beam_obs, beam_act = batch["beam_obs"], batch["beam_act"]
-    central = roster.layout.build(uav_obs, uav_act, beam_obs, beam_act)
-    next_uav_act = np.stack(
-        [agent.target_actions(batch["next_uav_obs"][:, m], sample_rng) for m, agent in enumerate(roster.uav_agents)],
-        axis=1,
-    )
-    next_beam_act = roster.beam_agent.target_actions(batch["next_beam_obs"], sample_rng)
-    central_next = roster.layout.build(batch["next_uav_obs"], next_uav_act, batch["next_beam_obs"], next_beam_act)
-    priority_errors = np.zeros(batch_size)
-    for index, (name, agent) in enumerate(roster.fast_agents()):
-        inputs, act_slice = roster.critic_view(index, central, uav_obs, uav_act, beam_obs, beam_act)
-        next_inputs, _ = roster.critic_view(index, central_next, batch["next_uav_obs"], next_uav_act,
-                                            batch["next_beam_obs"], next_beam_act)
-        rewards = batch["rewards_uav"][:, index] if index < roster.num_uavs else batch["reward_beam"]
-        targets = agent.td_targets(rewards, next_inputs, batch["done"])
+    split = columns(batch)
+    pairs = [(obs, act) for obs, act, _, _ in split]
+    next_pairs = [(next_obs, agent.target_actions(next_obs, sample_rng))
+                  for agent, (_, _, next_obs, _) in zip(agents, split)]
+    if shared:
+        inputs, next_inputs = _critic_inputs(pairs), _critic_inputs(next_pairs)
+    errors, offset = 0.0, 0
+    for k, agent in enumerate(agents):
+        if not shared:
+            inputs, next_inputs = _critic_inputs(pairs[k:k + 1]), _critic_inputs(next_pairs[k:k + 1])
+        targets = agent.td_targets(split[k][3], next_inputs, batch["done"])
         if buffer.prioritized:
-            priority_errors += agent.td_errors(inputs, targets)
+            errors = errors + agent.td_errors(inputs, targets)
         agent.critic_update(inputs, targets)
         if agent.should_update_actor():
-            obs = uav_obs[:, index] if index < roster.num_uavs else beam_obs
-            agent.actor_update(obs, inputs, act_slice)
+            start = (offset if shared else 0) + agent.obs_dim
+            agent.actor_update(pairs[k][0], inputs, slice(start, start + agent.action_dim))
             agent.soft_update()
+        offset += agent.obs_dim + agent.action_dim
     if buffer.prioritized:
-        buffer.update_priorities(idx, priority_errors / (roster.num_uavs + 1))
+        buffer.update_priorities(idx, errors / len(agents))
 
 
 def train(
@@ -410,10 +328,11 @@ def train(
     """Run the two-timescale training loop for one (scheme, seed) pair.
 
     Each slot of :func:`_rollout` is followed by learning: at decision
-    slots the previous window is finalized into the surface agent's
-    buffer and that agent updates; then the joint fast transition is
-    stored and the fast critics update (actors on the delayed cadence).
-    Episode metrics are accumulated into one row per episode.
+    slots the surface agent runs a :func:`_learn` round; when a window
+    ends, its transition enters the pose buffer with the reward of
+    :meth:`IsacEnv.pose_window_reward`; then the joint fast transition is
+    stored and the fast agents run a round.  Episode metrics are
+    accumulated into one row per episode.
 
     ``episode_log`` is an optional text stream receiving one JSON record
     per slot.  Snapshots (networks, optimizers, buffers, RNG states)
@@ -439,20 +358,22 @@ def train(
         )
 
     num_slots = scenario.num_slots
+    fast_agents = [agent for _, agent in roster.fast_agents()]
     for episode in range(start_episode, config.episodes):
         sums = _EpisodeSums()
         reward_uav_total = 0.0
         reward_pose_total = 0.0
         slots = _rollout(env, roster, config.seed, sums, schedule.std(episode), noise_rng)
         for obs, pose, uav_actions, beam_action, outcome, next_obs in slots:
-            if pose is not None:
-                action, update = pose
-                pending = PendingPoseWindow(obs.sixdma.copy(), action, update.epsilon2)
-                _update_pose_agent(roster.pose_agent, pose_buffer, config.batch_size, sample_rng)
-            pending.add(outcome.metrics.sum_rate, outcome.pointing_angle)
+            if pose is not None:  # a window opens; its transition waits for the window's reward
+                (pose_action, update), pose_obs, rates, angles = pose, obs.sixdma, [], []
+                _learn([roster.pose_agent], pose_buffer, _pose_columns, False, config.batch_size, sample_rng)
+            rates.append(outcome.metrics.sum_rate)
+            angles.append(outcome.pointing_angle)
             if outcome.done or env.is_pose_slot():  # the window ends before the next decision
-                transition, reward = _pose_transition(env, pending, next_obs.sixdma, float(outcome.done))
-                pose_buffer.push(transition)
+                reward, _ = env.pose_window_reward(rates, angles, update.epsilon2)
+                pose_buffer.push({"obs": pose_obs, "action": pose_action, "reward": reward,
+                                  "next_obs": next_obs.sixdma, "done": float(outcome.done)})
                 reward_pose_total += reward
             fast_buffer.push(
                 {
@@ -467,7 +388,7 @@ def train(
                     "done": float(outcome.done),
                 }
             )
-            _update_fast_agents(roster, fast_buffer, config.batch_size, sample_rng)
+            _learn(fast_agents, fast_buffer, _fast_columns, config.scheme != 2, config.batch_size, sample_rng)
             reward_uav_total += float(np.mean(outcome.rewards_uav))
             if episode_log is not None:
                 episode_log.write(json.dumps({"episode": episode, **env.episode_record(outcome)}) + "\n")
@@ -504,8 +425,8 @@ def _save_snapshot(directory: Path, next_episode: int, metrics, roster, fast_buf
                    noise_rng, sample_rng, run_config: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     roster.save(directory / "roster")
-    np.savez(directory / "fast_buffer.npz", **fast_buffer.state_arrays())
-    np.savez(directory / "pose_buffer.npz", **pose_buffer.state_arrays())
+    for name, buffer in (("fast_buffer", fast_buffer), ("pose_buffer", pose_buffer)):
+        np.savez(directory / f"{name}.npz", **buffer.state_arrays())
     state = {
         "next_episode": next_episode,
         "metrics": [m.as_row() for m in metrics],
@@ -530,10 +451,9 @@ def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_
         raise ConfigError(f"snapshot {directory} was written under other settings ({'; '.join(changed)}); "
                           "resume needs the settings it was written with, or a fresh output directory")
     roster = AgentRoster.load(directory / "roster", scenario, config)
-    with np.load(directory / "fast_buffer.npz") as arrays:
-        fast_buffer.load_arrays(arrays)
-    with np.load(directory / "pose_buffer.npz") as arrays:
-        pose_buffer.load_arrays(arrays)
+    for name, buffer in (("fast_buffer", fast_buffer), ("pose_buffer", pose_buffer)):
+        with np.load(directory / f"{name}.npz") as arrays:
+            buffer.load_arrays(arrays)
     noise_rng.bit_generator.state = state["noise_rng"]
     sample_rng.bit_generator.state = state["sample_rng"]
     metrics = [EpisodeMetrics(*row) for row in state["metrics"]]

@@ -78,6 +78,25 @@ class TestSpec:
         with pytest.raises(ConfigError):
             tiny_spec(tmp_path, sweep_tr=(100,))
 
+    @pytest.mark.parametrize("name, values, repeated", [
+        ("schemes", (1, 5, 1), 1), ("seeds", (0, 3, 3), 3), ("sweep_tr", (5, 10, 5), 5),
+        ("sweep_pmax", (0.02, 0.02), 0.02),
+    ])
+    def test_repeated_values_are_rejected(self, tmp_path, name, values, repeated):
+        # a repeat would plan, train and count one run several times
+        with pytest.raises(ConfigError, match=f"{name} repeats the value {repeated}$"):
+            tiny_spec(tmp_path, **{name: values})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"eval_episodes": 0}, "eval_episodes and converged_window must be >= 1"),
+        ({"converged_window": 0}, "eval_episodes and converged_window must be >= 1"),
+        ({"snapshot_interval": 0}, "snapshot_interval must be >= 1"),
+        ({"snapshot_interval": -3}, "snapshot_interval must be >= 1"),
+    ])
+    def test_counts_must_be_positive(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_spec(tmp_path, **overrides)
+
     def test_defaults_and_coercion_live_on_the_spec(self, tmp_path):
         spec = ExperimentSpec(desk_scenario(), desk_train_config(), seeds=[2, 3], sweep_tr=[5.0], out_dir="x")
         assert spec.schemes == (1,) and spec.seeds == (2, 3) and spec.sweep_tr == (5,)
@@ -126,6 +145,32 @@ class TestCliSpecFlags:
         from_flags = harness._spec_from_args(parser.parse_args([*flags, "--out", str(out)]))
         from_json = harness._spec_from_args(parser.parse_args([flags[0], "--config", str(config_path)]))
         assert _spec_values(from_flags) == _spec_values(from_json)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["eval", "--eval-episodes", "0"], "eval_episodes and converged_window must be >= 1"),
+        (["train", "--episodes", "0"], "episodes, batch_size and buffer_capacity must be positive"),
+        (["train", "--snapshot-interval", "-3"], "snapshot_interval must be >= 1"),
+        (["train", "--scheme", "1,1", "--seeds", "0,0"], "schemes repeats the value 1"),
+    ])
+    def test_falsy_or_repeated_flag_values_are_usage_errors(self, tmp_path, capsys, flags, message):
+        # zero used to fall back to the default silently: 20 eval episodes, the preset's 150 episodes
+        out = tmp_path / "runs"
+        assert main([*flags, "--preset", "desk", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_absent_flags_leave_the_config_values(self, tmp_path):
+        config_path = tmp_path / "spec.json"
+        config_path.write_text(json.dumps({"preset": "desk", "episode_logs": True, "snapshot_interval": 4,
+                                           "eval_episodes": 3, "train": {"episodes": 7}}))
+        parser = build_parser()
+        train_spec = harness._spec_from_args(parser.parse_args(["train", "--config", str(config_path)]))
+        eval_spec = harness._spec_from_args(parser.parse_args(["eval", "--config", str(config_path)]))
+        assert (train_spec.episode_logs, train_spec.snapshot_interval, train_spec.train.episodes) == (True, 4, 7)
+        assert eval_spec.eval_episodes == 3
+        flagged = harness._spec_from_args(parser.parse_args(
+            ["train", "--config", str(config_path), "--episode-logs", "--episodes", "2"]))
+        assert (flagged.episode_logs, flagged.train.episodes) == (True, 2)
 
 
 class TestContentHash:

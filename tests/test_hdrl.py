@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import tracemalloc
@@ -8,18 +9,20 @@ import pytest
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
 from sixdma_isac.errors import ConfigError
 from sixdma_isac.nn import Mlp
+from sixdma_isac.rl import ReplayBuffer, Td3Agent
 from sixdma_isac.hdrl import (
     AgentRoster,
     EpisodeMetrics,
-    FastLayout,
-    PendingPoseWindow,
     TrainConfig,
     desk_train_config,
     evaluate,
     percentile_leq,
     profile_latency,
     train,
-    _pose_transition,
+    _critic_inputs,
+    _fast_columns,
+    _learn,
+    _pose_columns,
 )
 
 
@@ -30,56 +33,113 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
+def fast_buffer(roster, size, rng, prioritized=False):
+    """A fast replay buffer of ``size`` random transitions, stored under the
+    field names ``train`` pushes."""
+    m, obs_beam, act_beam = roster.num_uavs, roster.beam_agent.obs_dim, roster.beam_agent.action_dim
+    buffer = ReplayBuffer(size, prioritized=prioritized)
+    for _ in range(size):
+        buffer.push({
+            "uav_obs": rng.normal(size=(m, 10)),
+            "uav_act": rng.uniform(-1.0, 1.0, size=(m, 4)),
+            "beam_obs": rng.normal(size=obs_beam),
+            "beam_act": rng.uniform(-1.0, 1.0, size=act_beam),
+            "rewards_uav": rng.normal(size=m),
+            "reward_beam": rng.normal(),
+            "next_uav_obs": rng.normal(size=(m, 10)),
+            "next_beam_obs": rng.normal(size=obs_beam),
+            "done": float(rng.random() < 0.3),
+        })
+    return buffer
+
+
+def pose_buffer(roster, size, rng, prioritized=False):
+    obs_pose = roster.pose_agent.obs_dim
+    buffer = ReplayBuffer(size, prioritized=prioritized)
+    for _ in range(size):
+        buffer.push({"obs": rng.normal(size=obs_pose), "action": rng.uniform(-1.0, 1.0, size=6),
+                     "reward": rng.normal(), "next_obs": rng.normal(size=obs_pose),
+                     "done": float(rng.random() < 0.3)})
+    return buffer
+
+
+def fast_agents(roster):
+    return [agent for _, agent in roster.fast_agents()]
+
+
 class TestLayout:
-    def test_benchmark_dimension_arithmetic(self):
+    def test_benchmark_dimension_arithmetic(self, tmp_path):
         scenario = benchmark_scenario()
         roster = AgentRoster(scenario, tiny_config())
         # 4*(10+4) + 56 + 32
-        assert roster.central_width == 144
-        assert roster.obs_beam == 56
-        assert roster.act_beam == 32
-        assert roster.obs_pose == 15
+        assert [agent.critic_input_dim for agent in fast_agents(roster)] == [144] * 5
+        assert (roster.beam_agent.obs_dim, roster.beam_agent.action_dim, roster.pose_agent.obs_dim) == (56, 32, 15)
+        batch = fast_buffer(roster, 3, np.random.default_rng(0)).sample(3, np.random.default_rng(1))[0]
+        pairs = [(obs, act) for obs, act, _, _ in _fast_columns(batch)]
+        assert _critic_inputs(pairs).shape == (3, 144)
+        roster.save(tmp_path / "roster")
+        manifest = json.loads((tmp_path / "roster" / "roster.json").read_text())
+        assert {key: manifest[key] for key in ("num_uavs", "obs_beam", "act_beam", "obs_pose")} == {
+            "num_uavs": 4, "obs_beam": 56, "act_beam": 32, "obs_pose": 15}
 
-    def test_build_order_and_slices(self):
-        layout = FastLayout(num_uavs=2, obs_beam=3)
+    def test_order_is_each_agents_observation_then_action(self):
         uav_obs = np.arange(2 * 10).reshape(1, 2, 10) * 1.0
         uav_act = np.arange(2 * 4).reshape(1, 2, 4) + 100.0
         beam_obs = np.array([[200.0, 201.0, 202.0]])
         beam_act = np.array([[300.0, 301.0]])
-        vec = layout.build(uav_obs, uav_act, beam_obs, beam_act)[0]
-        assert vec.shape == (2 * 14 + 3 + 2,)
-        np.testing.assert_array_equal(vec[0:10], np.arange(10))
-        np.testing.assert_array_equal(vec[layout.uav_act_slice(0)], [100, 101, 102, 103])
-        np.testing.assert_array_equal(vec[14:24], np.arange(10, 20))
-        np.testing.assert_array_equal(vec[28:31], [200, 201, 202])
-        np.testing.assert_array_equal(vec[layout.beam_act_slice(2)], [300, 301])
+        pairs = [(uav_obs[:, 0], uav_act[:, 0]), (uav_obs[:, 1], uav_act[:, 1]), (beam_obs, beam_act)]
+        vec = _critic_inputs(pairs)[0]
+        expected = [*range(10), 100, 101, 102, 103, *range(10, 20), 104, 105, 106, 107, 200, 201, 202, 300, 301]
+        np.testing.assert_array_equal(vec, expected)
+        np.testing.assert_array_equal(_critic_inputs(pairs[2:]), [[200, 201, 202, 300, 301]])
 
     def test_permuting_agents_changes_vector(self):
-        layout = FastLayout(num_uavs=2, obs_beam=3)
         rng = np.random.default_rng(0)
-        uav_obs = rng.normal(size=(1, 2, 10))
-        uav_act = rng.normal(size=(1, 2, 4))
-        beam_obs = rng.normal(size=(1, 3))
-        beam_act = rng.normal(size=(1, 2))
-        vec = layout.build(uav_obs, uav_act, beam_obs, beam_act)
-        swapped = layout.build(uav_obs[:, ::-1], uav_act[:, ::-1], beam_obs, beam_act)
+        pairs = [(rng.normal(size=(1, 10)), rng.normal(size=(1, 4))) for _ in range(2)]
+        pairs.append((rng.normal(size=(1, 3)), rng.normal(size=(1, 2))))
+        vec = _critic_inputs(pairs)
+        swapped = _critic_inputs([pairs[1], pairs[0], pairs[2]])
+        assert vec.shape == swapped.shape
         assert np.max(np.abs(vec - swapped)) > 0
 
-    def test_scheme2_critic_views_are_own_only(self):
-        scenario = desk_scenario()
-        roster = AgentRoster(scenario, tiny_config(scheme=2))
-        assert roster.uav_agents[0].critic_input_dim == 14
-        assert roster.beam_agent.critic_input_dim == roster.obs_beam + roster.act_beam
-        rng = np.random.default_rng(1)
-        uav_obs = rng.normal(size=(4, 2, 10))
-        uav_act = rng.normal(size=(4, 2, 4))
-        beam_obs = rng.normal(size=(4, roster.obs_beam))
-        beam_act = rng.normal(size=(4, roster.act_beam))
-        central = roster.layout.build(uav_obs, uav_act, beam_obs, beam_act)
-        view, act_slice = roster.critic_view(0, central, uav_obs, uav_act, beam_obs, beam_act)
-        assert view.shape == (4, 14)
-        np.testing.assert_array_equal(view[:, :10], uav_obs[:, 0])
-        np.testing.assert_array_equal(view[:, act_slice], uav_act[:, 0])
+    @pytest.mark.parametrize("scheme", [1, 2])
+    def test_actor_sees_its_own_action_slice(self, monkeypatch, scheme):
+        """Under the shared critic agent k's action sits after the pairs of
+        agents 0..k-1 and its own observation; under scheme 2 right after
+        its own observation."""
+        roster = AgentRoster(desk_scenario(), tiny_config(scheme=scheme, policy_delay=1))
+        buffer = fast_buffer(roster, 12, np.random.default_rng(2))
+        rng = np.random.default_rng(3)
+        batch, _ = buffer.sample(8, copy.deepcopy(rng))
+        seen = []
+        original = Td3Agent.actor_update
+
+        def record(agent, obs, critic_inputs, action_slice):
+            seen.append((agent, obs, np.array(critic_inputs), action_slice))
+            return original(agent, obs, critic_inputs, action_slice)
+
+        monkeypatch.setattr(Td3Agent, "actor_update", record)
+        _learn(fast_agents(roster), buffer, _fast_columns, scheme != 2, 8, rng)
+        m = roster.num_uavs
+        own_obs = [batch["uav_obs"][:, k] for k in range(m)] + [batch["beam_obs"]]
+        own_act = [batch["uav_act"][:, k] for k in range(m)] + [batch["beam_act"]]
+        assert [agent for agent, *_ in seen] == fast_agents(roster)
+        offset = 0
+        for k, (agent, obs, inputs, action_slice) in enumerate(seen):
+            start = (offset if scheme != 2 else 0) + agent.obs_dim
+            assert action_slice == slice(start, start + agent.action_dim)
+            assert inputs.shape == (8, agent.critic_input_dim)
+            np.testing.assert_array_equal(obs, own_obs[k])
+            np.testing.assert_array_equal(inputs[:, start - agent.obs_dim:start], own_obs[k])
+            np.testing.assert_array_equal(inputs[:, action_slice], own_act[k])
+            offset += agent.obs_dim + agent.action_dim
+        if scheme != 2:
+            assert offset == roster.beam_agent.critic_input_dim  # the pairs fill the shared input
+
+    def test_scheme2_critics_see_only_their_own_pair(self):
+        roster = AgentRoster(desk_scenario(), tiny_config(scheme=2))
+        for agent in fast_agents(roster) + [roster.pose_agent]:
+            assert agent.critic_input_dim == agent.obs_dim + agent.action_dim
 
     def test_scheme1_and_scheme2_share_actor_shapes(self):
         scenario = desk_scenario()
@@ -90,36 +150,89 @@ class TestLayout:
         assert r1.uav_agents[0].critic_input_dim != r2.uav_agents[0].critic_input_dim
 
 
-class TestPoseWindow:
-    def test_window_reward_mean_convention(self):
-        env = IsacEnv(desk_scenario(num_uavs=1,
-                                    uav_starts=[(15.0, 0.0, 20.0)],
-                                    uav_ends=[(15.0, 10.0, 20.0)]))
-        env.reset()
-        pending = PendingPoseWindow(np.zeros(6), np.zeros(6), epsilon2=0)
-        r0 = 2.0
-        for _ in range(3):
-            pending.add(r0, np.pi / 3)  # 60 degrees, M = 1
-        transition, reward = _pose_transition(env, pending, np.zeros(6), 0.0)
-        assert reward == pytest.approx(r0 + 0.5)
-        assert transition["done"] == 0.0
+def smoothed_target_actions(agent, next_obs, rng):
+    """``Td3Agent.target_actions`` written out: target actor plus clipped
+    Gaussian smoothing noise, drawn from ``rng``."""
+    action = agent.target_actor.forward(next_obs)
+    noise = np.clip(rng.normal(0.0, agent.smoothing_std, size=action.shape), -agent.smoothing_clip,
+                    agent.smoothing_clip)
+    return np.clip(action + noise, -1.0, 1.0)
 
-    def test_blocked_window(self):
-        env = IsacEnv(desk_scenario())
-        env.reset()
-        pending = PendingPoseWindow(np.zeros(9), np.zeros(6), epsilon2=1)
-        pending.add(5.0, 0.1)
-        _, reward = _pose_transition(env, pending, np.zeros(9), 1.0)
-        delta5 = np.cos(0.1) / 2
-        assert reward == pytest.approx(-10.0 + delta5)
 
-    def test_truncated_window_mean(self):
-        env = IsacEnv(desk_scenario())
-        env.reset()
-        pending = PendingPoseWindow(np.zeros(9), np.zeros(6), epsilon2=0)
-        pending.add(4.0, 0.0)
-        _, reward = _pose_transition(env, pending, np.zeros(9), 1.0)
-        assert reward == pytest.approx(4.0 + 0.5)
+def abs_td_error(agent, inputs, next_inputs, reward, done):
+    """|q1 - y| per sample with y = r + gamma (1 - done) min(q1', q2')."""
+    q_next = np.minimum(agent.target_critic1.forward(next_inputs), agent.target_critic2.forward(next_inputs))
+    y = reward + agent.gamma * (1.0 - done) * q_next[:, 0]
+    return np.abs(agent.critic1.forward(inputs)[:, 0] - y)
+
+
+class TestPrioritizedRound:
+    """After one round, each sampled transition's priority is
+    max(mean_k |q1_k - y_k|, 1e-6) over the agents of the round, computed
+    here by hand from the networks as they were before any critic step."""
+
+    @staticmethod
+    def spread_priorities(buffer, rng):
+        buffer.update_priorities(np.arange(len(buffer)), rng.uniform(0.1, 2.0, size=len(buffer)))
+        return buffer.state_arrays()["buffer_priorities"].copy()
+
+    @pytest.mark.parametrize("scheme", [1, 2])
+    def test_fast_batch(self, scheme):
+        roster = AgentRoster(desk_scenario(), tiny_config(scheme=scheme, smoothing_std=0.2))
+        agents = fast_agents(roster)
+        buffer = fast_buffer(roster, 40, np.random.default_rng(4), prioritized=True)
+        before = self.spread_priorities(buffer, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        hand_rng = copy.deepcopy(rng)
+        batch, idx = buffer.sample(16, hand_rng)
+        m = roster.num_uavs
+        obs = [batch["uav_obs"][:, k] for k in range(m)] + [batch["beam_obs"]]
+        act = [batch["uav_act"][:, k] for k in range(m)] + [batch["beam_act"]]
+        next_obs = [batch["next_uav_obs"][:, k] for k in range(m)] + [batch["next_beam_obs"]]
+        rewards = [batch["rewards_uav"][:, k] for k in range(m)] + [batch["reward_beam"]]
+        # every target action is drawn before any critic step: UAV 0..M-1, then beam
+        next_act = [smoothed_target_actions(agent, o, hand_rng) for agent, o in zip(agents, next_obs)]
+        errors = []
+        for k, agent in enumerate(agents):
+            views = range(len(agents)) if scheme != 2 else [k]
+            inputs = np.hstack([np.hstack([obs[i], act[i]]) for i in views])
+            next_inputs = np.hstack([np.hstack([next_obs[i], next_act[i]]) for i in views])
+            errors.append(abs_td_error(agent, inputs, next_inputs, rewards[k], batch["done"]))
+        expected = before.copy()
+        expected[idx] = np.maximum(np.mean(errors, axis=0), 1e-6)
+
+        _learn(agents, buffer, _fast_columns, scheme != 2, 16, rng)
+        after = buffer.state_arrays()["buffer_priorities"]
+        np.testing.assert_allclose(after, expected, rtol=1e-12, atol=0.0)
+        assert not np.array_equal(after, before)
+        assert all(agent.critic_update_count == 1 for agent in agents)
+
+    def test_pose_batch(self):
+        roster = AgentRoster(desk_scenario(), tiny_config(smoothing_std=0.2))
+        agent = roster.pose_agent
+        buffer = pose_buffer(roster, 20, np.random.default_rng(7), prioritized=True)
+        before = self.spread_priorities(buffer, np.random.default_rng(8))
+        rng = np.random.default_rng(9)
+        hand_rng = copy.deepcopy(rng)
+        batch, idx = buffer.sample(8, hand_rng)
+        next_act = smoothed_target_actions(agent, batch["next_obs"], hand_rng)
+        error = abs_td_error(agent, np.hstack([batch["obs"], batch["action"]]),
+                             np.hstack([batch["next_obs"], next_act]), batch["reward"], batch["done"])
+        expected = before.copy()
+        expected[idx] = np.maximum(error, 1e-6)
+
+        _learn([agent], buffer, _pose_columns, False, 8, rng)
+        np.testing.assert_allclose(buffer.state_arrays()["buffer_priorities"], expected, rtol=1e-12, atol=0.0)
+        assert agent.critic_update_count == 1
+
+    def test_a_buffer_short_of_a_batch_learns_nothing(self):
+        roster = AgentRoster(desk_scenario(), tiny_config())
+        buffer = pose_buffer(roster, 7, np.random.default_rng(0), prioritized=True)
+        rng = np.random.default_rng(1)
+        state = copy.deepcopy(rng.bit_generator.state)
+        _learn([roster.pose_agent], buffer, _pose_columns, False, 8, rng)
+        assert roster.pose_agent.critic_update_count == 0
+        assert rng.bit_generator.state == state
 
 
 class TestTrainLoop:
@@ -418,7 +531,7 @@ class TestRosterCheckpoints:
 
         monkeypatch.setattr(Mlp, "__init__", refuse)
         loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
-        obs = np.linspace(-1.0, 1.0, roster.obs_beam)
+        obs = np.linspace(-1.0, 1.0, roster.beam_agent.obs_dim)
         np.testing.assert_array_equal(loaded.beam_agent.select_action(obs), roster.beam_agent.select_action(obs))
 
     def test_load_holds_about_one_copy_of_the_checkpoint(self, tmp_path):
@@ -466,3 +579,16 @@ class TestTrainConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(Exception):
             TrainConfig(scheme=7)
+
+    @pytest.mark.parametrize("overrides", [
+        {"batch_size": 16, "pose_buffer_capacity": 8},
+        {"batch_size": 501},
+        {"batch_size": 600, "pose_buffer_capacity": 1000},
+    ])
+    def test_rejects_a_batch_that_a_buffer_cannot_hold(self, overrides):
+        with pytest.raises(ConfigError, match=f"batch_size {overrides['batch_size']} exceeds a replay capacity"):
+            tiny_config(**overrides)
+
+    def test_accepts_a_batch_as_large_as_both_buffers(self):
+        assert tiny_config(batch_size=8, pose_buffer_capacity=8).pose_buffer_capacity == 8
+        assert tiny_config(batch_size=500).batch_size == 500
