@@ -200,7 +200,10 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
         resume_from = snapshot_dir
     log_stream = None
     if spec.episode_logs:
-        log_stream = open(run_dir / "episodes.ndjson", "w" if resume_from is None else "a")
+        log_path = run_dir / "episodes.ndjson"
+        if resume_from is not None and log_path.exists():
+            _cut_episode_log(log_path, json.loads((resume_from / "train_state.json").read_text())["next_episode"])
+        log_stream = open(log_path, "w" if resume_from is None else "a")
     try:
         result = train(
             run.scenario,
@@ -227,6 +230,19 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return {"name": run.name, "status": "trained"}
+
+
+def _cut_episode_log(path: Path, next_episode: int) -> None:
+    """Keep only the records of episodes before ``next_episode``: a resume
+    trains the later ones again and logs them anew.  Records run in episode
+    order, so the log is cut at the first later one (or a torn last line)."""
+    with open(path, "r+b") as log:
+        end = 0
+        for line in log:
+            if not line.endswith(b"\n") or json.loads(line)["episode"] >= next_episode:
+                break
+            end += len(line)
+        log.truncate(end)
 
 
 def worker_count() -> int:

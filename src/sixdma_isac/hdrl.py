@@ -152,7 +152,8 @@ class AgentRoster:
 
     @classmethod
     def load(cls, directory, scenario: ScenarioConfig, config: TrainConfig) -> "AgentRoster":
-        """The roster :meth:`save` wrote, each agent built once from its files.
+        """The roster :meth:`save` wrote, each agent built once from its files
+        (:meth:`Td3Agent.load` reads the actors now, the rest on first use).
 
         ConfigError names the field (and the agent) where the checkpoint
         differs from what ``(scenario, config)`` imply."""
@@ -299,14 +300,13 @@ def _learn(agents: list[Td3Agent], buffer: ReplayBuffer, columns, shared: bool, 
                   for agent, (_, _, next_obs, _) in zip(agents, split)]
     if shared:
         inputs, next_inputs = _critic_inputs(pairs), _critic_inputs(next_pairs)
-    errors, offset = 0.0, 0
+    errors = np.zeros(batch_size) if buffer.prioritized else None  # sum of |q1 - y| over the agents
+    offset = 0
     for k, agent in enumerate(agents):
         if not shared:
             inputs, next_inputs = _critic_inputs(pairs[k:k + 1]), _critic_inputs(next_pairs[k:k + 1])
         targets = agent.td_targets(split[k][3], next_inputs, batch["done"])
-        if buffer.prioritized:
-            errors = errors + agent.td_errors(inputs, targets)
-        agent.critic_update(inputs, targets)
+        agent.critic_update(inputs, targets, td_error_sum=errors)
         if agent.should_update_actor():
             start = (offset if shared else 0) + agent.obs_dim
             agent.actor_update(pairs[k][0], inputs, slice(start, start + agent.action_dim))

@@ -279,14 +279,21 @@ class Mlp:
     def save(self, path) -> None:
         np.savez(path, **self.state_arrays())
 
+    @staticmethod
+    def read_header(path) -> tuple[list[int], list[str]]:
+        """``(dims, activations)`` of the network :meth:`save` wrote to
+        ``path``, read without its parameter arrays."""
+        with np.load(path) as arrays:
+            return ([int(d) for d in np.asarray(arrays["layer_dims"])],
+                    [ACTIVATIONS[int(i)] for i in np.asarray(arrays["activations"])])
+
     @classmethod
     def load(cls, path) -> "Mlp":
         """The network :meth:`save` wrote, built without a random
         initialisation; its ``flat`` vector is the only copy it keeps."""
         net = object.__new__(cls)
+        net.dims, net.activations = cls.read_header(path)
         with np.load(path) as arrays:
-            net.dims = [int(d) for d in np.asarray(arrays["layer_dims"])]
-            net.activations = [ACTIVATIONS[int(i)] for i in np.asarray(arrays["activations"])]
             net._bind(np.empty(sum(math.prod(s) for s in _param_shapes(net.dims))))
             _fill(net._params, arrays, [f"{kind}{k}" for k in range(len(net.dims) - 1) for kind in "wb"])
         return net

@@ -5,7 +5,9 @@ target networks.  The critic input is an externally assembled vector, so
 the same class serves per-UAV agents, the beamforming agent and the
 surface agent; callers own the layout and pass the slice where this
 agent's action lives.  A trainer is the only mutator of an agent; frozen
-copies may serve inference concurrently.
+copies may serve inference concurrently.  Acting needs only the actor,
+so an agent read from a checkpoint reads its learner state (critics,
+targets, Adam moments) on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +27,9 @@ from .nn import CHUNK, Adam, Mlp, scratch
 CHECKPOINT_VERSION = 1
 _NETWORK_FILES = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
 _OPTIMIZED = ("actor", "critic1", "critic2")  # the networks with an optimizer, in optimizers.npz order
+# What only learning uses (every network but the actor, which comes first,
+# and every optimizer): read from a checkpoint on first use, not at load.
+_LEARNER_STATE = frozenset(_NETWORK_FILES[1:]) | {f"opt_{name}" for name in _OPTIMIZED}
 # Constructor arguments an agent stores and its manifest records, in the
 # manifest's key order, with the type each is stored as.
 _HYPERPARAMETERS = {
@@ -46,6 +52,24 @@ class NoiseSchedule:
             return self.floor_std
         frac = min(max(episode, 0), self.decay_episodes) / self.decay_episodes
         return max(self.floor_std, self.initial_std - (self.initial_std - self.floor_std) * frac)
+
+
+def _stamp(path: Path) -> tuple[int, int, int]:
+    """Inode, size and modification time of ``path``."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _check_header(path: Path, header, plan) -> None:
+    if tuple(header) != plan:
+        raise ValueError(f"{path} holds a {header[0]} {header[1]} network, "
+                         f"the manifest implies {plan[0]} {plan[1]}")
+
+
+def _read_network(path: Path, plan) -> Mlp:
+    net = Mlp.load(path)
+    _check_header(path, (net.dims, net.activations), plan)
+    return net
 
 
 def _lazy_zeros(shape) -> np.ndarray:
@@ -225,13 +249,16 @@ class Td3Agent:
         q2 = self.target_critic2.forward(next_critic_inputs).reshape(-1)
         return r + self.gamma * (1.0 - d) * np.minimum(q1, q2)
 
-    def critic_update(self, critic_inputs, targets) -> tuple[float, float]:
-        """One Adam step on each critic's mean squared TD error."""
+    def critic_update(self, critic_inputs, targets, td_error_sum: np.ndarray | None = None) -> tuple[float, float]:
+        """One Adam step on each critic's mean squared TD error.  Given
+        ``td_error_sum``, each sample's |q1 - y| from before the step is added into it."""
         y = np.asarray(targets, dtype=float).reshape(-1, 1)
         losses = []
         for critic, opt in ((self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2)):
             q, cache = critic.forward_cached(critic_inputs)
             err = q - y
+            if td_error_sum is not None and critic is self.critic1:
+                td_error_sum += np.abs(err[:, 0])
             losses.append(float(np.mean(err**2)))
             upstream = 2.0 * err / err.shape[0]
             grad = scratch.take(critic.flat.shape)
@@ -241,12 +268,6 @@ class Td3Agent:
             scratch.give(grad)
         self.critic_update_count += 1
         return losses[0], losses[1]
-
-    def td_errors(self, critic_inputs, targets) -> np.ndarray:
-        """Current |q1 - y| per sample (used for prioritized replay)."""
-        y = np.asarray(targets, dtype=float).reshape(-1)
-        q = self.critic1.forward(critic_inputs).reshape(-1)
-        return np.abs(q - y)
 
     def should_update_actor(self) -> bool:
         return self.critic_update_count > 0 and self.critic_update_count % self.policy_delay == 0
@@ -307,7 +328,11 @@ class Td3Agent:
         }
 
     def save(self, directory) -> None:
-        """One .npz per network plus optimizer state and a manifest."""
+        """One .npz per network plus optimizer state and a manifest.
+
+        Learner state not yet read from a checkpoint is read first, so an
+        agent may be saved over the files it was loaded from."""
+        self._read_learner_state()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for name in _NETWORK_FILES:
@@ -322,23 +347,52 @@ class Td3Agent:
     def load(cls, directory) -> "Td3Agent":
         """The agent :meth:`save` wrote, built once from its files: networks
         and moments go straight into their flat vectors, with no random
-        initialisation to overwrite.  The constructor's checks still apply."""
+        initialisation to overwrite.
+
+        Only the actor is read now.  The critics, targets and Adam moments
+        are read on first use of any of them, by :meth:`_read_learner_state`.
+        Every check runs now: the manifest's version, the constructor's
+        ranges, and each network's header against the manifest."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         if manifest["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {manifest['version']}")
         agent = object.__new__(cls)
         agent._set_hyperparameters(manifest)
-        for name, plan in agent._layer_plan().items():
-            net = Mlp.load(directory / f"{name}.npz")
-            if (net.dims, net.activations) != plan:
-                raise ValueError(f"{directory / name}.npz holds a {net.dims} {net.activations} network, "
-                                 f"the manifest implies {plan[0]} {plan[1]}")
-            setattr(agent, name, net)
-        with np.load(directory / "optimizers.npz") as arrays:
-            for name in _OPTIMIZED:
-                opt = Adam.from_arrays(getattr(agent, name).parameters(), arrays, f"{name}_")
-                setattr(agent, f"opt_{name}", opt)
+        plan = agent._layer_plan()
+        agent.actor = _read_network(directory / "actor.npz", plan["actor"])
+        stamps = {}
+        for name in _NETWORK_FILES[1:]:
+            path = directory / f"{name}.npz"
+            stamps[path] = _stamp(path)
+            _check_header(path, Mlp.read_header(path), plan[name])
+        stamps[directory / "optimizers.npz"] = _stamp(directory / "optimizers.npz")
+        agent._pending = (directory, stamps)
         agent.critic_update_count = manifest["critic_update_count"]
         agent.actor_update_count = manifest["actor_update_count"]
         return agent
+
+    def __getattr__(self, name):
+        # reached only for attributes not set: learner state still on disk
+        if name in _LEARNER_STATE and "_pending" in self.__dict__:
+            self._read_learner_state()
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _read_learner_state(self) -> None:
+        """Read the critics, targets and Adam moments :meth:`load` left on
+        disk, if any.  A file whose inode, size or mtime changed since the
+        load raises ProtocolError."""
+        if "_pending" not in self.__dict__:
+            return
+        directory, stamps = self._pending
+        for path, stamp in stamps.items():
+            if not path.exists() or _stamp(path) != stamp:
+                raise ProtocolError(f"{path} changed since its checkpoint was loaded; load the checkpoint again")
+        del self._pending
+        plan = self._layer_plan()
+        for name in _NETWORK_FILES[1:]:
+            setattr(self, name, _read_network(directory / f"{name}.npz", plan[name]))
+        with np.load(directory / "optimizers.npz") as arrays:
+            for name in _OPTIMIZED:
+                setattr(self, f"opt_{name}", Adam.from_arrays(getattr(self, name).parameters(), arrays, f"{name}_"))

@@ -368,6 +368,34 @@ class TestResume:
         resumed = (partial_dir / "metrics.csv").read_bytes()
         assert resumed == reference
 
+    def test_resumed_episode_log_equals_an_uninterrupted_one(self, tmp_path):
+        train_cfg = desk_train_config(episodes=3, batch_size=8, hidden=(8, 8), buffer_capacity=500)
+        straight = tiny_spec(tmp_path, out_dir=tmp_path / "straight", train=train_cfg, episode_logs=True)
+        cmd_train(straight)
+        reference = (straight.out_dir / "scheme1_seed0" / "episodes.ndjson").read_bytes()
+
+        spec = tiny_spec(tmp_path, out_dir=tmp_path / "cut", train=train_cfg, episode_logs=True,
+                         snapshot_interval=2)
+        cmd_train(spec)
+        run_dir = spec.out_dir / "scheme1_seed0"
+        # interrupted after its last snapshot (episode 2 of 3 logged, not snapshotted)
+        (run_dir / "manifest.json").unlink()
+        assert json.loads((run_dir / "snapshots" / "train_state.json").read_text())["next_episode"] == 2
+        assert cmd_train(spec, resume=True)[0]["status"] == "trained"
+        assert (run_dir / "episodes.ndjson").read_bytes() == reference
+
+    def test_log_cut_keeps_whole_records_before_the_snapshot(self, tmp_path):
+        from sixdma_isac.harness import _cut_episode_log
+
+        kept = "".join(json.dumps({"episode": e, "slot": s}) + "\n" for e in (0, 1) for s in (0, 1))
+        log = tmp_path / "episodes.ndjson"
+        log.write_text(kept + '{"episode": 2, "slot": 0}\n{"episode": 2, "sl')
+        _cut_episode_log(log, 2)
+        assert log.read_text() == kept
+        log.write_text(kept + '{"episode": 1, "sl')  # torn by a crash in the middle of a record
+        _cut_episode_log(log, 5)
+        assert log.read_text() == kept
+
 
 class TestSweepCompare:
     def test_tr_sweep_emits_plot_data(self, tmp_path):

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +343,28 @@ class TestTrainLoop:
             for p, q in zip(a1.actor.parameters(), a2.actor.parameters()):
                 np.testing.assert_array_equal(p, q)
 
+    def test_resume_snapshotting_into_its_own_directory_matches_a_straight_run(self, tmp_path):
+        # batch 16 outruns the 12 pose windows of 3 episodes: the pose agent
+        # never learns, so its saves read its learner state from the very files
+        # they then overwrite
+        scenario, config = desk_scenario(), tiny_config(episodes=3, seed=11, batch_size=16)
+        straight = train(scenario, config)
+        assert straight.roster.pose_agent.critic_update_count == 0
+        snap_dir = tmp_path / "snap"
+        train(scenario, tiny_config(episodes=1, seed=11, batch_size=16), snapshot_dir=snap_dir, snapshot_interval=1)
+        resumed = train(scenario, config, snapshot_dir=snap_dir, snapshot_interval=1, resume_from=snap_dir)
+        assert [m.as_row() for m in resumed.metrics] == [m.as_row() for m in straight.metrics]
+        reloaded = AgentRoster.load(snap_dir / "roster", scenario, config)  # the last snapshot, after episode 3
+        for roster in (resumed.roster, reloaded):
+            for (name, a), (_, b) in zip(straight.roster.all_agents(), roster.all_agents()):
+                assert (b.critic_update_count, b.actor_update_count) == (a.critic_update_count, a.actor_update_count)
+                for net in NETWORKS:
+                    assert getattr(a, net).flat.tobytes() == getattr(b, net).flat.tobytes(), (name, net)
+                for opt in OPTIMIZERS:
+                    x, y = getattr(a, opt), getattr(b, opt)
+                    assert y.step_count == x.step_count, (name, opt)
+                    assert (y.m.tobytes(), y.v.tobytes()) == (x.m.tobytes(), x.v.tobytes()), (name, opt)
+
     def test_target_smoothing_run_completes_and_repeats_bit_for_bit(self):
         scenario = desk_scenario()
         runs = [train(scenario, tiny_config(episodes=3, smoothing_std=0.2)) for _ in range(2)]
@@ -540,10 +563,33 @@ class TestRosterCheckpoints:
         tracemalloc.start()
         try:
             loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+            held = state_bytes(loaded)  # touches every network and moment: the deferred read runs here too
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * state_bytes(loaded)
+        assert peak <= 1.25 * held
+
+    def test_load_evaluate_and_profile_read_no_learner_state(self, tmp_path, monkeypatch):
+        scenario, config = desk_scenario(), tiny_config(episodes=1)
+        train(scenario, config).roster.save(tmp_path / "roster")
+        reads = []
+        original = np.lib.npyio.NpzFile.__getitem__
+
+        def spy(npz, key):
+            reads.append((Path(npz.zip.filename).relative_to(tmp_path / "roster").as_posix(), key))
+            return original(npz, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        evaluate(loaded, scenario, episodes=1)
+        profile_latency(loaded, calls=5)
+        assert {path for path, _ in reads} == {f"{name}/{net}.npz" for name, _ in loaded.all_agents()
+                                                for net in NETWORKS}
+        beyond_headers = {path for path, key in reads if key not in ("layer_dims", "activations")}
+        assert beyond_headers == {f"{name}/actor.npz" for name, _ in loaded.all_agents()}
+        reads.clear()
+        loaded.pose_agent.critic1  # first use reads that agent's learner state, and only that agent's
+        assert {path for path, _ in reads} == {f"sixdma/{net}.npz" for net in NETWORKS[1:]} | {"sixdma/optimizers.npz"}
 
 
 class TestLatency:

@@ -440,3 +440,59 @@ class TestCheckpoints:
             assert sorted(saved.files) == sorted(arrays)
             for key in arrays:
                 np.testing.assert_array_equal(saved[key], arrays[key])
+
+    def test_load_reads_the_actor_and_leaves_the_learner_state_on_disk(self, tmp_path):
+        agent = make_agent(seed=34)
+        agent.save(tmp_path / "agent")
+        loaded = Td3Agent.load(tmp_path / "agent")
+        assert set(vars(loaded)) & {"critic1", "target_actor", "opt_actor", "opt_critic2"} == set()
+        obs = np.random.default_rng(35).normal(size=4)
+        np.testing.assert_array_equal(loaded.select_action(obs), agent.select_action(obs))
+        np.testing.assert_array_equal(loaded.target_critic2.flat, agent.target_critic2.flat)  # first use reads all
+        assert {"critic1", "target_actor", "opt_actor", "opt_critic2"} <= set(vars(loaded))
+        np.testing.assert_array_equal(loaded.opt_critic1.m, agent.opt_critic1.m)
+
+    @pytest.mark.parametrize("name", ["critic1.npz", "target_actor.npz", "optimizers.npz"])
+    @pytest.mark.parametrize("how", ["replaced", "rewritten_in_place"])
+    def test_a_learner_file_changed_after_the_load_is_a_protocol_error(self, tmp_path, name, how):
+        make_agent(seed=36).save(tmp_path / "agent")
+        make_agent(seed=37).save(tmp_path / "other")
+        loaded = Td3Agent.load(tmp_path / "agent")
+        path, data = tmp_path / "agent" / name, (tmp_path / "other" / name).read_bytes()
+        if how == "replaced":  # a new file under the old name: a new inode
+            (tmp_path / "new").write_bytes(data)
+            os.replace(tmp_path / "new", path)
+        else:  # same inode; the mtime moves on by a second, past any clock granularity
+            before = os.stat(path)
+            path.write_bytes(data)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        with pytest.raises(ProtocolError, match=name):
+            loaded.critic_update(np.zeros((2, 6)), np.zeros(2))
+        assert loaded.critic_update_count == 0
+
+    def test_save_over_its_own_checkpoint_keeps_every_array(self, tmp_path):
+        agent = make_agent(seed=38)
+        rng = np.random.default_rng(39)
+        for _ in range(2):
+            agent.critic_update(rng.normal(size=(4, 6)), rng.normal(size=4))
+        agent.save(tmp_path / "agent")
+        Td3Agent.load(tmp_path / "agent").save(tmp_path / "agent")
+        agent.save(tmp_path / "reference")
+        for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2", "optimizers"):
+            with np.load(tmp_path / "agent" / f"{name}.npz") as got, \
+                    np.load(tmp_path / "reference" / f"{name}.npz") as want:
+                assert sorted(got.files) == sorted(want.files)
+                for key in want.files:
+                    np.testing.assert_array_equal(got[key], want[key])
+
+
+def test_critic_update_adds_critic1_td_errors_from_before_its_step():
+    agent = make_agent(seed=40)
+    rng = np.random.default_rng(41)
+    inputs, targets = rng.normal(size=(6, 6)), rng.normal(size=6)
+    expected = 0.5 + np.abs(agent.critic1.forward(inputs)[:, 0] - targets)
+    errors = np.full(6, 0.5)
+    before = agent.critic1.flat.copy()
+    agent.critic_update(inputs, targets, td_error_sum=errors)
+    np.testing.assert_array_equal(errors, expected)
+    assert not np.array_equal(agent.critic1.flat, before)
