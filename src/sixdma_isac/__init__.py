@@ -6,14 +6,7 @@ The package splits into a deterministic physics core (``geometry``,
 points are re-exported here.
 """
 
-from .channel import (
-    AnglePair,
-    angles_from_positions,
-    array_response,
-    channel_matrix,
-    channel_vector,
-    pointing_vector,
-)
+from .channel import array_response, channel_matrix, channel_vector
 from .env import (
     IsacEnv,
     Observations,
@@ -67,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "AgentRoster",
-    "AnglePair",
     "AntennaLayout",
     "ConfigError",
     "EpisodeMetrics",
@@ -88,7 +80,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "WorldState",
-    "angles_from_positions",
     "array_response",
     "channel_matrix",
     "channel_vector",
@@ -106,7 +97,6 @@ __all__ = [
     "link_metrics",
     "main",
     "benchmark_scenario",
-    "pointing_vector",
     "profile_latency",
     "project_power",
     "rotation_matrix",

@@ -1,10 +1,8 @@
 """Line-of-sight channel synthesis from geometry.
 
-Directions are (elevation, azimuth) pairs in radians with elevation in
-[-pi/2, pi/2] measured from the horizontal plane and azimuth in (-pi, pi]
-measured from +X toward +Y.  Channel amplitudes follow the free-space
-lambda/(4*pi*d) law with a single propagation phase on top of the
-per-antenna array phases.
+Directions are unit vectors in the global frame.  Channel amplitudes
+follow the free-space lambda/(4*pi*d) law with a single propagation
+phase on top of the per-antenna array phases.
 
 :func:`channel_matrix` builds the channel rows of many points in one
 broadcast; :func:`channel_vector` is its one-point case.
@@ -12,41 +10,10 @@ broadcast; :func:`channel_vector` is its one-point case.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import SingularityError
 from .geometry import row_norms
-
-
-class AnglePair(NamedTuple):
-    elevation: float
-    azimuth: float
-
-
-def angles_from_positions(origin, target) -> AnglePair:
-    """Elevation/azimuth of the direction from ``origin`` to ``target``.
-
-    The zenith direction has unconstrained azimuth and returns azimuth 0.
-    Coincident points raise ValueError.
-    """
-    o = np.asarray(origin, dtype=float)
-    t = np.asarray(target, dtype=float)
-    delta = t - o
-    dist = float(np.linalg.norm(delta))
-    if dist <= 0.0:
-        raise ValueError("origin and target coincide; direction is undefined")
-    elevation = float(np.arcsin(np.clip(delta[2] / dist, -1.0, 1.0)))
-    azimuth = float(np.arctan2(delta[1], delta[0]))
-    return AnglePair(elevation, azimuth)
-
-
-def pointing_vector(angles: AnglePair) -> np.ndarray:
-    """Unit vector [cos(el)cos(az), cos(el)sin(az), sin(el)]."""
-    el, az = angles
-    ce = np.cos(el)
-    return np.array([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
 
 
 def array_response(direction, antenna_positions, wavelength: float) -> np.ndarray:

@@ -336,10 +336,8 @@ class IsacEnv:
             raise ProtocolError("reset() must be called before stepping")
         return self.state
 
-    def is_pose_slot(self, slot: int | None = None) -> bool:
-        st = self._require_state()
-        s = st.slot if slot is None else slot
-        return s % self.config.pose_update_period == 0
+    def is_pose_slot(self) -> bool:
+        return self._require_state().slot % self.config.pose_update_period == 0
 
     # ------------------------------------------------------------ kinematics
     def _min_separation(self, uav_positions: np.ndarray, targets: np.ndarray) -> float:

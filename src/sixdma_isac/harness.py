@@ -85,6 +85,8 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{name} repeats the value {repeated[0]}")
+        if self.sweep_pmax and self.sweep_tr:  # plan_runs sweeps one axis
+            raise ConfigError("sweep_pmax and sweep_tr cannot both be given; sweep one axis per experiment")
         if self.eval_episodes < 1 or self.converged_window < 1:
             raise ConfigError("eval_episodes and converged_window must be >= 1")
         if self.snapshot_interval is not None and self.snapshot_interval < 1:

@@ -55,7 +55,6 @@ class TrainConfig:
     scheme: int = 1
     seed: int = 0
     smoothing_std: float = 0.0
-    prioritized_replay: bool = False
     pose_buffer_capacity: int | None = None
 
     def __post_init__(self):
@@ -287,33 +286,28 @@ def _learn(agents: list[Td3Agent], buffer: ReplayBuffer, columns, shared: bool, 
     ``columns`` splits the batch into each agent's (obs, action, next_obs,
     reward).  Every agent's target actions are drawn first, in list order;
     then each agent updates its critics on the shared input (``shared``) or
-    its own pair, and its actor and targets on the delayed cadence.  In
-    prioritized mode each sample's priority becomes the mean |q1 - y| over
-    the agents.
+    its own pair, and its actor and targets on the delayed cadence.
     """
     if len(buffer) < batch_size:
         return
-    batch, idx = buffer.sample(batch_size, sample_rng)
+    batch = buffer.sample(batch_size, sample_rng)
     split = columns(batch)
     pairs = [(obs, act) for obs, act, _, _ in split]
     next_pairs = [(next_obs, agent.target_actions(next_obs, sample_rng))
                   for agent, (_, _, next_obs, _) in zip(agents, split)]
     if shared:
         inputs, next_inputs = _critic_inputs(pairs), _critic_inputs(next_pairs)
-    errors = np.zeros(batch_size) if buffer.prioritized else None  # sum of |q1 - y| over the agents
     offset = 0
     for k, agent in enumerate(agents):
         if not shared:
             inputs, next_inputs = _critic_inputs(pairs[k:k + 1]), _critic_inputs(next_pairs[k:k + 1])
         targets = agent.td_targets(split[k][3], next_inputs, batch["done"])
-        agent.critic_update(inputs, targets, td_error_sum=errors)
+        agent.critic_update(inputs, targets)
         if agent.should_update_actor():
             start = (offset if shared else 0) + agent.obs_dim
             agent.actor_update(pairs[k][0], inputs, slice(start, start + agent.action_dim))
             agent.soft_update()
         offset += agent.obs_dim + agent.action_dim
-    if buffer.prioritized:
-        buffer.update_priorities(idx, errors / len(agents))
 
 
 def train(
@@ -339,11 +333,11 @@ def train(
     enable exact resumption via ``resume_from``.
     """
     env = IsacEnv(scenario, scheme=config.scheme)
-    fast_buffer = ReplayBuffer(config.buffer_capacity, prioritized=config.prioritized_replay)
+    fast_buffer = ReplayBuffer(config.buffer_capacity)
     # the slow agent sees few transitions; a short buffer keeps its batch
     # close to the current fast-layer behaviour
     pose_capacity = config.pose_buffer_capacity or config.buffer_capacity
-    pose_buffer = ReplayBuffer(pose_capacity, prioritized=config.prioritized_replay)
+    pose_buffer = ReplayBuffer(pose_capacity)
     noise_rng = _rng_from(config.seed, 202)
     sample_rng = _rng_from(config.seed, 303)
     schedule = NoiseSchedule(config.noise_std, config.noise_floor, config.explore_episodes)
@@ -497,6 +491,8 @@ def evaluate(
     rollouts.  All reported physics is deterministic given the seeds;
     latency numbers are wall-clock and vary between runs.
     """
+    if episodes < 1:
+        raise ConfigError(f"evaluation needs at least one episode, got {episodes}")
     if seeds is None:
         seeds = list(range(episodes))
     if len(seeds) != episodes:
@@ -543,6 +539,8 @@ def profile_latency(roster: AgentRoster, calls: int = 10_000, seed: int = 0) -> 
     Returns one row per agent (UAV agents first, then beamforming, then
     the surface agent) with average/max/P99 latency in milliseconds.
     """
+    if calls < 1:
+        raise ConfigError(f"profiling needs at least one call per agent, got {calls}")
     rng = np.random.default_rng(seed)
     rows = []
     for name, agent in roster.all_agents():

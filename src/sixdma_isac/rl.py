@@ -87,24 +87,18 @@ def _lazy_zeros(shape) -> np.ndarray:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO transition store with uniform or proportional
-    prioritized sampling.
+    """Fixed-capacity FIFO transition store with uniform sampling without
+    replacement.
 
     Fields are fixed on the first push; each later push must carry the
-    same keys and shapes.  Uniform sampling draws without replacement;
-    the prioritized mode draws proportionally to stored priorities (new
-    transitions enter at the maximum stored priority).  Uniform mode
-    stores priority 1.0 for every transition.
+    same keys and shapes.
     """
 
-    def __init__(self, capacity: int, prioritized: bool = False, alpha: float = 0.6):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.prioritized = bool(prioritized)
-        self.alpha = float(alpha)
         self._storage: dict[str, np.ndarray] | None = None
-        self._priorities = np.zeros(self.capacity)
         self._size = 0
         self._next = 0
 
@@ -118,33 +112,17 @@ class ReplayBuffer:
                 self._storage[key] = _lazy_zeros((self.capacity, *np.shape(value)))
         for key, store in self._storage.items():
             store[self._next] = np.asarray(transition[key], dtype=float)
-        # uniform sampling ignores priorities and the trainer updates them only
-        # in prioritized mode, so a uniform buffer needs no O(size) scan
-        prioritized = self.prioritized and self._size
-        self._priorities[self._next] = self._priorities[: self._size].max() if prioritized else 1.0
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        if self._size == 0 or (not self.prioritized and batch_size > self._size):
+    def sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        if self._size == 0 or batch_size > self._size:
             raise ValueError(f"buffer holds {self._size} transitions, cannot sample {batch_size}")
-        if self.prioritized:
-            scaled = self._priorities[: self._size] ** self.alpha
-            probs = scaled / scaled.sum()
-            idx = rng.choice(self._size, size=batch_size, replace=True, p=probs)
-        else:
-            idx = rng.choice(self._size, size=batch_size, replace=False)
-        batch = {key: store[idx] for key, store in self._storage.items()}
-        return batch, idx
-
-    def update_priorities(self, indices, priorities) -> None:
-        self._priorities[np.asarray(indices, dtype=int)] = np.maximum(np.asarray(priorities, dtype=float), 1e-6)
+        idx = rng.choice(self._size, size=batch_size, replace=False)
+        return {key: store[idx] for key, store in self._storage.items()}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {
-            "buffer_meta": np.array([self._size, self._next, int(self.prioritized)], dtype=np.int64),
-            "buffer_priorities": self._priorities,
-        }
+        arrays = {"buffer_meta": np.array([self._size, self._next], dtype=np.int64)}
         if self._storage is not None:
             for key, store in self._storage.items():
                 arrays[f"field_{key}"] = store
@@ -156,7 +134,6 @@ class ReplayBuffer:
         returns them), or copies."""
         meta = np.asarray(arrays["buffer_meta"])
         self._size, self._next = int(meta[0]), int(meta[1])
-        self._priorities = np.asarray(arrays["buffer_priorities"], dtype=float)
         storage = {key[len("field_"):]: np.asarray(arrays[key], dtype=float)
                    for key in arrays if key.startswith("field_")}
         self._storage = storage or None
@@ -249,16 +226,13 @@ class Td3Agent:
         q2 = self.target_critic2.forward(next_critic_inputs).reshape(-1)
         return r + self.gamma * (1.0 - d) * np.minimum(q1, q2)
 
-    def critic_update(self, critic_inputs, targets, td_error_sum: np.ndarray | None = None) -> tuple[float, float]:
-        """One Adam step on each critic's mean squared TD error.  Given
-        ``td_error_sum``, each sample's |q1 - y| from before the step is added into it."""
+    def critic_update(self, critic_inputs, targets) -> tuple[float, float]:
+        """One Adam step on each critic's mean squared TD error."""
         y = np.asarray(targets, dtype=float).reshape(-1, 1)
         losses = []
         for critic, opt in ((self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2)):
             q, cache = critic.forward_cached(critic_inputs)
             err = q - y
-            if td_error_sum is not None and critic is self.critic1:
-                td_error_sum += np.abs(err[:, 0])
             losses.append(float(np.mean(err**2)))
             upstream = 2.0 * err / err.shape[0]
             grad = scratch.take(critic.flat.shape)

@@ -4,14 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sixdma_isac.channel import (
-    AnglePair,
-    angles_from_positions,
-    array_response,
-    channel_matrix,
-    channel_vector,
-    pointing_vector,
-)
+from sixdma_isac.channel import array_response, channel_matrix, channel_vector
 from sixdma_isac.errors import SingularityError
 from sixdma_isac.geometry import SurfacePose, global_antenna_positions, square_grid_layout
 
@@ -43,45 +36,6 @@ def per_point_channel(center, target, positions, wavelength):
     amplitude = wavelength / (4.0 * np.pi * dist)
     phase = np.exp(-1j * 2.0 * np.pi * dist / wavelength)
     return amplitude * phase * array_response(delta / dist, positions, wavelength)
-
-
-class TestAngles:
-    def test_plus_x(self):
-        el, az = angles_from_positions([0.0, 0.0, 0.0], [10.0, 0.0, 0.0])
-        assert el == 0.0
-        assert az == 0.0
-
-    def test_zenith_has_azimuth_zero(self):
-        el, az = angles_from_positions([0.0, 0.0, 0.0], [0.0, 0.0, 5.0])
-        assert el == pytest.approx(np.pi / 2)
-        assert az == 0.0
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
-            angles_from_positions([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-
-    def test_round_trip_recovers_unit_direction(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            a = rng.normal(size=3) * 40.0
-            b = rng.normal(size=3) * 40.0
-            if np.linalg.norm(b - a) < 1e-6:
-                continue
-            direct = (b - a) / np.linalg.norm(b - a)
-            via_angles = pointing_vector(angles_from_positions(a, b))
-            np.testing.assert_allclose(via_angles, direct, atol=1e-12)
-
-
-class TestPointingVector:
-    def test_reference_directions(self):
-        np.testing.assert_allclose(pointing_vector(AnglePair(0.0, 0.0)), [1.0, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(pointing_vector(AnglePair(np.pi / 2, 1.3)), [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            f = pointing_vector(AnglePair(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi, np.pi)))
-            assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
 
 
 class TestArrayResponse:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -151,6 +152,8 @@ class TestCliSpecFlags:
         (["train", "--episodes", "0"], "episodes, batch_size and buffer_capacity must be positive"),
         (["train", "--snapshot-interval", "-3"], "snapshot_interval must be >= 1"),
         (["train", "--scheme", "1,1", "--seeds", "0,0"], "schemes repeats the value 1"),
+        # plan_runs sweeps one axis, so the other would be dropped silently
+        (["train", "--sweep-pmax", "0.01,0.04", "--sweep-tr", "5,10"], "sweep_pmax and sweep_tr cannot both be given"),
     ])
     def test_falsy_or_repeated_flag_values_are_usage_errors(self, tmp_path, capsys, flags, message):
         # zero used to fall back to the default silently: 20 eval episodes, the preset's 150 episodes
@@ -176,14 +179,14 @@ class TestCliSpecFlags:
 class TestContentHash:
     def test_pinned_values(self):
         # The run identity of existing manifests: serialisation changes
-        # must keep these digests.
+        # must keep these digests; adding or removing a config field changes them.
         from sixdma_isac.env import benchmark_scenario
 
         assert content_hash(desk_scenario(), desk_train_config(seed=3, scheme=4)) == (
-            "ba6f2521eda10a6fccaafdfaf4c200096b834f8ac92b7641a28cf09cd475db38"
+            "1aa25440910cdc1b703dfd94530da175cadc2489f78c2fb3ec7a0d5abfab5850"
         )
         assert content_hash(benchmark_scenario(), TrainConfig()) == (
-            "9d5090343a420225a3f5c7faea2f3a0f04e5efdc3e4a38af805a3372fcf3db35"
+            "ec5ce0098c0bf3358f53b14222deddeb982a78222e40db7256e4d5cbca80273c"
         )
 
 
@@ -397,6 +400,34 @@ class TestResume:
         assert log.read_text() == kept
 
 
+class TestRunsWrittenWithTheReplayOption:
+    """Runs and snapshots from before the replay buffer became uniform-only
+    record the removed option; both are refused by name."""
+
+    OPTION = "prioritized_replay"
+
+    def test_load_run_refuses_the_manifest(self, trained_dir, tmp_path):
+        run_dir = tmp_path / "scheme1_seed0"
+        shutil.copytree(trained_dir.out_dir / "scheme1_seed0", run_dir)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["train"][self.OPTION] = False
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=rf"unknown train-config keys: \['{self.OPTION}'\]"):
+            load_run(run_dir)
+
+    def test_resume_refuses_the_snapshot(self, tmp_path):
+        spec = tiny_spec(tmp_path, snapshot_interval=1)
+        run = plan_runs(spec)[0]
+        harness._execute_run(replace(run, train=replace(run.train, episodes=1)), spec, resume=False)
+        (spec.out_dir / run.name / "manifest.json").unlink()
+        state_path = spec.out_dir / run.name / "snapshots" / "train_state.json"
+        state = json.loads(state_path.read_text())
+        state["config"][f"train.{self.OPTION}"] = False
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(ConfigError, match=rf"\(train\.{self.OPTION} False -> None\)"):
+            cmd_train(spec, resume=True)
+
+
 class TestSweepCompare:
     def test_tr_sweep_emits_plot_data(self, tmp_path):
         spec = tiny_spec(tmp_path, schemes=(1, 5), sweep_tr=(5, 10))
@@ -479,6 +510,11 @@ class TestCli:
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         assert main(["profile", "--run", str(tmp_path / "missing")]) == 2
+
+    def test_profile_with_zero_calls_is_a_usage_error(self, trained_dir, capsys):
+        run_dir = trained_dir.out_dir / "scheme1_seed0"
+        assert main(["profile", "--run", str(run_dir), "--calls", "0"]) == 1
+        assert "at least one call per agent, got 0" in capsys.readouterr().err
 
     def test_eval_cli_on_run(self, tmp_path, capsys):
         config = {

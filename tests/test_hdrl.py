@@ -34,11 +34,11 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
-def fast_buffer(roster, size, rng, prioritized=False):
+def fast_buffer(roster, size, rng):
     """A fast replay buffer of ``size`` random transitions, stored under the
     field names ``train`` pushes."""
     m, obs_beam, act_beam = roster.num_uavs, roster.beam_agent.obs_dim, roster.beam_agent.action_dim
-    buffer = ReplayBuffer(size, prioritized=prioritized)
+    buffer = ReplayBuffer(size)
     for _ in range(size):
         buffer.push({
             "uav_obs": rng.normal(size=(m, 10)),
@@ -54,9 +54,9 @@ def fast_buffer(roster, size, rng, prioritized=False):
     return buffer
 
 
-def pose_buffer(roster, size, rng, prioritized=False):
+def pose_buffer(roster, size, rng):
     obs_pose = roster.pose_agent.obs_dim
-    buffer = ReplayBuffer(size, prioritized=prioritized)
+    buffer = ReplayBuffer(size)
     for _ in range(size):
         buffer.push({"obs": rng.normal(size=obs_pose), "action": rng.uniform(-1.0, 1.0, size=6),
                      "reward": rng.normal(), "next_obs": rng.normal(size=obs_pose),
@@ -75,7 +75,7 @@ class TestLayout:
         # 4*(10+4) + 56 + 32
         assert [agent.critic_input_dim for agent in fast_agents(roster)] == [144] * 5
         assert (roster.beam_agent.obs_dim, roster.beam_agent.action_dim, roster.pose_agent.obs_dim) == (56, 32, 15)
-        batch = fast_buffer(roster, 3, np.random.default_rng(0)).sample(3, np.random.default_rng(1))[0]
+        batch = fast_buffer(roster, 3, np.random.default_rng(0)).sample(3, np.random.default_rng(1))
         pairs = [(obs, act) for obs, act, _, _ in _fast_columns(batch)]
         assert _critic_inputs(pairs).shape == (3, 144)
         roster.save(tmp_path / "roster")
@@ -111,7 +111,7 @@ class TestLayout:
         roster = AgentRoster(desk_scenario(), tiny_config(scheme=scheme, policy_delay=1))
         buffer = fast_buffer(roster, 12, np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        batch, _ = buffer.sample(8, copy.deepcopy(rng))
+        batch = buffer.sample(8, copy.deepcopy(rng))
         seen = []
         original = Td3Agent.actor_update
 
@@ -160,75 +160,88 @@ def smoothed_target_actions(agent, next_obs, rng):
     return np.clip(action + noise, -1.0, 1.0)
 
 
-def abs_td_error(agent, inputs, next_inputs, reward, done):
-    """|q1 - y| per sample with y = r + gamma (1 - done) min(q1', q2')."""
+def td_target(agent, next_inputs, reward, done):
+    """y = r + gamma (1 - done) min(q1', q2') from the target critics."""
     q_next = np.minimum(agent.target_critic1.forward(next_inputs), agent.target_critic2.forward(next_inputs))
-    y = reward + agent.gamma * (1.0 - done) * q_next[:, 0]
-    return np.abs(agent.critic1.forward(inputs)[:, 0] - y)
+    return reward + agent.gamma * (1.0 - done) * q_next[:, 0]
 
 
-class TestPrioritizedRound:
-    """After one round, each sampled transition's priority is
-    max(mean_k |q1_k - y_k|, 1e-6) over the agents of the round, computed
-    here by hand from the networks as they were before any critic step."""
+class TestLearnRound:
+    """One round draws every agent's target actions first, in list order,
+    then steps each agent's critics on its input toward the targets
+    computed here by hand from the networks as they were before the round."""
 
     @staticmethod
-    def spread_priorities(buffer, rng):
-        buffer.update_priorities(np.arange(len(buffer)), rng.uniform(0.1, 2.0, size=len(buffer)))
-        return buffer.state_arrays()["buffer_priorities"].copy()
+    def record_round(monkeypatch):
+        """Spy on target-action draws and critic steps, in call order."""
+        events = []
+        target_actions, critic_update = Td3Agent.target_actions, Td3Agent.critic_update
+
+        def draw(agent, next_obs, rng=None):
+            events.append(("target_actions", agent))
+            return target_actions(agent, next_obs, rng)
+
+        def step(agent, critic_inputs, targets):
+            events.append(("critic_update", agent, np.array(critic_inputs), np.array(targets)))
+            return critic_update(agent, critic_inputs, targets)
+
+        monkeypatch.setattr(Td3Agent, "target_actions", draw)
+        monkeypatch.setattr(Td3Agent, "critic_update", step)
+        return events
+
+    def check_round(self, events, agents, expected, rng, hand_rng):
+        assert rng.bit_generator.state == hand_rng.bit_generator.state  # the same draws, no others
+        assert [event[:2] for event in events] == (
+            [("target_actions", agent) for agent in agents] + [("critic_update", agent) for agent in agents])
+        for (_, _, inputs, targets), (want_inputs, want_targets) in zip(events[len(agents):], expected):
+            np.testing.assert_array_equal(inputs, want_inputs)
+            np.testing.assert_allclose(targets, want_targets, rtol=1e-12, atol=0.0)
+        assert all(agent.critic_update_count == 1 for agent in agents)
 
     @pytest.mark.parametrize("scheme", [1, 2])
-    def test_fast_batch(self, scheme):
+    def test_fast_batch(self, monkeypatch, scheme):
         roster = AgentRoster(desk_scenario(), tiny_config(scheme=scheme, smoothing_std=0.2))
         agents = fast_agents(roster)
-        buffer = fast_buffer(roster, 40, np.random.default_rng(4), prioritized=True)
-        before = self.spread_priorities(buffer, np.random.default_rng(5))
+        buffer = fast_buffer(roster, 40, np.random.default_rng(4))
         rng = np.random.default_rng(6)
         hand_rng = copy.deepcopy(rng)
-        batch, idx = buffer.sample(16, hand_rng)
+        batch = buffer.sample(16, hand_rng)
         m = roster.num_uavs
         obs = [batch["uav_obs"][:, k] for k in range(m)] + [batch["beam_obs"]]
         act = [batch["uav_act"][:, k] for k in range(m)] + [batch["beam_act"]]
         next_obs = [batch["next_uav_obs"][:, k] for k in range(m)] + [batch["next_beam_obs"]]
         rewards = [batch["rewards_uav"][:, k] for k in range(m)] + [batch["reward_beam"]]
-        # every target action is drawn before any critic step: UAV 0..M-1, then beam
+        # smoothing noise for UAV 0..M-1, then beam, all before any critic step
         next_act = [smoothed_target_actions(agent, o, hand_rng) for agent, o in zip(agents, next_obs)]
-        errors = []
+        expected = []
         for k, agent in enumerate(agents):
             views = range(len(agents)) if scheme != 2 else [k]
             inputs = np.hstack([np.hstack([obs[i], act[i]]) for i in views])
             next_inputs = np.hstack([np.hstack([next_obs[i], next_act[i]]) for i in views])
-            errors.append(abs_td_error(agent, inputs, next_inputs, rewards[k], batch["done"]))
-        expected = before.copy()
-        expected[idx] = np.maximum(np.mean(errors, axis=0), 1e-6)
+            expected.append((inputs, td_target(agent, next_inputs, rewards[k], batch["done"])))
 
+        events = self.record_round(monkeypatch)
         _learn(agents, buffer, _fast_columns, scheme != 2, 16, rng)
-        after = buffer.state_arrays()["buffer_priorities"]
-        np.testing.assert_allclose(after, expected, rtol=1e-12, atol=0.0)
-        assert not np.array_equal(after, before)
-        assert all(agent.critic_update_count == 1 for agent in agents)
+        self.check_round(events, agents, expected, rng, hand_rng)
 
-    def test_pose_batch(self):
+    def test_pose_batch(self, monkeypatch):
         roster = AgentRoster(desk_scenario(), tiny_config(smoothing_std=0.2))
         agent = roster.pose_agent
-        buffer = pose_buffer(roster, 20, np.random.default_rng(7), prioritized=True)
-        before = self.spread_priorities(buffer, np.random.default_rng(8))
+        buffer = pose_buffer(roster, 20, np.random.default_rng(7))
         rng = np.random.default_rng(9)
         hand_rng = copy.deepcopy(rng)
-        batch, idx = buffer.sample(8, hand_rng)
+        batch = buffer.sample(8, hand_rng)
         next_act = smoothed_target_actions(agent, batch["next_obs"], hand_rng)
-        error = abs_td_error(agent, np.hstack([batch["obs"], batch["action"]]),
-                             np.hstack([batch["next_obs"], next_act]), batch["reward"], batch["done"])
-        expected = before.copy()
-        expected[idx] = np.maximum(error, 1e-6)
+        expected = [(np.hstack([batch["obs"], batch["action"]]),
+                     td_target(agent, np.hstack([batch["next_obs"], next_act]), batch["reward"], batch["done"]))]
 
+        events = self.record_round(monkeypatch)
         _learn([agent], buffer, _pose_columns, False, 8, rng)
-        np.testing.assert_allclose(buffer.state_arrays()["buffer_priorities"], expected, rtol=1e-12, atol=0.0)
-        assert agent.critic_update_count == 1
+        self.check_round(events, [agent], expected, rng, hand_rng)
 
     def test_a_buffer_short_of_a_batch_learns_nothing(self):
         roster = AgentRoster(desk_scenario(), tiny_config())
-        buffer = pose_buffer(roster, 7, np.random.default_rng(0), prioritized=True)
+        buffer = pose_buffer(roster, 7, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         state = copy.deepcopy(rng.bit_generator.state)
         _learn([roster.pose_agent], buffer, _pose_columns, False, 8, rng)
@@ -430,11 +443,6 @@ class TestTrainLoop:
                 blockages=sum(window[0]["epsilon2"] for window in windows),
             )
 
-    def test_prioritized_mode_runs(self):
-        scenario = desk_scenario()
-        result = train(scenario, tiny_config(episodes=1, prioritized_replay=True))
-        assert len(result.metrics) == 1
-
 
 @pytest.fixture(scope="module")
 def trained():
@@ -598,6 +606,13 @@ class TestLatency:
         assert percentile_leq(values, 0.99) == 99
         assert percentile_leq(values, 1.0) == 100
         assert percentile_leq([5.0], 0.99) == 5.0
+
+    def test_zero_counts_are_config_errors(self, trained):
+        # numpy used to reduce an empty sample array: a RuntimeWarning, then a ValueError
+        with pytest.raises(ConfigError, match="at least one episode, got 0"):
+            evaluate(trained.roster, trained.scenario, episodes=0)
+        with pytest.raises(ConfigError, match="at least one call per agent, got 0"):
+            profile_latency(trained.roster, calls=0)
 
     def test_profile_rows(self):
         scenario = desk_scenario()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.isac import (
     db_to_linear,
@@ -227,3 +230,61 @@ class TestAntennaPhaseReference:
         ratio = h_global[0] / h_centered[0]
         np.testing.assert_allclose(np.abs(ratio), 1.0, rtol=1e-12)
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-10)
+
+
+# zero or a magnitude in [1e-6, 1], either sign: products of tinier entries
+# underflow toward subnormals, where no relative tolerance holds
+entries = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+
+
+@st.composite
+def complex_matrices(draw, rows, cols):
+    parts = draw(hnp.arrays(float, (2, rows, cols), elements=entries))
+    return parts[0] + 1j * parts[1]
+
+
+@st.composite
+def precoders(draw):
+    return draw(complex_matrices(draw(st.integers(1, 8)), draw(st.integers(1, 4))))
+
+
+@st.composite
+def targets_and_precoder(draw):
+    n, m, j = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(complex_matrices(j, n)), draw(complex_matrices(n, m))
+
+
+budgets = st.floats(1e-4, 10.0)
+
+
+class TestPowerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(w=precoders(), p_max=budgets)
+    def test_projection_never_raises_power_and_meets_the_budget(self, w, p_max):
+        out = project_power(w, p_max)
+        assert tx_power(out) <= tx_power(w)
+        assert tx_power(out) <= p_max * (1.0 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=precoders(), headroom=st.floats(1.0, 100.0))
+    def test_projection_returns_an_in_budget_precoder_unchanged(self, w, headroom):
+        p_max = max(tx_power(w) * headroom, 1e-12)
+        assert project_power(w, p_max) is w
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=precoders(), p_max=budgets)
+    def test_projection_is_idempotent(self, w, p_max):
+        once = project_power(w, p_max)
+        np.testing.assert_allclose(project_power(once, p_max), once, rtol=1e-12, atol=0.0)
+
+
+class TestSensingSnrProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(hw=targets_and_precoder(), sigma_s_sq=st.floats(1e-10, 1.0))
+    def test_two_paths_agree(self, hw, sigma_s_sq):
+        h, w = hw
+        direct, quadratic = sensing_snr(h, w, sigma_s_sq), sensing_snr_quadratic(h, w, sigma_s_sq)
+        # where h_j and the beams cancel, both paths round at the scale of
+        # their terms, |h_j|^2 |W|^2, not at the scale of the result
+        floor = 1e-13 * np.linalg.norm(h, axis=1) ** 2 * np.linalg.norm(w) ** 2 / sigma_s_sq
+        assert np.all(np.abs(direct - quadratic) <= 1e-9 * np.abs(quadratic) + floor)

@@ -235,23 +235,23 @@ class TestReplayBuffer:
         for k in range(4):
             buf.push({"x": np.array([float(k)])})
         assert len(buf) == 3
-        batch, _ = buf.sample(3, np.random.default_rng(0))
+        batch = buf.sample(3, np.random.default_rng(0))
         assert set(batch["x"].ravel()) == {1.0, 2.0, 3.0}
 
     def test_full_sample_is_permutation(self):
         buf = ReplayBuffer(capacity=8)
         for k in range(5):
             buf.push({"x": np.array([float(k)])})
-        batch, _ = buf.sample(5, np.random.default_rng(1))
+        batch = buf.sample(5, np.random.default_rng(1))
         assert sorted(batch["x"].ravel()) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_sampling_is_deterministic_given_seed(self):
         buf = ReplayBuffer(capacity=100)
         for k in range(50):
             buf.push({"x": np.array([float(k)])})
-        _, idx1 = buf.sample(10, np.random.default_rng(7))
-        _, idx2 = buf.sample(10, np.random.default_rng(7))
-        np.testing.assert_array_equal(idx1, idx2)
+        b1 = buf.sample(10, np.random.default_rng(7))
+        b2 = buf.sample(10, np.random.default_rng(7))
+        np.testing.assert_array_equal(b1["x"], b2["x"])
 
     def test_unpushed_rows_read_zero(self):
         buf = ReplayBuffer(capacity=5)
@@ -277,29 +277,6 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
-    def test_prioritized_sampling_prefers_high_priority(self):
-        buf = ReplayBuffer(capacity=10, prioritized=True, alpha=1.0)
-        for k in range(10):
-            buf.push({"x": np.array([float(k)])})
-        buf.update_priorities(np.arange(10), np.full(10, 1e-6))
-        buf.update_priorities([3], [1e3])
-        batch, idx = buf.sample(64, np.random.default_rng(2))
-        assert np.mean(idx == 3) > 0.9
-
-    def test_new_entry_priorities(self):
-        uniform = ReplayBuffer(capacity=3)
-        for k in range(7):  # wraps twice
-            uniform.push({"x": np.array([float(k)])})
-        np.testing.assert_array_equal(uniform.state_arrays()["buffer_priorities"], [1.0, 1.0, 1.0])
-        prioritized = ReplayBuffer(capacity=4, prioritized=True)
-        for k in range(3):
-            prioritized.push({"x": np.array([float(k)])})
-        prioritized.update_priorities([0, 1, 2], [5.0, 0.5, 0.25])
-        prioritized.update_priorities([0], [0.75])  # the maximum ever seen was 5.0
-        prioritized.push({"x": np.array([3.0])})
-        prioritized.push({"x": np.array([4.0])})  # wraps onto row 0
-        np.testing.assert_array_equal(prioritized.state_arrays()["buffer_priorities"], [0.75, 0.5, 0.25, 0.75])
-
     def test_state_round_trip(self):
         buf = ReplayBuffer(capacity=6)
         for k in range(4):
@@ -308,9 +285,8 @@ class TestReplayBuffer:
         # load_arrays adopts its arrays, so hand it copies of a live buffer's
         clone.load_arrays({key: value.copy() for key, value in buf.state_arrays().items()})
         assert len(clone) == len(buf)
-        b1, i1 = buf.sample(4, np.random.default_rng(3))
-        b2, i2 = clone.sample(4, np.random.default_rng(3))
-        np.testing.assert_array_equal(i1, i2)
+        b1 = buf.sample(4, np.random.default_rng(3))
+        b2 = clone.sample(4, np.random.default_rng(3))
         np.testing.assert_array_equal(b1["x"], b2["x"])
         np.testing.assert_array_equal(b1["r"], b2["r"])
 
@@ -484,15 +460,3 @@ class TestCheckpoints:
                 assert sorted(got.files) == sorted(want.files)
                 for key in want.files:
                     np.testing.assert_array_equal(got[key], want[key])
-
-
-def test_critic_update_adds_critic1_td_errors_from_before_its_step():
-    agent = make_agent(seed=40)
-    rng = np.random.default_rng(41)
-    inputs, targets = rng.normal(size=(6, 6)), rng.normal(size=6)
-    expected = 0.5 + np.abs(agent.critic1.forward(inputs)[:, 0] - targets)
-    errors = np.full(6, 0.5)
-    before = agent.critic1.flat.copy()
-    agent.critic_update(inputs, targets, td_error_sum=errors)
-    np.testing.assert_array_equal(errors, expected)
-    assert not np.array_equal(agent.critic1.flat, before)
