@@ -253,6 +253,17 @@ class TestReplayBuffer:
         b2 = buf.sample(10, np.random.default_rng(7))
         np.testing.assert_array_equal(b1["x"], b2["x"])
 
+    def test_sample_takes_the_rows_of_one_uniform_draw(self):
+        # saved runs replay bit-identically only while sample makes exactly this draw
+        buf = ReplayBuffer(capacity=30)
+        for k in range(45):  # wrapped: rows hold 30..44 then 15..29
+            buf.push({"x": np.array([float(k), -float(k)])})
+        rng, hand_rng = np.random.default_rng(5), np.random.default_rng(5)
+        batch = buf.sample(12, rng)
+        idx = hand_rng.choice(30, size=12, replace=False)
+        np.testing.assert_array_equal(batch["x"], buf.state_arrays()["field_x"][idx])
+        assert rng.bit_generator.state == hand_rng.bit_generator.state
+
     def test_unpushed_rows_read_zero(self):
         buf = ReplayBuffer(capacity=5)
         buf.push({"x": np.array([1.0, 2.0]), "r": 3.0})
@@ -289,6 +300,18 @@ class TestReplayBuffer:
         b2 = clone.sample(4, np.random.default_rng(3))
         np.testing.assert_array_equal(b1["x"], b2["x"])
         np.testing.assert_array_equal(b1["r"], b2["r"])
+
+    def test_wrapped_buffer_keeps_evicting_oldest_after_a_round_trip(self):
+        buf = ReplayBuffer(capacity=4)
+        for k in range(6):
+            buf.push({"x": np.array([float(k)])})
+        clone = ReplayBuffer(capacity=4)
+        clone.load_arrays({key: value.copy() for key, value in buf.state_arrays().items()})
+        for store in (buf, clone):
+            store.push({"x": np.array([6.0])})
+        np.testing.assert_array_equal(clone.state_arrays()["field_x"].ravel(), [4.0, 5.0, 6.0, 3.0])
+        for key, value in buf.state_arrays().items():
+            np.testing.assert_array_equal(clone.state_arrays()[key], value)
 
     def test_load_from_npz_holds_one_copy(self, tmp_path):
         buf = ReplayBuffer(capacity=20_000)
