@@ -40,6 +40,7 @@ from .hdrl import (
     profile_latency,
     train,
     train_config_from_dict,
+    whole_number,
 )
 
 WORKERS_ENV_VAR = "SIXDMA_ISAC_WORKERS"
@@ -50,16 +51,13 @@ _PRESETS = {
 }
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything one experiment needs: configs, schemes, seeds, sweeps.
 
     Its fields are the keys of a JSON spec and the ``dest``s of the CLI
-    flags; sequences become tuples and counts ints on construction."""
+    flags; sequences become tuples and counts ints on construction, and a
+    count that is not a whole number is a ConfigError."""
 
     scenario: ScenarioConfig
     train: TrainConfig
@@ -74,9 +72,12 @@ class ExperimentSpec:
     snapshot_interval: int | None = None
 
     def __post_init__(self):
-        coercions = {"schemes": _ints, "seeds": _ints, "sweep_tr": _ints, "sweep_pmax": tuple,
-                     "eval_episodes": int, "converged_window": int, "episode_logs": bool, "out_dir": Path}
-        for name, coerce in coercions.items():
+        for name in ("schemes", "seeds", "sweep_tr"):
+            object.__setattr__(self, name, tuple(whole_number(v, name) for v in getattr(self, name)))
+        for name in ("eval_episodes", "converged_window", "snapshot_interval"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        for name, coerce in {"sweep_pmax": tuple, "episode_logs": bool, "out_dir": Path}.items():
             object.__setattr__(self, name, coerce(getattr(self, name)))
         if not self.schemes or not self.seeds:
             raise ConfigError("at least one scheme and one seed are required")
@@ -419,7 +420,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return _ints(x for x in text.split(",") if x.strip())
+    return tuple(int(x) for x in text.split(",") if x.strip())
 
 
 def _float_list(text: str) -> tuple[float, ...]:

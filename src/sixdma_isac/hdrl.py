@@ -29,13 +29,25 @@ import numpy as np
 
 from .env import IsacEnv, ScenarioConfig
 from .errors import ConfigError
-from .rl import NoiseSchedule, ReplayBuffer, Td3Agent
+from .rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_version
 
 UAV_OBS_DIM = 10
 UAV_ACT_DIM = 4
 POSE_ACT_DIM = 6
 # TrainConfig fields every Td3Agent of a roster is built with.
 _AGENT_SETTINGS = ("hidden", "lr_actor", "lr_critic", "gamma", "tau", "policy_delay", "smoothing_std")
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; a ConfigError naming ``name`` unless it is a
+    whole number (``2`` and ``2.0`` pass, ``2.5`` and ``"2"`` do not)."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ConfigError(f"{name} takes whole numbers only, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,7 @@ class TrainConfig:
         if self.batch_size > min(self.buffer_capacity, pose_capacity):  # that buffer's agents would never learn
             raise ConfigError(f"batch_size {self.batch_size} exceeds a replay capacity "
                               f"(buffer_capacity {self.buffer_capacity}, pose buffer {pose_capacity})")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(whole_number(h, "hidden") for h in self.hidden))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -139,14 +151,7 @@ class AgentRoster:
         directory.mkdir(parents=True, exist_ok=True)
         for name, agent in self.all_agents():
             agent.save(directory / name)
-        manifest = {
-            "version": 1,
-            "scheme": self.scheme,
-            "num_uavs": self.num_uavs,
-            "obs_beam": self.beam_agent.obs_dim,
-            "act_beam": self.beam_agent.action_dim,
-            "obs_pose": self.pose_agent.obs_dim,
-        }
+        manifest = {"version": CHECKPOINT_VERSION, "scheme": self.scheme, "num_uavs": self.num_uavs}
         (directory / "roster.json").write_text(json.dumps(manifest, indent=2))
 
     @classmethod
@@ -154,10 +159,12 @@ class AgentRoster:
         """The roster :meth:`save` wrote, each agent built once from its files
         (:meth:`Td3Agent.load` reads the actors now, the rest on first use).
 
-        ConfigError names the field (and the agent) where the checkpoint
-        differs from what ``(scenario, config)`` imply."""
+        A checkpoint of another version is a ConfigError, checked first.
+        Otherwise ConfigError names the field (and the agent) where the
+        checkpoint differs from what ``(scenario, config)`` imply."""
         directory = Path(directory)
         manifest = json.loads((directory / "roster.json").read_text())
+        check_version(manifest, directory)
         for key, want in (("scheme", config.scheme), ("num_uavs", scenario.num_uavs)):
             if manifest[key] != want:
                 raise ConfigError(f"checkpoint {directory} has {key} {manifest[key]}, the config implies {want}")
@@ -239,8 +246,7 @@ def _rollout(env: IsacEnv, roster: AgentRoster, seed: int, sums: _EpisodeSums, n
         return action
 
     cfg = env.config
-    env.reset(seed=seed)
-    obs = env.observations()
+    _, obs = env.reset(seed=seed)
     for _ in range(cfg.num_slots):
         pose = None
         if env.is_pose_slot():

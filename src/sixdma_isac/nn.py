@@ -1,4 +1,4 @@
-"""Minimal dense network core: forward, backward, Adam, checkpoints.
+"""Minimal dense network core: forward, backward, Adam.
 
 Sized for small actor/critic networks (two hidden layers, a few hundred
 units).  Everything is float64 so finite-difference gradient checks stay
@@ -27,6 +27,8 @@ import threading
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "linear")
+# Adam's moment decay rates and denominator floor (Kingma and Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Elementwise passes over flat vectors go this many elements at a time, so
 # the operands of a chain of in-place ufuncs stay in cache between them.
 CHUNK = 16384
@@ -258,66 +260,35 @@ class Mlp:
         """Per-layer [w0, b0, w1, b1, ...], views into ``flat``."""
         return list(self._params)
 
-    def copy(self) -> "Mlp":
-        dup = object.__new__(Mlp)
-        dup.dims = list(self.dims)
-        dup.activations = list(self.activations)
-        dup._bind(self.flat.copy())
-        return dup
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Flat layer_dims/activation header plus row-major parameter arrays."""
-        arrays = {
-            "layer_dims": np.asarray(self.dims, dtype=np.int64),
-            "activations": np.asarray([ACTIVATIONS.index(a) for a in self.activations], dtype=np.int64),
-        }
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            arrays[f"w{k}"] = w
-            arrays[f"b{k}"] = b
-        return arrays
-
-    def save(self, path) -> None:
-        np.savez(path, **self.state_arrays())
-
-    @staticmethod
-    def read_header(path) -> tuple[list[int], list[str]]:
-        """``(dims, activations)`` of the network :meth:`save` wrote to
-        ``path``, read without its parameter arrays."""
-        with np.load(path) as arrays:
-            return ([int(d) for d in np.asarray(arrays["layer_dims"])],
-                    [ACTIVATIONS[int(i)] for i in np.asarray(arrays["activations"])])
-
     @classmethod
-    def load(cls, path) -> "Mlp":
-        """The network :meth:`save` wrote, built without a random
-        initialisation; its ``flat`` vector is the only copy it keeps."""
+    def from_flat(cls, dims, activations, flat: np.ndarray) -> "Mlp":
+        """The network with these layers whose parameter vector is ``flat``,
+        adopted without a copy or a random initialisation."""
         net = object.__new__(cls)
-        net.dims, net.activations = cls.read_header(path)
-        with np.load(path) as arrays:
-            net._bind(np.empty(sum(math.prod(s) for s in _param_shapes(net.dims))))
-            _fill(net._params, arrays, [f"{kind}{k}" for k in range(len(net.dims) - 1) for kind in "wb"])
+        net.dims = [int(d) for d in dims]
+        net.activations = list(activations)
+        net._bind(flat)
         return net
+
+    def copy(self) -> "Mlp":
+        return Mlp.from_flat(self.dims, self.activations, self.flat.copy())
 
 
 class Adam:
-    """Bias-corrected Adam with flat moment vectors.
+    """Bias-corrected Adam (:data:`BETA1`, :data:`BETA2`, :data:`EPS`) with
+    flat moment vectors.
 
-    ``params`` fixes the layout: the moments ``m`` and ``v`` are flat
-    vectors holding the given arrays back to back, so an ``Mlp``'s
-    ``parameters()`` give the layout of its ``flat`` vector.
+    The moments ``m`` and ``v`` are flat vectors as long as the given
+    arrays back to back, so an ``Mlp``'s ``parameters()`` give the layout of
+    its ``flat`` vector.  ``moments`` adopts saved ``(m, v)`` vectors without
+    a copy, ``step_count`` the number of steps that made them.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float, moments=None, step_count: int = 0):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.step_count = 0
-        self.shapes = [np.shape(p) for p in params]
-        self._spans = _spans(self.shapes)
-        size = sum(math.prod(s) for s in self.shapes)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.step_count = int(step_count)
+        size = sum(np.size(p) for p in params)
+        self.m, self.v = moments if moments is not None else (np.zeros(size), np.zeros(size))
 
     def step(self, params, grads) -> None:
         """One update of ``params`` in place.
@@ -329,8 +300,8 @@ class Adam:
             if not isinstance(arr, np.ndarray) or arr.shape != self.m.shape:
                 raise ValueError(f"{what} vector does not match the optimizer's flat layout")
         self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
+        b1c = 1.0 - BETA1**self.step_count
+        b2c = 1.0 - BETA2**self.step_count
         # Same per-element operations, in the same order, as
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
@@ -341,50 +312,20 @@ class Adam:
             hi = min(lo + CHUNK, params.size)
             p, gk, m, v = params[lo:hi], grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
             t, d = tmp[: hi - lo], delta[: hi - lo]
-            np.multiply(gk, 1.0 - self.beta1, out=t)
-            m *= self.beta1
+            np.multiply(gk, 1.0 - BETA1, out=t)
+            m *= BETA1
             m += t
-            np.multiply(gk, 1.0 - self.beta2, out=t)
+            np.multiply(gk, 1.0 - BETA2, out=t)
             t *= gk
-            v *= self.beta2
+            v *= BETA2
             v += t
             np.divide(v, b2c, out=t)
             np.sqrt(t, out=t)
-            t += self.eps
+            t += EPS
             np.divide(m, b1c, out=d)
             d *= self.lr
             d /= t
             p -= d
-
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """Meta row plus per-layer ``m{k}``/``v{k}`` arrays."""
-        arrays = {
-            f"{prefix}meta": np.array([self.lr, self.beta1, self.beta2, self.eps, float(self.step_count)])
-        }
-        for k, (m, v) in enumerate(zip(_views(self.m, self._spans), _views(self.v, self._spans))):
-            arrays[f"{prefix}m{k}"] = m
-            arrays[f"{prefix}v{k}"] = v
-        return arrays
-
-    @classmethod
-    def from_arrays(cls, params, arrays, prefix: str = "") -> "Adam":
-        """An optimizer for ``params`` in the state :meth:`state_arrays` saved."""
-        lr, beta1, beta2, eps, step_count = (float(x) for x in np.asarray(arrays[f"{prefix}meta"]))
-        opt = cls(params, lr, beta1, beta2, eps)
-        opt.step_count = int(step_count)
-        for name, flat in (("m", opt.m), ("v", opt.v)):
-            _fill(_views(flat, opt._spans), arrays, [f"{prefix}{name}{k}" for k in range(len(opt.shapes))])
-        return opt
-
-
-def _fill(views, arrays, names) -> None:
-    """Copy ``arrays[name]`` into each view, reading one array at a time so
-    that a load holds at most one array besides the vector it fills."""
-    for view, name in zip(views, names):
-        layer = np.asarray(arrays[name], dtype=float)
-        if layer.shape != view.shape:
-            raise ValueError(f"checkpoint array {name} has shape {layer.shape}, expected {view.shape}")
-        view[...] = layer
 
 
 def flatten_grads(grads) -> list[np.ndarray]:

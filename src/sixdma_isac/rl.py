@@ -21,22 +21,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .nn import CHUNK, Adam, Mlp, scratch
 
-CHECKPOINT_VERSION = 1
-_NETWORK_FILES = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
-_OPTIMIZED = ("actor", "critic1", "critic2")  # the networks with an optimizer, in optimizers.npz order
+CHECKPOINT_VERSION = 2
+# TD3's clip of its target-policy smoothing noise (Fujimoto et al. 2018).
+SMOOTHING_CLIP = 0.5
+_NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
+# The networks with an optimizer, with the attributes holding its learning
+# rate and its step count (the count of the updates it made).
+_OPTIMIZED = {"actor": ("lr_actor", "actor_update_count"), "critic1": ("lr_critic", "critic_update_count"),
+              "critic2": ("lr_critic", "critic_update_count")}
 # What only learning uses (every network but the actor, which comes first,
 # and every optimizer): read from a checkpoint on first use, not at load.
-_LEARNER_STATE = frozenset(_NETWORK_FILES[1:]) | {f"opt_{name}" for name in _OPTIMIZED}
+_LEARNER_STATE = frozenset(_NETWORKS[1:]) | {f"opt_{name}" for name in _OPTIMIZED}
+# The keys of state.npz, the actor's first: networks, then optimizer moments.
+_VECTORS = (*_NETWORKS, *(f"opt_{name}_{moment}" for name in _OPTIMIZED for moment in "mv"))
 # Constructor arguments an agent stores and its manifest records, in the
 # manifest's key order, with the type each is stored as.
 _HYPERPARAMETERS = {
     "obs_dim": int, "action_dim": int, "critic_input_dim": int, "hidden": lambda h: tuple(int(x) for x in h),
     "lr_actor": float, "lr_critic": float, "gamma": float, "tau": float, "policy_delay": int,
-    "smoothing_std": float, "smoothing_clip": float,
+    "smoothing_std": float,
 }
+
+
+def check_version(manifest: dict, directory) -> None:
+    """ConfigError unless ``manifest`` is of :data:`CHECKPOINT_VERSION`."""
+    if manifest.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint {directory} is version {manifest.get('version')}; this version reads "
+                          f"only version {CHECKPOINT_VERSION} checkpoints, so train the run afresh")
 
 
 @dataclass(frozen=True)
@@ -58,18 +72,6 @@ def _stamp(path: Path) -> tuple[int, int, int]:
     """Inode, size and modification time of ``path``."""
     st = os.stat(path)
     return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _check_header(path: Path, header, plan) -> None:
-    if tuple(header) != plan:
-        raise ValueError(f"{path} holds a {header[0]} {header[1]} network, "
-                         f"the manifest implies {plan[0]} {plan[1]}")
-
-
-def _read_network(path: Path, plan) -> Mlp:
-    net = Mlp.load(path)
-    _check_header(path, (net.dims, net.activations), plan)
-    return net
 
 
 def _lazy_zeros(shape) -> np.ndarray:
@@ -154,7 +156,6 @@ class Td3Agent:
         tau: float = 0.01,
         policy_delay: int = 2,
         smoothing_std: float = 0.0,
-        smoothing_clip: float = 0.5,
         rng: np.random.Generator | None = None,
     ):
         self._set_hyperparameters(locals())
@@ -189,7 +190,7 @@ class Td3Agent:
         relu = ["relu"] * len(self.hidden)
         actor = ([self.obs_dim, *self.hidden, self.action_dim], relu + ["tanh"])
         critic = ([self.critic_input_dim, *self.hidden, 1], relu + ["linear"])
-        return {name: actor if name.endswith("actor") else critic for name in _NETWORK_FILES}
+        return {name: actor if name.endswith("actor") else critic for name in _NETWORKS}
 
     # ------------------------------------------------------------ acting
     def select_action(self, obs, noise_std: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -211,8 +212,8 @@ class Td3Agent:
                 raise ValueError("target-policy smoothing requires an rng")
             noise = np.clip(
                 rng.normal(0.0, self.smoothing_std, size=action.shape),
-                -self.smoothing_clip,
-                self.smoothing_clip,
+                -SMOOTHING_CLIP,
+                SMOOTHING_CLIP,
             )
             action = np.clip(action + noise, -1.0, 1.0)
         return action
@@ -302,48 +303,42 @@ class Td3Agent:
         }
 
     def save(self, directory) -> None:
-        """One .npz per network plus optimizer state and a manifest.
+        """``manifest.json`` plus ``state.npz``, which holds each network's
+        ``flat`` vector under the network's name and each optimizer's
+        moments as ``opt_<network>_m`` and ``opt_<network>_v``.
 
         Learner state not yet read from a checkpoint is read first, so an
         agent may be saved over the files it was loaded from."""
         self._read_learner_state()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for name in _NETWORK_FILES:
-            getattr(self, name).save(directory / f"{name}.npz")
-        opt_arrays = {}
+        arrays = {name: getattr(self, name).flat for name in _NETWORKS}
         for name in _OPTIMIZED:
-            opt_arrays.update(getattr(self, f"opt_{name}").state_arrays(f"{name}_"))
-        np.savez(directory / "optimizers.npz", **opt_arrays)
+            opt = getattr(self, f"opt_{name}")
+            arrays[f"opt_{name}_m"], arrays[f"opt_{name}_v"] = opt.m, opt.v
+        np.savez(directory / "state.npz", **arrays)
         (directory / "manifest.json").write_text(json.dumps(self.manifest(), indent=2))
 
     @classmethod
     def load(cls, directory) -> "Td3Agent":
-        """The agent :meth:`save` wrote, built once from its files: networks
-        and moments go straight into their flat vectors, with no random
+        """The agent :meth:`save` wrote, built once from its files: every
+        vector read from ``state.npz`` is adopted as it is, with no random
         initialisation to overwrite.
 
-        Only the actor is read now.  The critics, targets and Adam moments
-        are read on first use of any of them, by :meth:`_read_learner_state`.
-        Every check runs now: the manifest's version, the constructor's
-        ranges, and each network's header against the manifest."""
+        Only the actor is read now, after the manifest's version and the
+        constructor's ranges are checked.  The critics, targets and Adam
+        moments are read on first use of any of them, by
+        :meth:`_read_learner_state`."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
-        if manifest["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {manifest['version']}")
+        check_version(manifest, directory)
         agent = object.__new__(cls)
         agent._set_hyperparameters(manifest)
-        plan = agent._layer_plan()
-        agent.actor = _read_network(directory / "actor.npz", plan["actor"])
-        stamps = {}
-        for name in _NETWORK_FILES[1:]:
-            path = directory / f"{name}.npz"
-            stamps[path] = _stamp(path)
-            _check_header(path, Mlp.read_header(path), plan[name])
-        stamps[directory / "optimizers.npz"] = _stamp(directory / "optimizers.npz")
-        agent._pending = (directory, stamps)
         agent.critic_update_count = manifest["critic_update_count"]
         agent.actor_update_count = manifest["actor_update_count"]
+        path = directory / "state.npz"
+        agent._pending = (path, _stamp(path))  # stamped before the read: a file replaced under it fails first use
+        agent.actor = Mlp.from_flat(*agent._layer_plan()["actor"], agent._read_vectors(path, ["actor"])["actor"])
         return agent
 
     def __getattr__(self, name):
@@ -353,20 +348,36 @@ class Td3Agent:
             return getattr(self, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
+    def _read_vectors(self, path: Path, names) -> dict[str, np.ndarray]:
+        """The named vectors of ``state.npz``; a ValueError names one whose
+        length is not the one the manifest's layer plan implies."""
+        sizes = {name: sum(dout * (din + 1) for din, dout in zip(dims, dims[1:]))
+                 for name, (dims, _) in self._layer_plan().items()}
+        sizes |= {f"opt_{name}_{moment}": sizes[name] for name in _OPTIMIZED for moment in "mv"}
+        vectors = {}
+        with np.load(path) as arrays:
+            for name in names:
+                vectors[name] = np.asarray(arrays[name], dtype=float)
+                if vectors[name].shape != (sizes[name],):
+                    raise ValueError(f"{path} holds {name} of shape {vectors[name].shape}, "
+                                     f"the manifest implies ({sizes[name]},)")
+        return vectors
+
     def _read_learner_state(self) -> None:
         """Read the critics, targets and Adam moments :meth:`load` left on
-        disk, if any.  A file whose inode, size or mtime changed since the
-        load raises ProtocolError."""
+        disk, if any.  A ``state.npz`` whose inode, size or mtime changed
+        since the load raises ProtocolError."""
         if "_pending" not in self.__dict__:
             return
-        directory, stamps = self._pending
-        for path, stamp in stamps.items():
-            if not path.exists() or _stamp(path) != stamp:
-                raise ProtocolError(f"{path} changed since its checkpoint was loaded; load the checkpoint again")
-        del self._pending
+        path, stamp = self._pending
+        if not path.exists() or _stamp(path) != stamp:
+            raise ProtocolError(f"{path} changed since its checkpoint was loaded; load the checkpoint again")
+        vectors = self._read_vectors(path, _VECTORS[1:])
         plan = self._layer_plan()
-        for name in _NETWORK_FILES[1:]:
-            setattr(self, name, _read_network(directory / f"{name}.npz", plan[name]))
-        with np.load(directory / "optimizers.npz") as arrays:
-            for name in _OPTIMIZED:
-                setattr(self, f"opt_{name}", Adam.from_arrays(getattr(self, name).parameters(), arrays, f"{name}_"))
+        for name in _NETWORKS[1:]:
+            setattr(self, name, Mlp.from_flat(*plan[name], vectors[name]))
+        for name, (lr, count) in _OPTIMIZED.items():
+            moments = vectors[f"opt_{name}_m"], vectors[f"opt_{name}_v"]
+            setattr(self, f"opt_{name}", Adam(getattr(self, name).parameters(), getattr(self, lr), moments,
+                                              getattr(self, count)))
+        del self._pending

@@ -27,7 +27,7 @@ from sixdma_isac.harness import (
     worker_count,
     write_metrics_csv,
 )
-from sixdma_isac.hdrl import EpisodeMetrics, TrainConfig, desk_train_config
+from sixdma_isac.hdrl import AgentRoster, EpisodeMetrics, TrainConfig, desk_train_config
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -97,6 +97,17 @@ class TestSpec:
     def test_counts_must_be_positive(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             tiny_spec(tmp_path, **overrides)
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"eval_episodes": 2.5}, "eval_episodes"), ({"converged_window": 1.9}, "converged_window"),
+        ({"snapshot_interval": 2.5}, "snapshot_interval"), ({"seeds": [0.7, 1.2]}, "seeds"),
+        ({"schemes": [1.5]}, "schemes"), ({"sweep_tr": [2.6]}, "sweep_tr"),
+        ({"train": {"hidden": [64.7, 8.2]}}, "hidden"),
+    ])
+    def test_non_integral_counts_are_refused(self, overrides, name):
+        # they used to be truncated (2.5 eval episodes ran 2) or, for snapshot_interval, kept as floats
+        with pytest.raises(ConfigError, match=f"^{name} takes whole numbers only, got "):
+            spec_from_dict({"preset": "desk", **overrides})
 
     def test_defaults_and_coercion_live_on_the_spec(self, tmp_path):
         spec = ExperimentSpec(desk_scenario(), desk_train_config(), seeds=[2, 3], sweep_tr=[5.0], out_dir="x")
@@ -348,6 +359,17 @@ class TestEvalCompareProfile:
         assert manifest["scheme"] == 1
         assert scenario.num_uavs == 2
         assert roster.scheme == 1
+
+    def test_a_version_1_checkpoint_is_refused(self, trained_dir, tmp_path, capsys):
+        run_dir = tmp_path / "scheme1_seed0"
+        shutil.copytree(trained_dir.out_dir / "scheme1_seed0", run_dir)
+        roster_path = run_dir / "checkpoints" / "roster.json"
+        roster_path.write_text(json.dumps({**json.loads(roster_path.read_text()), "version": 1}))
+        _, scenario, train_cfg, _ = load_run(trained_dir.out_dir / "scheme1_seed0")
+        with pytest.raises(ConfigError, match="is version 1; .* train the run afresh"):
+            AgentRoster.load(run_dir / "checkpoints", scenario, train_cfg)
+        assert main(["eval", "--run", str(run_dir)]) == 1
+        assert "is version 1" in capsys.readouterr().err
 
 
 class TestResume:

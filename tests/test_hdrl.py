@@ -10,7 +10,7 @@ import pytest
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
 from sixdma_isac.errors import ConfigError
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import ReplayBuffer, Td3Agent
+from sixdma_isac.rl import SMOOTHING_CLIP, ReplayBuffer, Td3Agent
 from sixdma_isac.hdrl import (
     AgentRoster,
     EpisodeMetrics,
@@ -80,8 +80,7 @@ class TestLayout:
         assert _critic_inputs(pairs).shape == (3, 144)
         roster.save(tmp_path / "roster")
         manifest = json.loads((tmp_path / "roster" / "roster.json").read_text())
-        assert {key: manifest[key] for key in ("num_uavs", "obs_beam", "act_beam", "obs_pose")} == {
-            "num_uavs": 4, "obs_beam": 56, "act_beam": 32, "obs_pose": 15}
+        assert manifest == {"version": 2, "scheme": 1, "num_uavs": 4}
 
     def test_order_is_each_agents_observation_then_action(self):
         uav_obs = np.arange(2 * 10).reshape(1, 2, 10) * 1.0
@@ -155,8 +154,7 @@ def smoothed_target_actions(agent, next_obs, rng):
     """``Td3Agent.target_actions`` written out: target actor plus clipped
     Gaussian smoothing noise, drawn from ``rng``."""
     action = agent.target_actor.forward(next_obs)
-    noise = np.clip(rng.normal(0.0, agent.smoothing_std, size=action.shape), -agent.smoothing_clip,
-                    agent.smoothing_clip)
+    noise = np.clip(rng.normal(0.0, agent.smoothing_std, size=action.shape), -SMOOTHING_CLIP, SMOOTHING_CLIP)
     return np.clip(action + noise, -1.0, 1.0)
 
 
@@ -535,7 +533,7 @@ class TestRosterCheckpoints:
                 assert getattr(a, net).flat.tobytes() == getattr(b, net).flat.tobytes(), (name, net)
             for opt in OPTIMIZERS:
                 x, y = getattr(a, opt), getattr(b, opt)
-                assert (y.lr, y.beta1, y.beta2, y.eps, y.step_count) == (x.lr, x.beta1, x.beta2, x.eps, x.step_count)
+                assert (y.lr, y.step_count) == (x.lr, x.step_count)
                 assert (y.m.tobytes(), y.v.tobytes()) == (x.m.tobytes(), x.v.tobytes()), (name, opt)
 
     @pytest.mark.parametrize("saved_scheme, scenario_overrides, config_overrides, pattern", [
@@ -591,13 +589,12 @@ class TestRosterCheckpoints:
         loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
         evaluate(loaded, scenario, episodes=1)
         profile_latency(loaded, calls=5)
-        assert {path for path, _ in reads} == {f"{name}/{net}.npz" for name, _ in loaded.all_agents()
-                                                for net in NETWORKS}
-        beyond_headers = {path for path, key in reads if key not in ("layer_dims", "activations")}
-        assert beyond_headers == {f"{name}/actor.npz" for name, _ in loaded.all_agents()}
+        assert sorted(reads) == sorted((f"{name}/state.npz", "actor") for name, _ in loaded.all_agents())
         reads.clear()
         loaded.pose_agent.critic1  # first use reads that agent's learner state, and only that agent's
-        assert {path for path, _ in reads} == {f"sixdma/{net}.npz" for net in NETWORKS[1:]} | {"sixdma/optimizers.npz"}
+        assert {path for path, _ in reads} == {"sixdma/state.npz"}
+        assert sorted(key for _, key in reads) == sorted([*NETWORKS[1:], *(f"{opt}_{moment}" for opt in OPTIMIZERS
+                                                                            for moment in "mv")])
 
 
 class TestLatency:

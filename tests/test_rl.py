@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sixdma_isac.errors import ProtocolError
+from sixdma_isac.errors import ConfigError, ProtocolError
 from sixdma_isac.nn import Mlp
 from sixdma_isac.rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent
 
@@ -346,6 +346,9 @@ class TestNoiseSchedule:
         assert all(a >= b for a, b in zip(stds, stds[1:]))
 
 
+NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
+
+
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
         agent = make_agent(seed=24)
@@ -354,14 +357,19 @@ class TestCheckpoints:
             agent.critic_update(rng.normal(size=(4, 6)), rng.normal(size=4))
         agent.soft_update()
         agent.save(tmp_path / "agent")
+        assert sorted(path.name for path in (tmp_path / "agent").iterdir()) == ["manifest.json", "state.npz"]
+        with np.load(tmp_path / "agent" / "state.npz") as arrays:
+            assert arrays.files == [*NETWORKS, "opt_actor_m", "opt_actor_v", "opt_critic1_m", "opt_critic1_v",
+                                    "opt_critic2_m", "opt_critic2_v"]
+            np.testing.assert_array_equal(arrays["opt_critic2_v"], agent.opt_critic2.v)
         loaded = Td3Agent.load(tmp_path / "agent")
         assert loaded.critic_update_count == agent.critic_update_count
-        for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+        for name in NETWORKS:
             for a, b in zip(getattr(agent, name).parameters(), getattr(loaded, name).parameters()):
                 np.testing.assert_array_equal(a, b)
         obs = rng.normal(size=4)
         np.testing.assert_array_equal(agent.select_action(obs), loaded.select_action(obs))
-        assert loaded.opt_critic1.step_count == agent.opt_critic1.step_count
+        assert (loaded.opt_actor.step_count, loaded.opt_critic1.step_count) == (0, 4)  # the update counts
 
     def test_loaded_and_soft_updated_networks_alias_their_flat_vector(self, tmp_path):
         agent = make_agent(seed=26)
@@ -369,7 +377,7 @@ class TestCheckpoints:
         agent.save(tmp_path / "agent")
         loaded = Td3Agent.load(tmp_path / "agent")
         for owner in (agent, loaded):
-            for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+            for name in NETWORKS:
                 net = getattr(owner, name)
                 for p in net.parameters():
                     assert np.shares_memory(p, net.flat)
@@ -388,7 +396,7 @@ class TestCheckpoints:
             a.critic_update(inputs, targets)
             a.actor_update(obs, inputs, slice(4, 6))
             a.soft_update()
-        for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+        for name in NETWORKS:
             np.testing.assert_array_equal(getattr(agent, name).flat, getattr(loaded, name).flat)
         for opt in ("opt_actor", "opt_critic1", "opt_critic2"):
             np.testing.assert_array_equal(getattr(agent, opt).m, getattr(loaded, opt).m)
@@ -403,42 +411,23 @@ class TestCheckpoints:
         manifest_path.write_text(json.dumps({**manifest, "gamma": 1.5}))
         with pytest.raises(ValueError, match="gamma"):
             Td3Agent.load(tmp_path / "agent")
-        manifest_path.write_text(json.dumps({**manifest, "version": 2}))
-        with pytest.raises(ValueError, match="version"):
+        assert manifest["version"] == CHECKPOINT_VERSION == 2
+        manifest_path.write_text(json.dumps({**manifest, "version": 1}))
+        with pytest.raises(ConfigError, match="is version 1; .* train the run afresh"):
             Td3Agent.load(tmp_path / "agent")
 
-    def test_network_unlike_its_manifest_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", ["actor", "critic2", "opt_actor_v"])
+    def test_vector_unlike_its_manifest_is_rejected(self, tmp_path, name):
+        # the actor is checked at load, the learner state at its first use
         make_agent(seed=32).save(tmp_path / "agent")
-        make_agent(hidden=(8, 8), seed=33).critic2.save(tmp_path / "agent" / "critic2.npz")
-        with pytest.raises(ValueError, match="critic2"):
-            Td3Agent.load(tmp_path / "agent")
-
-    def test_loads_a_per_layer_optimizer_file(self, tmp_path):
-        agent = make_agent(seed=29)
-        agent.save(tmp_path / "agent")
-        assert CHECKPOINT_VERSION == 1
-        # optimizers.npz as the per-layer writer lays it out: one m{k} and
-        # v{k} array per parameter array, actor and critics prefixed.
-        rng = np.random.default_rng(30)
-        arrays, expected = {}, {}
-        for prefix, net in (("actor_", agent.actor), ("critic1_", agent.critic1), ("critic2_", agent.critic2)):
-            arrays[f"{prefix}meta"] = np.array([1e-3, 0.8, 0.99, 1e-7, 12.0])
-            for name in ("m", "v"):
-                layers = [np.abs(rng.normal(size=p.shape)) for p in net.parameters()]
-                arrays.update({f"{prefix}{name}{k}": layer for k, layer in enumerate(layers)})
-                expected[prefix + name] = np.concatenate([layer.ravel() for layer in layers])
-        np.savez(tmp_path / "agent" / "optimizers.npz", **arrays)
-        loaded = Td3Agent.load(tmp_path / "agent")
-        for prefix in ("actor_", "critic1_", "critic2_"):
-            opt = getattr(loaded, f"opt_{prefix[:-1]}")
-            assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.step_count) == (1e-3, 0.8, 0.99, 1e-7, 12)
-            np.testing.assert_array_equal(opt.m, expected[prefix + "m"])
-            np.testing.assert_array_equal(opt.v, expected[prefix + "v"])
-        loaded.save(tmp_path / "again")
-        with np.load(tmp_path / "again" / "optimizers.npz") as saved:
-            assert sorted(saved.files) == sorted(arrays)
-            for key in arrays:
-                np.testing.assert_array_equal(saved[key], arrays[key])
+        path = tmp_path / "agent" / "state.npz"
+        with np.load(path) as arrays:
+            vectors = {key: arrays[key] for key in arrays.files}
+        vectors[name] = make_agent(hidden=(8, 8), seed=33).critic2.flat  # a vector of another agent's layout
+        np.savez(path, **vectors)
+        pattern = rf"state.npz holds {name} of shape \({vectors[name].size},\), the manifest implies"
+        with pytest.raises(ValueError, match=pattern):
+            Td3Agent.load(tmp_path / "agent").critic_update(np.zeros((2, 6)), np.zeros(2))
 
     def test_load_reads_the_actor_and_leaves_the_learner_state_on_disk(self, tmp_path):
         agent = make_agent(seed=34)
@@ -451,13 +440,12 @@ class TestCheckpoints:
         assert {"critic1", "target_actor", "opt_actor", "opt_critic2"} <= set(vars(loaded))
         np.testing.assert_array_equal(loaded.opt_critic1.m, agent.opt_critic1.m)
 
-    @pytest.mark.parametrize("name", ["critic1.npz", "target_actor.npz", "optimizers.npz"])
     @pytest.mark.parametrize("how", ["replaced", "rewritten_in_place"])
-    def test_a_learner_file_changed_after_the_load_is_a_protocol_error(self, tmp_path, name, how):
+    def test_a_state_file_changed_after_the_load_is_a_protocol_error(self, tmp_path, how):
         make_agent(seed=36).save(tmp_path / "agent")
         make_agent(seed=37).save(tmp_path / "other")
         loaded = Td3Agent.load(tmp_path / "agent")
-        path, data = tmp_path / "agent" / name, (tmp_path / "other" / name).read_bytes()
+        path, data = tmp_path / "agent" / "state.npz", (tmp_path / "other" / "state.npz").read_bytes()
         if how == "replaced":  # a new file under the old name: a new inode
             (tmp_path / "new").write_bytes(data)
             os.replace(tmp_path / "new", path)
@@ -465,7 +453,7 @@ class TestCheckpoints:
             before = os.stat(path)
             path.write_bytes(data)
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
-        with pytest.raises(ProtocolError, match=name):
+        with pytest.raises(ProtocolError, match="state.npz changed since its checkpoint was loaded"):
             loaded.critic_update(np.zeros((2, 6)), np.zeros(2))
         assert loaded.critic_update_count == 0
 
@@ -477,9 +465,7 @@ class TestCheckpoints:
         agent.save(tmp_path / "agent")
         Td3Agent.load(tmp_path / "agent").save(tmp_path / "agent")
         agent.save(tmp_path / "reference")
-        for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2", "optimizers"):
-            with np.load(tmp_path / "agent" / f"{name}.npz") as got, \
-                    np.load(tmp_path / "reference" / f"{name}.npz") as want:
-                assert sorted(got.files) == sorted(want.files)
-                for key in want.files:
-                    np.testing.assert_array_equal(got[key], want[key])
+        with np.load(tmp_path / "agent" / "state.npz") as got, np.load(tmp_path / "reference" / "state.npz") as want:
+            assert got.files == want.files
+            for key in want.files:
+                np.testing.assert_array_equal(got[key], want[key])
