@@ -28,7 +28,7 @@ import numpy as np
 from . import channel as ch
 from . import geometry as geo
 from . import isac
-from .errors import ConfigError, InvariantError, ProtocolError
+from .errors import ConfigError, InvariantError, ProtocolError, whole_number
 
 SCHEMES = (1, 2, 3, 4, 5)
 
@@ -89,12 +89,12 @@ class ScenarioConfig:
     collision_penalty: float = 10.0
     blockage_penalty: float = 10.0
     progress_bonus_weight: float = 0.1
-    pose_reward_mode: str = "mean"
     scheme4_circle_radius: float = 2.5
-    include_targets_in_collision: bool = False
-    obs_ref_distance: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":  # the counts
+                object.__setattr__(self, f.name, whole_number(getattr(self, f.name), f.name))
         object.__setattr__(self, "bs_position", _vec3(self.bs_position))
         object.__setattr__(self, "initial_surface_center", _vec3(self.initial_surface_center))
         object.__setattr__(self, "uav_starts", _points(self.uav_starts, self.num_uavs, "uav_starts"))
@@ -103,9 +103,6 @@ class ScenarioConfig:
             self, "target_positions", _points(self.target_positions, self.num_targets, "target_positions")
         )
         self.validate()
-        if self.obs_ref_distance is None:
-            ref = float(np.linalg.norm(self.initial_surface_center - self.uav_starts.mean(axis=0)))
-            object.__setattr__(self, "obs_ref_distance", ref)
 
     def validate(self) -> None:
         for name in _POSITIVE_FIELDS:
@@ -113,11 +110,10 @@ class ScenarioConfig:
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.pose_update_period > self.num_slots:
-            raise ConfigError("pose_update_period must be at most num_slots")
+            raise ConfigError(f"pose_update_period {self.pose_update_period} must be at most "
+                              f"num_slots {self.num_slots}")
         if self.d_min >= 2 * self.area_half_extent:
             raise ConfigError("d_min must be smaller than the flight area")
-        if self.pose_reward_mode not in ("mean", "sum"):
-            raise ConfigError("pose_reward_mode must be 'mean' or 'sum'")
         if self.scheme4_circle_radius > self.surface_box_half_extent:
             raise ConfigError("scheme4_circle_radius must fit inside the surface mobility box")
         n_side = math.isqrt(self.num_antennas)
@@ -245,7 +241,8 @@ class Observations:
     ``uav`` is (M, 10): own position, base-station position and end point
     (all divided by the area half-extent) plus normalized time.  ``beam``
     interleaves the real/imag parts of the M communication rows followed
-    by the J sensing rows, scaled by the reference free-space amplitude.
+    by the J sensing rows, divided by the free-space amplitude at the
+    distance from the initial surface center to the mean UAV start.
     ``sixdma`` is the base-station position followed by all UAV positions.
     """
 
@@ -299,6 +296,8 @@ class IsacEnv:
         self.config = config
         self.scheme = scheme
         self.layout = config.antenna_layout()
+        ref = float(np.linalg.norm(config.initial_surface_center - config.uav_starts.mean(axis=0)))
+        self._beam_obs_scale = config.wavelength / (4.0 * np.pi * ref)
         self.state: WorldState | None = None
         self._window_epsilon2 = 0
         self._channel_key = None
@@ -314,7 +313,7 @@ class IsacEnv:
         """
         cfg = self.config
         starts = cfg.uav_starts.copy()
-        sep = self._min_separation(starts, cfg.target_positions)
+        sep = geo.min_pairwise_distance(starts)
         if sep < cfg.d_min:
             raise ConfigError(
                 f"initial separation {sep:.3f} m violates d_min={cfg.d_min} m"
@@ -340,12 +339,6 @@ class IsacEnv:
         return self._require_state().slot % self.config.pose_update_period == 0
 
     # ------------------------------------------------------------ kinematics
-    def _min_separation(self, uav_positions: np.ndarray, targets: np.ndarray) -> float:
-        pts = uav_positions
-        if self.config.include_targets_in_collision:
-            pts = np.vstack([uav_positions, targets])
-        return geo.min_pairwise_distance(pts)
-
     def apply_uav_actions(self, actions) -> UavMove:
         """Move every UAV one slot from raw actions ``(dir_xyz, speed_raw)``.
 
@@ -380,7 +373,7 @@ class IsacEnv:
                 f" ({cfg.v_max * cfg.slot_duration:.6g} m)"
             )
         st.uav_positions = new_positions
-        sep = self._min_separation(new_positions, st.target_positions)
+        sep = geo.min_pairwise_distance(new_positions)
         eps1 = int(sep < cfg.d_min)
         return UavMove(new_positions, eps1, cfg.collision_penalty if eps1 else 0.0, sep)
 
@@ -560,18 +553,17 @@ class IsacEnv:
     def pose_window_reward(self, window_rates, window_angles, epsilon2: int) -> tuple[float, float]:
         """Delayed surface-agent reward over one decision window.
 
-        Uses the window mean of the sum rate (or the sum, per config),
-        the blockage flag captured at the decision slot, and a pointing
-        bonus from the window-averaged normal-to-UAV angle.
+        Uses the window mean of the sum rate, the blockage flag captured
+        at the decision slot, and a pointing bonus from the window-averaged
+        normal-to-UAV angle.
         """
         cfg = self.config
         rates = np.asarray(window_rates, dtype=float)
         angles = np.asarray(window_angles, dtype=float)
         if rates.size == 0:
             raise ValueError("pose reward needs at least one slot of rates")
-        value = float(rates.mean()) if cfg.pose_reward_mode == "mean" else float(rates.sum())
         delta5 = float(np.cos(angles.mean())) / cfg.num_uavs
-        reward = (1.0 - epsilon2) * value - epsilon2 * cfg.blockage_penalty + delta5
+        reward = (1.0 - epsilon2) * float(rates.mean()) - epsilon2 * cfg.blockage_penalty + delta5
         return reward, delta5
 
     # ------------------------------------------------------------ stepping
@@ -615,8 +607,7 @@ class IsacEnv:
         uav_obs[:, 3:6] = cfg.bs_position / a
         uav_obs[:, 6:9] = cfg.uav_ends / a
         uav_obs[:, 9] = st.slot / cfg.num_slots
-        ch_scale = cfg.wavelength / (4.0 * np.pi * cfg.obs_ref_distance)
-        rows = self._channel_matrix() / ch_scale
+        rows = self._channel_matrix() / self._beam_obs_scale
         # interleave per coefficient: [re, im, re, im, ...], UAV rows first
         beam_obs = np.empty(2 * rows.size)
         beam_obs[0::2] = rows.real.ravel()

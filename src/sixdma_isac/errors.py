@@ -5,6 +5,18 @@ class ConfigError(ValueError):
     """A scenario or training configuration is inconsistent or infeasible."""
 
 
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; a ConfigError naming ``name`` unless it is a
+    whole number (``2`` and ``2.0`` pass, ``2.5`` and ``"2"`` do not)."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ConfigError(f"{name} takes whole numbers only, got {value!r}")
+    return number
+
+
 class ProtocolError(RuntimeError):
     """An operation was called outside its allowed cadence or sequence."""
 

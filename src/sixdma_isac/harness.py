@@ -29,7 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .env import ScenarioConfig, desk_scenario, benchmark_scenario, scenario_from_dict
-from .errors import ConfigError
+from .errors import ConfigError, whole_number
 from .hdrl import (
     METRIC_COLUMNS,
     AgentRoster,
@@ -40,7 +40,6 @@ from .hdrl import (
     profile_latency,
     train,
     train_config_from_dict,
-    whole_number,
 )
 
 WORKERS_ENV_VAR = "SIXDMA_ISAC_WORKERS"
@@ -57,7 +56,8 @@ class ExperimentSpec:
 
     Its fields are the keys of a JSON spec and the ``dest``s of the CLI
     flags; sequences become tuples and counts ints on construction, and a
-    count that is not a whole number is a ConfigError."""
+    count that is not a whole number is a ConfigError.  A scheme or sweep
+    point is checked by the run configs :func:`plan_runs` builds from it."""
 
     scenario: ScenarioConfig
     train: TrainConfig
@@ -92,15 +92,7 @@ class ExperimentSpec:
             raise ConfigError("eval_episodes and converged_window must be >= 1")
         if self.snapshot_interval is not None and self.snapshot_interval < 1:
             raise ConfigError("snapshot_interval must be >= 1 when given")
-        for scheme in self.schemes:
-            if scheme not in (1, 2, 3, 4, 5):
-                raise ConfigError(f"unknown scheme id {scheme}")
-        for t_r in self.sweep_tr:
-            if t_r < 1 or t_r > self.scenario.num_slots:
-                raise ConfigError(f"sweep T_r value {t_r} incompatible with K={self.scenario.num_slots}")
-        for p in self.sweep_pmax:
-            if p <= 0:
-                raise ConfigError("sweep p_max values must be positive")
+        plan_runs(self)
 
 
 def spec_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentSpec:
@@ -390,11 +382,11 @@ for name in ("sweep_pmax.csv", "sweep_tr.csv"):
 
 
 # ------------------------------------------------------------------ profiling
-def cmd_profile(run_dir, calls: int = 10_000, seed: int = 0) -> list[dict]:
+def cmd_profile(run_dir, calls: int = 10_000) -> list[dict]:
     """Measure per-agent forward latency for a trained run."""
     run_dir = Path(run_dir)
     _, _, _, roster = load_run(run_dir)
-    rows = profile_latency(roster, calls=calls, seed=seed)
+    rows = profile_latency(roster, calls=calls)
     (run_dir / "profile.json").write_text(json.dumps(rows, indent=2))
     return rows
 
@@ -419,12 +411,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _list_of(kind, what: str):
+    """An argparse type reading comma-separated ``kind`` values into a tuple."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(",") if x.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+_int_list = _list_of(int, "whole numbers")
+_float_list = _list_of(float, "numbers")
 
 
 def build_parser() -> _Parser:

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import IsacEnv, ScenarioConfig
-from .errors import ConfigError
+from .env import SCHEMES, IsacEnv, ScenarioConfig
+from .errors import ConfigError, whole_number
 from .rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_version
 
 UAV_OBS_DIM = 10
@@ -36,18 +36,6 @@ UAV_ACT_DIM = 4
 POSE_ACT_DIM = 6
 # TrainConfig fields every Td3Agent of a roster is built with.
 _AGENT_SETTINGS = ("hidden", "lr_actor", "lr_critic", "gamma", "tau", "policy_delay", "smoothing_std")
-
-
-def whole_number(value, name: str) -> int:
-    """``value`` as an int; a ConfigError naming ``name`` unless it is a
-    whole number (``2`` and ``2.0`` pass, ``2.5`` and ``"2"`` do not)."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value:
-        raise ConfigError(f"{name} takes whole numbers only, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -70,9 +58,12 @@ class TrainConfig:
     pose_buffer_capacity: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("int", "int | None") and getattr(self, f.name) is not None:
+                object.__setattr__(self, f.name, whole_number(getattr(self, f.name), f.name))
         if self.episodes < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
             raise ConfigError("episodes, batch_size and buffer_capacity must be positive")
-        if self.scheme not in (1, 2, 3, 4, 5):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme id {self.scheme}")
         if self.pose_buffer_capacity is not None and self.pose_buffer_capacity < 1:
             raise ConfigError("pose_buffer_capacity must be positive when given")
@@ -223,7 +214,7 @@ class _EpisodeSums:
     reward_beam: float = 0.0
 
 
-def _rollout(env: IsacEnv, roster: AgentRoster, seed: int, sums: _EpisodeSums, noise_std: float = 0.0,
+def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: float = 0.0,
              noise_rng: np.random.Generator | None = None, latencies: dict[str, list[float]] | None = None):
     """Run one episode in the paper's slot order, yielding after each slot.
 
@@ -246,7 +237,7 @@ def _rollout(env: IsacEnv, roster: AgentRoster, seed: int, sums: _EpisodeSums, n
         return action
 
     cfg = env.config
-    _, obs = env.reset(seed=seed)
+    _, obs = env.reset()
     for _ in range(cfg.num_slots):
         pose = None
         if env.is_pose_slot():
@@ -363,7 +354,7 @@ def train(
         sums = _EpisodeSums()
         reward_uav_total = 0.0
         reward_pose_total = 0.0
-        slots = _rollout(env, roster, config.seed, sums, schedule.std(episode), noise_rng)
+        slots = _rollout(env, roster, sums, schedule.std(episode), noise_rng)
         for obs, pose, uav_actions, beam_action, outcome, next_obs in slots:
             if pose is not None:  # a window opens; its transition waits for the window's reward
                 (pose_action, update), pose_obs, rates, angles = pose, obs.sixdma, [], []
@@ -504,13 +495,13 @@ def evaluate(
     if len(seeds) != episodes:
         raise ConfigError("need exactly one seed per evaluation episode")
     env = IsacEnv(scenario, scheme=roster.scheme)
-    latencies: dict[str, list[float]] = {name: [] for name, _ in roster.all_agents()}
+    latencies = {name: [] for name, _ in roster.all_agents()} if measure_latency else None
     rows = []
     num_slots = scenario.num_slots
     for episode, seed in enumerate(seeds):
         sums = _EpisodeSums()
         trajectory = [scenario.uav_starts.tolist()]  # reset puts every UAV at its start
-        for _ in _rollout(env, roster, seed, sums, latencies=latencies):
+        for _ in _rollout(env, roster, sums, latencies=latencies):
             trajectory.append(env.state.uav_positions.tolist())
         row = {
             "episode": episode,

@@ -156,10 +156,10 @@ class Td3Agent:
         tau: float = 0.01,
         policy_delay: int = 2,
         smoothing_std: float = 0.0,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         self._set_hyperparameters(locals())
-        rng = rng if rng is not None else np.random.default_rng()
         plan = self._layer_plan()
         self.actor = Mlp(*plan["actor"], rng, final_scale=1e-3)
         self.critic1 = Mlp(*plan["critic1"], rng)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -75,9 +76,16 @@ class TestSpec:
         assert main(["train", "--config", str(config_path)]) == 1
         assert "unknown train-config keys: ['episodez']" in capsys.readouterr().err
 
-    def test_sweep_tr_must_fit(self, tmp_path):
-        with pytest.raises(ConfigError):
-            tiny_spec(tmp_path, sweep_tr=(100,))
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sweep_tr": (100,)}, "pose_update_period 100 must be at most num_slots 20"),
+        ({"sweep_tr": (0,)}, "pose_update_period must be positive, got 0"),
+        ({"sweep_pmax": (-1.0,)}, "p_max must be positive, got -1.0"),
+        ({"schemes": (9,)}, "unknown scheme id 9"),
+    ])
+    def test_sweep_tr_must_fit(self, tmp_path, overrides, message):
+        # the run configs of the plan check every scheme and sweep point
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            tiny_spec(tmp_path, **overrides)
 
     @pytest.mark.parametrize("name, values, repeated", [
         ("schemes", (1, 5, 1), 1), ("seeds", (0, 3, 3), 3), ("sweep_tr", (5, 10, 5), 5),
@@ -103,11 +111,24 @@ class TestSpec:
         ({"snapshot_interval": 2.5}, "snapshot_interval"), ({"seeds": [0.7, 1.2]}, "seeds"),
         ({"schemes": [1.5]}, "schemes"), ({"sweep_tr": [2.6]}, "sweep_tr"),
         ({"train": {"hidden": [64.7, 8.2]}}, "hidden"),
+        ({"train": {"policy_delay": 1.5}}, "policy_delay"), ({"train": {"episodes": 2.5}}, "episodes"),
+        ({"train": {"pose_buffer_capacity": 64.5}}, "pose_buffer_capacity"), ({"train": {"seed": "1"}}, "seed"),
+        ({"scenario": {"pose_update_period": 2.5}}, "pose_update_period"),
+        ({"scenario": {"num_antennas": 4.5}}, "num_antennas"), ({"scenario": {"num_slots": 20.5}}, "num_slots"),
     ])
     def test_non_integral_counts_are_refused(self, overrides, name):
-        # they used to be truncated (2.5 eval episodes ran 2) or, for snapshot_interval, kept as floats
+        # they used to be truncated (2.5 eval episodes ran 2, policy_delay 1.5 ran 1), kept as floats
+        # (snapshot_interval) or failed after training (pose_update_period 2.5)
         with pytest.raises(ConfigError, match=f"^{name} takes whole numbers only, got "):
             spec_from_dict({"preset": "desk", **overrides})
+
+    def test_whole_float_counts_become_ints(self):
+        spec = spec_from_dict({"preset": "desk", "scenario": {"num_antennas": 4.0, "pose_update_period": 5.0},
+                               "train": {"policy_delay": 2.0, "pose_buffer_capacity": 128.0}})
+        counts = (spec.scenario.num_antennas, spec.scenario.pose_update_period, spec.train.policy_delay,
+                  spec.train.pose_buffer_capacity)
+        assert counts == (4, 5, 2, 128) and all(type(c) is int for c in counts)
+        assert content_hash(spec.scenario, spec.train) == content_hash(desk_scenario(), desk_train_config())
 
     def test_defaults_and_coercion_live_on_the_spec(self, tmp_path):
         spec = ExperimentSpec(desk_scenario(), desk_train_config(), seeds=[2, 3], sweep_tr=[5.0], out_dir="x")
@@ -173,6 +194,16 @@ class TestCliSpecFlags:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--scheme", "1.5", "whole numbers"), ("--seeds", "0,x", "whole numbers"),
+        ("--sweep-tr", "5,7.5", "whole numbers"), ("--sweep-pmax", "x", "numbers"),
+    ])
+    def test_bad_list_flag_says_what_it_expects(self, tmp_path, capsys, flag, value, expected):
+        assert main(["train", "--preset", "desk", flag, value, "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated {expected}, got {value!r}" in err
+        assert "_list" not in err
+
     def test_absent_flags_leave_the_config_values(self, tmp_path):
         config_path = tmp_path / "spec.json"
         config_path.write_text(json.dumps({"preset": "desk", "episode_logs": True, "snapshot_interval": 4,
@@ -194,10 +225,10 @@ class TestContentHash:
         from sixdma_isac.env import benchmark_scenario
 
         assert content_hash(desk_scenario(), desk_train_config(seed=3, scheme=4)) == (
-            "1aa25440910cdc1b703dfd94530da175cadc2489f78c2fb3ec7a0d5abfab5850"
+            "e04fc9539e2fb6db0755f177c0183a1aca168e801b36cc2262e1233687e22e51"
         )
         assert content_hash(benchmark_scenario(), TrainConfig()) == (
-            "ec5ce0098c0bf3358f53b14222deddeb982a78222e40db7256e4d5cbca80273c"
+            "45f871313dcaa10ec4f4dea7d6b61771fed3390b305bc68992b4a60947b64617"
         )
 
 
@@ -422,31 +453,40 @@ class TestResume:
         assert log.read_text() == kept
 
 
-class TestRunsWrittenWithTheReplayOption:
-    """Runs and snapshots from before the replay buffer became uniform-only
-    record the removed option; both are refused by name."""
+# (section, key, a value runs recorded): settings that were removed because
+# nothing set them to a second value; runs and snapshots that record one are refused by name
+REMOVED_SETTINGS = [
+    ("train", "prioritized_replay", False),
+    ("scenario", "pose_reward_mode", "mean"),
+    ("scenario", "include_targets_in_collision", False),
+    ("scenario", "obs_ref_distance", 28.93),
+]
 
-    OPTION = "prioritized_replay"
 
-    def test_load_run_refuses_the_manifest(self, trained_dir, tmp_path):
+@pytest.mark.parametrize("section, key, value", REMOVED_SETTINGS)
+class TestRunsWrittenWithRemovedSettings:
+    def test_load_run_refuses_the_manifest(self, trained_dir, tmp_path, capsys, section, key, value):
         run_dir = tmp_path / "scheme1_seed0"
         shutil.copytree(trained_dir.out_dir / "scheme1_seed0", run_dir)
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        manifest["train"][self.OPTION] = False
+        manifest[section][key] = value
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError, match=rf"unknown train-config keys: \['{self.OPTION}'\]"):
+        message = f"unknown {'train-config' if section == 'train' else section} keys: ['{key}']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_run(run_dir)
+        assert main(["eval", "--run", str(run_dir), "--eval-episodes", "1"]) == 1
+        assert message in capsys.readouterr().err
 
-    def test_resume_refuses_the_snapshot(self, tmp_path):
+    def test_resume_refuses_the_snapshot(self, tmp_path, section, key, value):
         spec = tiny_spec(tmp_path, snapshot_interval=1)
         run = plan_runs(spec)[0]
         harness._execute_run(replace(run, train=replace(run.train, episodes=1)), spec, resume=False)
         (spec.out_dir / run.name / "manifest.json").unlink()
         state_path = spec.out_dir / run.name / "snapshots" / "train_state.json"
         state = json.loads(state_path.read_text())
-        state["config"][f"train.{self.OPTION}"] = False
+        state["config"][f"{section}.{key}"] = value
         state_path.write_text(json.dumps(state))
-        with pytest.raises(ConfigError, match=rf"\(train\.{self.OPTION} False -> None\)"):
+        with pytest.raises(ConfigError, match=re.escape(f"({section}.{key} {value!r} -> None)")):
             cmd_train(spec, resume=True)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sixdma_isac import hdrl
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
 from sixdma_isac.errors import ConfigError
 from sixdma_isac.nn import Mlp
@@ -461,6 +462,14 @@ class TestEvaluate:
         r1 = evaluate(trained.roster, trained.scenario, episodes=2, measure_latency=False)
         r2 = evaluate(trained.roster, trained.scenario, episodes=2, measure_latency=False)
         assert r1 == r2
+
+    def test_decisions_are_timed_only_when_measuring(self, trained, monkeypatch):
+        measured = evaluate(trained.roster, trained.scenario, episodes=1, measure_latency=True)
+        reads = []
+        monkeypatch.setattr(hdrl.time, "perf_counter", lambda: reads.append(1) or 0.0)
+        report = evaluate(trained.roster, trained.scenario, episodes=1, measure_latency=False)
+        assert reads == [] and "latency_ms" not in report
+        assert report == {key: value for key, value in measured.items() if key != "latency_ms"}
 
     def test_row_equals_a_hand_driven_rollout(self, trained):
         roster, scenario = trained.roster, trained.scenario

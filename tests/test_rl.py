@@ -21,6 +21,12 @@ def make_agent(obs_dim=4, action_dim=2, hidden=(16, 16), seed=0, **kwargs):
     )
 
 
+def test_an_agent_needs_a_generator():
+    # its initial weights are drawn from the caller's seeded generator, never an unseeded one
+    with pytest.raises(TypeError, match="rng"):
+        Td3Agent(4, 2, 6)
+
+
 class TestSelectAction:
     def test_deterministic_without_noise(self):
         agent = make_agent()
