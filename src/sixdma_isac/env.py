@@ -28,7 +28,7 @@ import numpy as np
 from . import channel as ch
 from . import geometry as geo
 from . import isac
-from .errors import ConfigError, InvariantError, ProtocolError, whole_number
+from .errors import ConfigError, InvariantError, ProtocolError, real_number, whole_number
 
 SCHEMES = (1, 2, 3, 4, 5)
 
@@ -95,6 +95,8 @@ class ScenarioConfig:
         for f in fields(self):
             if f.type == "int":  # the counts
                 object.__setattr__(self, f.name, whole_number(getattr(self, f.name), f.name))
+            elif f.type == "float":
+                real_number(getattr(self, f.name), f.name)
         object.__setattr__(self, "bs_position", _vec3(self.bs_position))
         object.__setattr__(self, "initial_surface_center", _vec3(self.initial_surface_center))
         object.__setattr__(self, "uav_starts", _points(self.uav_starts, self.num_uavs, "uav_starts"))
@@ -158,7 +160,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if key in kwargs:
             if name in kwargs:
                 raise ConfigError(f"scenario keys {key} and {name} both give {name}; keep one")
-            kwargs[name] = convert(float(kwargs.pop(key)))
+            kwargs[name] = convert(float(real_number(kwargs.pop(key), key)))
     unknown = set(kwargs) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
@@ -266,10 +268,13 @@ class PoseUpdate(NamedTuple):
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Everything produced by one slot, sufficient to recompose rewards."""
+    """Everything produced by one slot, sufficient to recompose rewards.
+
+    The field order is the key order of :meth:`IsacEnv.episode_record`."""
 
     slot: int
     metrics: isac.LinkMetrics
+    tx_power_raw: float
     rewards_uav: np.ndarray
     reward_beam: float
     epsilon1: int
@@ -280,7 +285,6 @@ class StepOutcome:
     delta4: float
     delta5: float
     shaping: np.ndarray
-    tx_power_raw: float
     mean_target_snr: float
     pointing_angle: float
     min_uav_separation: float
@@ -584,17 +588,8 @@ class IsacEnv:
         shaping = cfg.progress_bonus_weight * (prev_dist - new_dist) / (cfg.v_max * cfg.slot_duration)
         angle = self.pointing_angle()
         st.slot = slot + 1
-        done = st.slot == cfg.num_slots
-        return self.compute_rewards(
-            metrics,
-            move.epsilon1,
-            shaping,
-            raw_power,
-            move.min_separation,
-            angle,
-            slot,
-            done,
-        )
+        return self.compute_rewards(metrics, move.epsilon1, shaping, raw_power, move.min_separation, angle,
+                                    slot, st.slot == cfg.num_slots)
 
     # ------------------------------------------------------------ observations
     def observations(self) -> Observations:
@@ -617,30 +612,24 @@ class IsacEnv:
 
     # ------------------------------------------------------------ logging
     def episode_record(self, outcome: StepOutcome) -> dict:
-        """One newline-delimited log record; see README for the schema."""
+        """One newline-delimited log record; see README for the schema.
+
+        The state keys, then the link-metric keys, then every other
+        :class:`StepOutcome` field in declaration order."""
         st = self._require_state()
-        return {
+        metrics = outcome.metrics
+        record = {
             "slot": outcome.slot,
             "uav_positions": st.uav_positions.tolist(),
             "surface_center": st.pose.center.tolist(),
             "surface_angles": st.pose.angles.tolist(),
-            "sum_rate": outcome.metrics.sum_rate,
-            "sinr": outcome.metrics.sinr_per_uav.tolist(),
-            "target_snr": outcome.metrics.snr_per_target.tolist(),
-            "tx_power": outcome.metrics.tx_power,
-            "tx_power_raw": outcome.tx_power_raw,
-            "rewards_uav": outcome.rewards_uav.tolist(),
-            "reward_beam": outcome.reward_beam,
-            "epsilon1": outcome.epsilon1,
-            "epsilon2": outcome.epsilon2,
-            "delta1": outcome.delta1,
-            "delta2": outcome.delta2,
-            "delta3": outcome.delta3,
-            "delta4": outcome.delta4,
-            "delta5": outcome.delta5,
-            "shaping": outcome.shaping.tolist(),
-            "mean_target_snr": outcome.mean_target_snr,
-            "pointing_angle": outcome.pointing_angle,
-            "min_uav_separation": outcome.min_uav_separation,
-            "done": outcome.done,
+            "sum_rate": metrics.sum_rate,
+            "sinr": metrics.sinr_per_uav.tolist(),
+            "target_snr": metrics.snr_per_target.tolist(),
+            "tx_power": metrics.tx_power,
         }
+        for f in fields(outcome):
+            if f.name not in ("slot", "metrics"):
+                value = getattr(outcome, f.name)
+                record[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return record

@@ -29,7 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .env import ScenarioConfig, desk_scenario, benchmark_scenario, scenario_from_dict
-from .errors import ConfigError, whole_number
+from .errors import ConfigError, real_number, whole_number
 from .hdrl import (
     METRIC_COLUMNS,
     AgentRoster,
@@ -55,9 +55,11 @@ class ExperimentSpec:
     """Everything one experiment needs: configs, schemes, seeds, sweeps.
 
     Its fields are the keys of a JSON spec and the ``dest``s of the CLI
-    flags; sequences become tuples and counts ints on construction, and a
-    count that is not a whole number is a ConfigError.  A scheme or sweep
-    point is checked by the run configs :func:`plan_runs` builds from it."""
+    flags; sequences become tuples and counts ints on construction.  A
+    count that is not a whole number, a ``sweep_pmax`` value that is not a
+    number or an ``episode_logs`` that is not a bool is a ConfigError; a
+    scheme or sweep point is checked by the run configs :func:`plan_runs`
+    builds from it."""
 
     scenario: ScenarioConfig
     train: TrainConfig
@@ -72,13 +74,15 @@ class ExperimentSpec:
     snapshot_interval: int | None = None
 
     def __post_init__(self):
-        for name in ("schemes", "seeds", "sweep_tr"):
-            object.__setattr__(self, name, tuple(whole_number(v, name) for v in getattr(self, name)))
+        for name, check in {"schemes": whole_number, "seeds": whole_number, "sweep_tr": whole_number,
+                            "sweep_pmax": real_number}.items():
+            object.__setattr__(self, name, tuple(check(v, name) for v in getattr(self, name)))
         for name in ("eval_episodes", "converged_window", "snapshot_interval"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, whole_number(getattr(self, name), name))
-        for name, coerce in {"sweep_pmax": tuple, "episode_logs": bool, "out_dir": Path}.items():
-            object.__setattr__(self, name, coerce(getattr(self, name)))
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        if not isinstance(self.episode_logs, bool):
+            raise ConfigError(f"episode_logs takes true or false only, got {self.episode_logs!r}")
         if not self.schemes or not self.seeds:
             raise ConfigError("at least one scheme and one seed are required")
         for name in ("schemes", "seeds", "sweep_pmax", "sweep_tr"):  # a repeat would plan the same run twice

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import SCHEMES, IsacEnv, ScenarioConfig
-from .errors import ConfigError, whole_number
-from .rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_version
+from .errors import ConfigError, real_number, whole_number
+from .rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_ranges, check_version
 
 UAV_OBS_DIM = 10
 UAV_ACT_DIM = 4
@@ -61,6 +61,9 @@ class TrainConfig:
         for f in fields(self):
             if f.type in ("int", "int | None") and getattr(self, f.name) is not None:
                 object.__setattr__(self, f.name, whole_number(getattr(self, f.name), f.name))
+            elif f.type == "float":
+                real_number(getattr(self, f.name), f.name)
+        check_ranges(vars(self))
         if self.episodes < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
             raise ConfigError("episodes, batch_size and buffer_capacity must be positive")
         if self.scheme not in SCHEMES:
@@ -204,7 +207,8 @@ def _rng_from(seed: int, tag: int) -> np.random.Generator:
 
 @dataclass
 class _EpisodeSums:
-    """Per-episode totals that training and evaluation both report."""
+    """Per-episode totals: :func:`_rollout` adds those both row formats
+    report, ``train`` the two reward totals only its row reports."""
 
     rate: float = 0.0
     snr: float = 0.0
@@ -212,6 +216,20 @@ class _EpisodeSums:
     collisions: int = 0
     blockages: int = 0
     reward_beam: float = 0.0
+    reward_uav: float = 0.0
+    reward_pose: float = 0.0
+
+    def physics(self, num_slots: int) -> dict:
+        """The physics of an evaluation row, in its key order."""
+        return {"sum_rate": self.rate / num_slots, "mean_snr": self.snr / num_slots,
+                "snr_feasible_fraction": self.feasible / num_slots, "collisions": self.collisions,
+                "blockages": self.blockages, "reward_beam": self.reward_beam}
+
+    def training_row(self, episode: int, num_slots: int) -> EpisodeMetrics:
+        """The training row: the physics it shares with an evaluation row, and both reward totals."""
+        physics = self.physics(num_slots)
+        return EpisodeMetrics(episode=episode, reward_uav=self.reward_uav, reward_pose=self.reward_pose,
+                              **{key: physics[key] for key in METRIC_COLUMNS if key in physics})
 
 
 def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: float = 0.0,
@@ -222,10 +240,10 @@ def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: f
     re-posed; then UAV agents 0..M-1 act, the beam agent acts (so
     exploration noise is drawn from ``noise_rng`` in that order), the
     environment scores the slot and ``sums`` takes its totals.  Yields
-    ``(obs, pose, uav_actions, beam_action, outcome, next_obs)`` where
-    ``pose`` is ``(action, PoseUpdate)`` at decision slots and None
-    otherwise.  With ``latencies`` given, each agent's decision time in
-    milliseconds is appended under its roster name.
+    ``(obs, pose_action, uav_actions, beam_action, outcome, next_obs)``
+    where ``pose_action`` is the surface agent's action at decision slots
+    and None otherwise.  With ``latencies`` given, each agent's decision
+    time in milliseconds is appended under its roster name.
     """
 
     def act(name: str, agent: Td3Agent, obs: np.ndarray) -> np.ndarray:
@@ -239,12 +257,10 @@ def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: f
     cfg = env.config
     _, obs = env.reset()
     for _ in range(cfg.num_slots):
-        pose = None
+        pose_action = None
         if env.is_pose_slot():
-            action = act("sixdma", roster.pose_agent, obs.sixdma)
-            update = env.apply_6dma_action(action[:3] * cfg.theta_max, action[3:])
-            sums.blockages += update.epsilon2
-            pose = action, update
+            pose_action = act("sixdma", roster.pose_agent, obs.sixdma)
+            sums.blockages += env.apply_6dma_action(pose_action[:3] * cfg.theta_max, pose_action[3:]).epsilon2
         uav_actions = np.stack([act(f"uav_{m}", agent, obs.uav[m])
                                 for m, agent in enumerate(roster.uav_agents)])
         beam_action = act("beam", roster.beam_agent, obs.beam)
@@ -255,7 +271,7 @@ def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: f
         sums.feasible += int(outcome.mean_target_snr >= cfg.gamma_min)
         sums.collisions += outcome.epsilon1
         sums.reward_beam += outcome.reward_beam
-        yield obs, pose, uav_actions, beam_action, outcome, next_obs
+        yield obs, pose_action, uav_actions, beam_action, outcome, next_obs
         obs = next_obs
 
 
@@ -352,49 +368,27 @@ def train(
     fast_agents = [agent for _, agent in roster.fast_agents()]
     for episode in range(start_episode, config.episodes):
         sums = _EpisodeSums()
-        reward_uav_total = 0.0
-        reward_pose_total = 0.0
         slots = _rollout(env, roster, sums, schedule.std(episode), noise_rng)
         for obs, pose, uav_actions, beam_action, outcome, next_obs in slots:
             if pose is not None:  # a window opens; its transition waits for the window's reward
-                (pose_action, update), pose_obs, rates, angles = pose, obs.sixdma, [], []
+                pose_action, pose_obs, rates, angles = pose, obs.sixdma, [], []
                 _learn([roster.pose_agent], pose_buffer, _pose_columns, False, config.batch_size, sample_rng)
             rates.append(outcome.metrics.sum_rate)
             angles.append(outcome.pointing_angle)
             if outcome.done or env.is_pose_slot():  # the window ends before the next decision
-                reward, _ = env.pose_window_reward(rates, angles, update.epsilon2)
+                reward, _ = env.pose_window_reward(rates, angles, outcome.epsilon2)
                 pose_buffer.push({"obs": pose_obs, "action": pose_action, "reward": reward,
                                   "next_obs": next_obs.sixdma, "done": float(outcome.done)})
-                reward_pose_total += reward
-            fast_buffer.push(
-                {
-                    "uav_obs": obs.uav,
-                    "uav_act": uav_actions,
-                    "beam_obs": obs.beam,
-                    "beam_act": beam_action,
-                    "rewards_uav": outcome.rewards_uav,
-                    "reward_beam": outcome.reward_beam,
-                    "next_uav_obs": next_obs.uav,
-                    "next_beam_obs": next_obs.beam,
-                    "done": float(outcome.done),
-                }
-            )
+                sums.reward_pose += reward
+            fast_buffer.push({"uav_obs": obs.uav, "uav_act": uav_actions, "beam_obs": obs.beam,
+                              "beam_act": beam_action, "rewards_uav": outcome.rewards_uav,
+                              "reward_beam": outcome.reward_beam, "next_uav_obs": next_obs.uav,
+                              "next_beam_obs": next_obs.beam, "done": float(outcome.done)})
             _learn(fast_agents, fast_buffer, _fast_columns, config.scheme != 2, config.batch_size, sample_rng)
-            reward_uav_total += float(np.mean(outcome.rewards_uav))
+            sums.reward_uav += float(np.mean(outcome.rewards_uav))
             if episode_log is not None:
                 episode_log.write(json.dumps({"episode": episode, **env.episode_record(outcome)}) + "\n")
-        metrics.append(
-            EpisodeMetrics(
-                episode=episode,
-                reward_uav=reward_uav_total,
-                reward_beam=sums.reward_beam,
-                reward_pose=reward_pose_total,
-                sum_rate=sums.rate / num_slots,
-                mean_snr=sums.snr / num_slots,
-                collisions=sums.collisions,
-                blockages=sums.blockages,
-            )
-        )
+        metrics.append(sums.training_row(episode, num_slots))
         if snapshot_dir is not None and snapshot_interval and (episode + 1) % snapshot_interval == 0:
             _save_snapshot(Path(snapshot_dir), episode + 1, metrics, roster, fast_buffer, pose_buffer,
                            noise_rng, sample_rng, _snapshot_config(scenario, config))
@@ -497,27 +491,17 @@ def evaluate(
     env = IsacEnv(scenario, scheme=roster.scheme)
     latencies = {name: [] for name, _ in roster.all_agents()} if measure_latency else None
     rows = []
-    num_slots = scenario.num_slots
     for episode, seed in enumerate(seeds):
         sums = _EpisodeSums()
         trajectory = [scenario.uav_starts.tolist()]  # reset puts every UAV at its start
         for _ in _rollout(env, roster, sums, latencies=latencies):
             trajectory.append(env.state.uav_positions.tolist())
-        row = {
-            "episode": episode,
-            "seed": seed,
-            "sum_rate": sums.rate / num_slots,
-            "mean_snr": sums.snr / num_slots,
-            "snr_feasible_fraction": sums.feasible / num_slots,
-            "collisions": sums.collisions,
-            "blockages": sums.blockages,
-            "reward_beam": sums.reward_beam,
-        }
+        physics = sums.physics(scenario.num_slots)
+        row = {"episode": episode, "seed": seed, **physics}
         if include_trajectories:
             row["trajectory"] = trajectory
         rows.append(row)
-    aggregate_keys = ("sum_rate", "mean_snr", "snr_feasible_fraction", "collisions", "blockages", "reward_beam")
-    aggregate = {key: float(np.mean([row[key] for row in rows])) for key in aggregate_keys}
+    aggregate = {key: float(np.mean([row[key] for row in rows])) for key in physics}  # every row has these keys
     report = {
         "scheme": roster.scheme,
         "episodes": episodes,

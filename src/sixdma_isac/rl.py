@@ -44,6 +44,22 @@ _HYPERPARAMETERS = {
     "lr_actor": float, "lr_critic": float, "gamma": float, "tau": float, "policy_delay": int,
     "smoothing_std": float,
 }
+# The range of every learning setting that has one: (test, what the test asks).
+_RANGES = {
+    "gamma": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "tau": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "policy_delay": (lambda v: v >= 1, "be >= 1"),
+    **dict.fromkeys(("lr_actor", "lr_critic"), (lambda v: v > 0.0, "be > 0")),
+    **dict.fromkeys(("smoothing_std", "noise_std", "noise_floor"), (lambda v: v >= 0.0, "be >= 0")),
+}
+
+
+def check_ranges(values) -> None:
+    """ConfigError naming the first setting of ``values`` (a mapping of
+    setting names to numbers) that lies outside its range."""
+    for name, (within, rule) in _RANGES.items():
+        if name in values and not within(values[name]):
+            raise ConfigError(f"{name} must {rule}, got {values[name]!r}")
 
 
 def check_version(manifest: dict, directory) -> None:
@@ -176,12 +192,7 @@ class Td3Agent:
     def _set_hyperparameters(self, values) -> None:
         """Check and store the :data:`_HYPERPARAMETERS` entries of ``values``
         (the constructor's arguments or a checkpoint manifest)."""
-        if not 0.0 <= values["gamma"] < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 < values["tau"] <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if values["policy_delay"] < 1:
-            raise ValueError("policy_delay must be >= 1")
+        check_ranges(values)
         for key, kind in _HYPERPARAMETERS.items():
             setattr(self, key, kind(values[key]))
 

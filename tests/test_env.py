@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sixdma_isac import geometry as geo
 from sixdma_isac import isac
 from sixdma_isac.env import (
     IsacEnv,
+    StepOutcome,
     WorldState,
     desk_scenario,
     benchmark_scenario,
@@ -533,12 +536,14 @@ class TestDeterminismAndEpisode:
         record = env.episode_record(out)
         line = json.dumps(record)
         parsed = json.loads(line)
-        for key in ("slot", "uav_positions", "surface_center", "surface_angles", "sum_rate",
-                    "sinr", "target_snr", "tx_power", "tx_power_raw", "rewards_uav",
-                    "reward_beam", "epsilon1", "epsilon2", "delta1", "delta2", "delta3",
-                    "delta4", "delta5", "shaping", "mean_target_snr", "pointing_angle",
-                    "min_uav_separation", "done"):
-            assert key in parsed
+        # the README's keys, in order: the state keys, the link-metric keys, then the other
+        # StepOutcome fields in declaration order
+        assert list(parsed) == ["slot", "uav_positions", "surface_center", "surface_angles", "sum_rate",
+                                "sinr", "target_snr", "tx_power", "tx_power_raw", "rewards_uav",
+                                "reward_beam", "epsilon1", "epsilon2", "delta1", "delta2", "delta3",
+                                "delta4", "delta5", "shaping", "mean_target_snr", "pointing_angle",
+                                "min_uav_separation", "done"]
+        assert list(parsed)[8:] == [f.name for f in fields(StepOutcome)][2:]
 
 
 def per_uav_positions(env, acts):
@@ -626,6 +631,43 @@ class TestSlotPhysicsMatchesPerUavLoops:
             positions[0] = env.state.pose.center
         env.state.uav_positions = positions
         assert env.pointing_angle() == per_uav_pointing_angle(env)
+
+
+def away_from_the_surface(cfg):
+    """UAV positions in the flight box, each at an x farther from every center
+    the surface may take than a UAV flies in one slot."""
+    reach = cfg.surface_box_half_extent + cfg.v_max * cfg.slot_duration + 1.0
+    a = cfg.area_half_extent
+    x = st.floats(reach, a).flatmap(lambda v: st.sampled_from([v, -v]))
+    point = st.tuples(x, st.floats(-a, a), st.floats(0.0, cfg.altitude_max))
+    return st.lists(point, min_size=cfg.num_uavs, max_size=cfg.num_uavs).map(np.array)
+
+
+class TestRewardRecomposition:
+    cfg = desk_scenario()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        positions=away_from_the_surface(cfg),
+        angles=hnp.arrays(float, 3, elements=st.floats(-np.pi, np.pi)),
+        center=hnp.arrays(float, 3, elements=unit),
+        uav=uav_actions(cfg.num_uavs),
+        beam=hnp.arrays(float, 2 * cfg.num_antennas * cfg.num_uavs, elements=st.floats(-1.5, 1.5)),
+    )
+    def test_the_log_record_recomposes_both_rewards(self, positions, angles, center, uav, beam):
+        # the README's identities hold exactly on the record as logged, collisions and overruns included
+        import json
+
+        env = IsacEnv(self.cfg)
+        env.reset()
+        env.state.pose = geo.SurfacePose(self.cfg.initial_surface_center + center * self.cfg.surface_box_half_extent,
+                                         angles)
+        env.state.uav_positions = positions
+        r = json.loads(json.dumps(env.episode_record(env.step_slot(uav, beam))))
+        for m in range(self.cfg.num_uavs):
+            assert r["rewards_uav"][m] == ((1 - r["epsilon1"]) * r["sum_rate"] - r["epsilon1"] * r["delta1"]
+                                           + r["shaping"][m])
+        assert r["reward_beam"] == r["sum_rate"] - r["delta3"] - r["delta4"] + r["mean_target_snr"]
 
 
 class TestChannelCache:

@@ -115,12 +115,58 @@ class TestSpec:
         ({"train": {"pose_buffer_capacity": 64.5}}, "pose_buffer_capacity"), ({"train": {"seed": "1"}}, "seed"),
         ({"scenario": {"pose_update_period": 2.5}}, "pose_update_period"),
         ({"scenario": {"num_antennas": 4.5}}, "num_antennas"), ({"scenario": {"num_slots": 20.5}}, "num_slots"),
+        # a bool is no count: true used to train 1 episode
+        ({"train": {"episodes": True}}, "episodes"), ({"eval_episodes": False}, "eval_episodes"),
+        ({"scenario": {"num_uavs": True}}, "num_uavs"), ({"train": {"hidden": [True, 8]}}, "hidden"),
     ])
     def test_non_integral_counts_are_refused(self, overrides, name):
         # they used to be truncated (2.5 eval episodes ran 2, policy_delay 1.5 ran 1), kept as floats
         # (snapshot_interval) or failed after training (pose_update_period 2.5)
         with pytest.raises(ConfigError, match=f"^{name} takes whole numbers only, got "):
             spec_from_dict({"preset": "desk", **overrides})
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"train": {"gamma": "0.9"}}, "gamma"), ({"train": {"lr_actor": None}}, "lr_actor"),
+        ({"train": {"noise_floor": False}}, "noise_floor"), ({"scenario": {"v_max": "8"}}, "v_max"),
+        ({"scenario": {"collision_penalty": [10.0]}}, "collision_penalty"),
+        ({"scenario": {"p_max_dbm": "16"}}, "p_max_dbm"), ({"sweep_pmax": ["0.01"]}, "sweep_pmax"),
+    ])
+    def test_non_numbers_are_refused(self, overrides, name):
+        # they used to be kept in the config and fail with a TypeError once the run started
+        with pytest.raises(ConfigError, match=f"^{name} takes numbers only, got "):
+            spec_from_dict({"preset": "desk", **overrides})
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_episode_logs_takes_a_bool_only(self, value):
+        # "no" used to be true and write the log
+        with pytest.raises(ConfigError, match=f"^episode_logs takes true or false only, got {value!r}$"):
+            spec_from_dict({"preset": "desk", "episode_logs": value})
+
+    def test_numbers_are_kept_as_given(self):
+        spec = spec_from_dict({"preset": "desk", "scenario": {"v_max": 8}, "train": {"gamma": 0.99},
+                               "sweep_pmax": [0.01, 1]})
+        assert type(spec.scenario.v_max) is int and spec.sweep_pmax == (0.01, 1)
+        assert content_hash(spec.scenario, spec.train) == content_hash(desk_scenario(v_max=8), desk_train_config())
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"train": {"gamma": "0.9"}}, "gamma takes numbers only"), ({"scenario": {"v_max": "8"}}, "v_max"),
+        ({"sweep_pmax": ["0.01"]}, "sweep_pmax takes numbers only"),
+        ({"episode_logs": "no"}, "episode_logs takes true or false only"),
+        ({"train": {"episodes": True}}, "episodes takes whole numbers only"),
+        # agent settings out of range: gamma used to fail after the run directory was made,
+        # a negative learning rate used to train
+        ({"train": {"gamma": 1.5}}, "gamma must lie in [0, 1), got 1.5"),
+        ({"train": {"lr_actor": -0.001}}, "lr_actor must be > 0, got -0.001"),
+        ({"train": {"lr_critic": 0}}, "lr_critic must be > 0, got 0"),
+        ({"train": {"smoothing_std": -0.1}}, "smoothing_std must be >= 0"),
+        ({"train": {"noise_std": -0.5}}, "noise_std must be >= 0"), ({"train": {"noise_floor": -0.01}}, "noise_floor"),
+    ])
+    def test_bad_settings_are_usage_errors_before_any_run(self, tmp_path, capsys, overrides, message):
+        config_path = tmp_path / "spec.json"
+        config_path.write_text(json.dumps({"preset": "desk", "out_dir": "runs", **overrides}))
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "scheme1_seed0").exists()
 
     def test_whole_float_counts_become_ints(self):
         spec = spec_from_dict({"preset": "desk", "scenario": {"num_antennas": 4.0, "pose_update_period": 5.0},

@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from sixdma_isac.errors import ConfigError, ProtocolError
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent
+from sixdma_isac.rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_ranges
 
 
 def make_agent(obs_dim=4, action_dim=2, hidden=(16, 16), seed=0, **kwargs):
@@ -350,6 +351,28 @@ class TestNoiseSchedule:
         sched = NoiseSchedule()
         stds = [sched.std(e) for e in range(0, 700, 7)]
         assert all(a >= b for a, b in zip(stds, stds[1:]))
+
+
+class TestSettingRanges:
+    @pytest.mark.parametrize("setting, value, message", [
+        ("gamma", 1.0, r"gamma must lie in \[0, 1\), got 1.0"), ("tau", 0.0, r"tau must lie in \(0, 1\], got 0.0"),
+        ("policy_delay", 0, "policy_delay must be >= 1, got 0"), ("lr_actor", 0.0, "lr_actor must be > 0, got 0.0"),
+        ("lr_critic", -1e-4, "lr_critic must be > 0"), ("smoothing_std", -0.1, "smoothing_std must be >= 0"),
+    ])
+    def test_an_agent_refuses_a_setting_out_of_range(self, tmp_path, setting, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            make_agent(**{setting: value})
+        # and so does a load of a manifest that records one
+        make_agent(seed=35).save(tmp_path / "agent")
+        manifest_path = tmp_path / "agent" / "manifest.json"
+        manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), setting: value}))
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            Td3Agent.load(tmp_path / "agent")
+
+    def test_check_ranges_reads_the_settings_it_is_given(self):
+        check_ranges({"noise_std": 0.0, "noise_floor": 0.0, "smoothing_std": 0.0, "unrelated": -1.0})
+        with pytest.raises(ConfigError, match="^noise_floor must be >= 0, got -0.01$"):
+            check_ranges({"noise_std": 0.5, "noise_floor": -0.01})
 
 
 NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
