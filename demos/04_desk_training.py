@@ -2,13 +2,13 @@
 
 Uses a reduced episode budget so the demo finishes in a few seconds; the
 full desk preset (150 episodes) is what the acceptance suite runs.  The
-printout shows the episode metrics improving and the evaluation report
-summary with per-agent inference latency.
+printout shows the episode metrics improving, the evaluation report
+summary and the per-agent inference latency from ``profile_latency``.
 """
 
 import numpy as np
 
-from sixdma_isac import desk_scenario, desk_train_config, evaluate, train
+from sixdma_isac import desk_scenario, desk_train_config, evaluate, profile_latency, train
 
 scenario = desk_scenario()
 config = desk_train_config(episodes=60, explore_episodes=40, seed=0)
@@ -23,7 +23,7 @@ for episode in range(0, config.episodes, 10):
 print(f"first-10 mean {rates[:10].mean():.3f} -> last-10 mean {rates[-10:].mean():.3f}")
 print(f"stored transitions: fast {result.fast_transitions}, pose {result.pose_transitions}")
 
-report = evaluate(result.roster, scenario, episodes=3, include_trajectories=False)
+report = evaluate(result.roster, scenario, episodes=3)
 agg = report["aggregate"]
 print("\nnoise-free evaluation aggregate:")
 print(f"  sum rate            {agg['sum_rate']:.3f} bits/s/Hz")
@@ -31,6 +31,6 @@ print(f"  mean sensing SNR    {agg['mean_snr']:.3f} (threshold {scenario.gamma_m
 print(f"  feasible slots      {agg['snr_feasible_fraction']:.0%}")
 print(f"  collisions          {agg['collisions']:.1f}")
 
-print("\nper-agent forward latency (ms):")
-for name, stats in report["latency_ms"].items():
-    print(f"  {name:<8} avg {stats['avg_ms']:.4f}  max {stats['max_ms']:.4f}  p99 {stats['p99_ms']:.4f}")
+print("\nper-agent forward latency (ms, 1000 calls each):")
+for row in profile_latency(result.roster, calls=1000):
+    print(f"  {row['agent']:<8} avg {row['avg_ms']:.4f}  max {row['max_ms']:.4f}  p99 {row['p99_ms']:.4f}")

@@ -2,17 +2,20 @@
 
 The fast layer holds one TD3 agent per UAV plus one beamforming agent;
 the surface agent acts only at decision slots and receives its reward one
-window later, aggregated over the slots its pose was live.  Every critic
-sees ``[o_1, a_1, ..., o_K, a_K]``, the (observation, action) pairs of the
-agents it judges: all fast agents under the shared critic, only its own
-agent under scheme 2 and for the surface agent.  One TD3 round,
-:func:`_learn`, updates either layer.
+window later, aggregated over the slots its pose was live.  Each replay
+buffer stores a transition as the row its critics read,
+``[o_1, a_1, ..., o_K, a_K]`` over the agents it serves (UAV agents
+0..M-1 and the beam agent in the fast buffer, the surface agent alone in
+the pose buffer), with the next observations laid out the same way and one
+reward column per agent.  A critic reads the whole row (the shared critic
+of the fast agents) or its agent's own pair (scheme 2, the surface agent).
+One TD3 round, :func:`_learn`, updates either layer.
 
 Training and evaluation share one episode loop, :func:`_rollout`, which
 keeps the paper's slot order: on its cadence the surface agent re-poses
 the 6DMA, then the UAV agents pick flight directions, the beam agent the
 precoder, and the slot is scored.  ``train`` adds learning on top of it,
-``evaluate`` decision latencies and trajectories.
+``evaluate`` trajectories.
 
 Training is sequential and deterministic per seed; run several seeds as
 independent processes if parallelism is needed.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,8 @@ from .rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check
 UAV_OBS_DIM = 10
 UAV_ACT_DIM = 4
 POSE_ACT_DIM = 6
+# The fields of a replay transition, in push order (see _transition).
+_TRANSITION_FIELDS = ("row", "next_row", "reward", "done")
 # TrainConfig fields every Td3Agent of a roster is built with.
 _AGENT_SETTINGS = ("hidden", "lr_actor", "lr_critic", "gamma", "tau", "policy_delay", "smoothing_std")
 
@@ -75,6 +81,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size {self.batch_size} exceeds a replay capacity "
                               f"(buffer_capacity {self.buffer_capacity}, pose buffer {pose_capacity})")
         object.__setattr__(self, "hidden", tuple(whole_number(h, "hidden") for h in self.hidden))
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -233,7 +241,7 @@ class _EpisodeSums:
 
 
 def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: float = 0.0,
-             noise_rng: np.random.Generator | None = None, latencies: dict[str, list[float]] | None = None):
+             noise_rng: np.random.Generator | None = None):
     """Run one episode in the paper's slot order, yielding after each slot.
 
     Per slot: at decision slots the surface agent acts and the 6DMA is
@@ -242,28 +250,18 @@ def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: f
     environment scores the slot and ``sums`` takes its totals.  Yields
     ``(obs, pose_action, uav_actions, beam_action, outcome, next_obs)``
     where ``pose_action`` is the surface agent's action at decision slots
-    and None otherwise.  With ``latencies`` given, each agent's decision
-    time in milliseconds is appended under its roster name.
+    and None otherwise.
     """
-
-    def act(name: str, agent: Td3Agent, obs: np.ndarray) -> np.ndarray:
-        if latencies is None:
-            return agent.select_action(obs, noise_std, noise_rng)
-        t0 = time.perf_counter()
-        action = agent.select_action(obs, noise_std, noise_rng)
-        latencies[name].append((time.perf_counter() - t0) * 1e3)
-        return action
-
     cfg = env.config
     _, obs = env.reset()
     for _ in range(cfg.num_slots):
         pose_action = None
         if env.is_pose_slot():
-            pose_action = act("sixdma", roster.pose_agent, obs.sixdma)
+            pose_action = roster.pose_agent.select_action(obs.sixdma, noise_std, noise_rng)
             sums.blockages += env.apply_6dma_action(pose_action[:3] * cfg.theta_max, pose_action[3:]).epsilon2
-        uav_actions = np.stack([act(f"uav_{m}", agent, obs.uav[m])
+        uav_actions = np.stack([agent.select_action(obs.uav[m], noise_std, noise_rng)
                                 for m, agent in enumerate(roster.uav_agents)])
-        beam_action = act("beam", roster.beam_agent, obs.beam)
+        beam_action = roster.beam_agent.select_action(obs.beam, noise_std, noise_rng)
         outcome = env.step_slot(uav_actions, beam_action)
         next_obs = env.observations()
         sums.rate += outcome.metrics.sum_rate
@@ -275,52 +273,44 @@ def _rollout(env: IsacEnv, roster: AgentRoster, sums: _EpisodeSums, noise_std: f
         obs = next_obs
 
 
-def _critic_inputs(pairs) -> np.ndarray:
-    """The critic input ``[o_1, a_1, ..., o_K, a_K]`` of batched (obs, action) pairs."""
-    return np.concatenate([part for pair in pairs for part in pair], axis=1)
+def _transition(pairs, next_obs, rewards, done: bool) -> dict:
+    """A replay transition in the layout the critics read: ``row`` is
+    ``[o_1, a_1, ..., o_K, a_K]`` over the (observation, action) ``pairs``,
+    ``next_row`` the ``next_obs`` in the same layout with zeros in the action
+    slots (:func:`_learn` writes a batch's target actions there), ``reward``
+    one column per agent."""
+    row = np.concatenate([part for pair in pairs for part in pair])
+    next_row = np.concatenate([part for o, (_, a) in zip(next_obs, pairs) for part in (o, np.zeros_like(a))])
+    return dict(zip(_TRANSITION_FIELDS, (row, next_row, rewards, float(done))))
 
 
-def _fast_columns(batch: dict) -> list[tuple]:
-    """``(obs, action, next_obs, reward)`` of each fast agent in a fast batch:
-    UAV agents 0..M-1, then the beam agent."""
-    columns = [(batch["uav_obs"][:, m], batch["uav_act"][:, m], batch["next_uav_obs"][:, m],
-                batch["rewards_uav"][:, m]) for m in range(batch["uav_obs"].shape[1])]
-    return columns + [(batch["beam_obs"], batch["beam_act"], batch["next_beam_obs"], batch["reward_beam"])]
-
-
-def _pose_columns(batch: dict) -> list[tuple]:
-    return [(batch["obs"], batch["action"], batch["next_obs"], batch["reward"])]
-
-
-def _learn(agents: list[Td3Agent], buffer: ReplayBuffer, columns, shared: bool, batch_size: int,
-           sample_rng: np.random.Generator) -> None:
+def _learn(agents: list[Td3Agent], buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator) -> None:
     """One TD3 round for ``agents`` on a batch from ``buffer``, once it holds one.
 
-    ``columns`` splits the batch into each agent's (obs, action, next_obs,
-    reward).  Every agent's target actions are drawn first, in list order;
-    then each agent updates its critics on the shared input (``shared``) or
-    its own pair, and its actor and targets on the delayed cadence.
+    The buffer's rows hold the agents' pairs in list order.  Every agent's
+    target actions are drawn first, in list order, into the action slots of
+    the batch's ``next_row`` (a copy: the stored rows keep their zeros).
+    Then each agent updates its critics on the whole row, when its critic
+    reads that wide, or else on its own pair, and its actor and targets on
+    the delayed cadence.
     """
     if len(buffer) < batch_size:
         return
-    batch = buffer.sample(batch_size, sample_rng)
-    split = columns(batch)
-    pairs = [(obs, act) for obs, act, _, _ in split]
-    next_pairs = [(next_obs, agent.target_actions(next_obs, sample_rng))
-                  for agent, (_, _, next_obs, _) in zip(agents, split)]
-    if shared:
-        inputs, next_inputs = _critic_inputs(pairs), _critic_inputs(next_pairs)
-    offset = 0
-    for k, agent in enumerate(agents):
-        if not shared:
-            inputs, next_inputs = _critic_inputs(pairs[k:k + 1]), _critic_inputs(next_pairs[k:k + 1])
-        targets = agent.td_targets(split[k][3], next_inputs, batch["done"])
-        agent.critic_update(inputs, targets)
+    batch = buffer.sample(batch_size, rng)
+    row, next_row = batch["row"], batch["next_row"]
+    starts = list(accumulate((agent.obs_dim + agent.action_dim for agent in agents), initial=0))
+    for agent, start in zip(agents, starts):
+        obs_end = start + agent.obs_dim
+        next_row[:, obs_end:obs_end + agent.action_dim] = agent.target_actions(next_row[:, start:obs_end], rng)
+    for k, (agent, start) in enumerate(zip(agents, starts)):
+        base = 0 if agent.critic_input_dim == row.shape[1] else start  # where the critic's input starts
+        seen = slice(base, base + agent.critic_input_dim)
+        agent.critic_update(row[:, seen], agent.td_targets(batch["reward"][:, k], next_row[:, seen], batch["done"]))
         if agent.should_update_actor():
-            start = (offset if shared else 0) + agent.obs_dim
-            agent.actor_update(pairs[k][0], inputs, slice(start, start + agent.action_dim))
+            action = start - base + agent.obs_dim
+            agent.actor_update(row[:, start:start + agent.obs_dim], row[:, seen],
+                               slice(action, action + agent.action_dim))
             agent.soft_update()
-        offset += agent.obs_dim + agent.action_dim
 
 
 def train(
@@ -372,19 +362,17 @@ def train(
         for obs, pose, uav_actions, beam_action, outcome, next_obs in slots:
             if pose is not None:  # a window opens; its transition waits for the window's reward
                 pose_action, pose_obs, rates, angles = pose, obs.sixdma, [], []
-                _learn([roster.pose_agent], pose_buffer, _pose_columns, False, config.batch_size, sample_rng)
+                _learn([roster.pose_agent], pose_buffer, config.batch_size, sample_rng)
             rates.append(outcome.metrics.sum_rate)
             angles.append(outcome.pointing_angle)
             if outcome.done or env.is_pose_slot():  # the window ends before the next decision
                 reward, _ = env.pose_window_reward(rates, angles, outcome.epsilon2)
-                pose_buffer.push({"obs": pose_obs, "action": pose_action, "reward": reward,
-                                  "next_obs": next_obs.sixdma, "done": float(outcome.done)})
+                pose_buffer.push(_transition([(pose_obs, pose_action)], [next_obs.sixdma], [reward], outcome.done))
                 sums.reward_pose += reward
-            fast_buffer.push({"uav_obs": obs.uav, "uav_act": uav_actions, "beam_obs": obs.beam,
-                              "beam_act": beam_action, "rewards_uav": outcome.rewards_uav,
-                              "reward_beam": outcome.reward_beam, "next_uav_obs": next_obs.uav,
-                              "next_beam_obs": next_obs.beam, "done": float(outcome.done)})
-            _learn(fast_agents, fast_buffer, _fast_columns, config.scheme != 2, config.batch_size, sample_rng)
+            fast_buffer.push(_transition([*zip(obs.uav, uav_actions), (obs.beam, beam_action)],
+                                         [*next_obs.uav, next_obs.beam],
+                                         [*outcome.rewards_uav, outcome.reward_beam], outcome.done))
+            _learn(fast_agents, fast_buffer, config.batch_size, sample_rng)
             sums.reward_uav += float(np.mean(outcome.rewards_uav))
             if episode_log is not None:
                 episode_log.write(json.dumps({"episode": episode, **env.episode_record(outcome)}) + "\n")
@@ -435,10 +423,14 @@ def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_
     if changed:
         raise ConfigError(f"snapshot {directory} was written under other settings ({'; '.join(changed)}); "
                           "resume needs the settings it was written with, or a fresh output directory")
-    roster = AgentRoster.load(directory / "roster", scenario, config)
     for name, buffer in (("fast_buffer", fast_buffer), ("pose_buffer", pose_buffer)):
         with np.load(directory / f"{name}.npz") as arrays:
+            held = [key.removeprefix("field_") for key in arrays.files if key.startswith("field_")]
+            if held and held != list(_TRANSITION_FIELDS):
+                raise ConfigError(f"snapshot {directory} holds {name} fields {held}; this version stores "
+                                  f"{list(_TRANSITION_FIELDS)}, so train the run afresh")
             buffer.load_arrays(arrays)
+    roster = AgentRoster.load(directory / "roster", scenario, config)
     noise_rng.bit_generator.state = state["noise_rng"]
     sample_rng.bit_generator.state = state["sample_rng"]
     metrics = [EpisodeMetrics(*row) for row in state["metrics"]]
@@ -465,22 +457,14 @@ def _latency_stats(samples_ms) -> dict:
     }
 
 
-def evaluate(
-    roster: AgentRoster,
-    scenario: ScenarioConfig,
-    episodes: int = 20,
-    seeds=None,
-    measure_latency: bool = True,
-    include_trajectories: bool = True,
-) -> dict:
+def evaluate(roster: AgentRoster, scenario: ScenarioConfig, episodes: int = 20, seeds=None) -> dict:
     """Noise-free rollouts of a trained roster.
 
     Returns one row per episode (mean sum rate, mean sensing SNR,
     violation counts, the fraction of slots whose mean sensing SNR meets
-    the threshold, and optionally the UAV trajectory), an aggregate row,
-    and per-agent forward-latency statistics gathered during the
-    rollouts.  All reported physics is deterministic given the seeds;
-    latency numbers are wall-clock and vary between runs.
+    the threshold, and the UAV trajectory) and an aggregate row.  The
+    report is deterministic given the seeds; :func:`profile_latency`
+    measures decision latency.
     """
     if episodes < 1:
         raise ConfigError(f"evaluation needs at least one episode, got {episodes}")
@@ -489,29 +473,16 @@ def evaluate(
     if len(seeds) != episodes:
         raise ConfigError("need exactly one seed per evaluation episode")
     env = IsacEnv(scenario, scheme=roster.scheme)
-    latencies = {name: [] for name, _ in roster.all_agents()} if measure_latency else None
     rows = []
     for episode, seed in enumerate(seeds):
         sums = _EpisodeSums()
         trajectory = [scenario.uav_starts.tolist()]  # reset puts every UAV at its start
-        for _ in _rollout(env, roster, sums, latencies=latencies):
+        for _ in _rollout(env, roster, sums):
             trajectory.append(env.state.uav_positions.tolist())
         physics = sums.physics(scenario.num_slots)
-        row = {"episode": episode, "seed": seed, **physics}
-        if include_trajectories:
-            row["trajectory"] = trajectory
-        rows.append(row)
+        rows.append({"episode": episode, "seed": seed, **physics, "trajectory": trajectory})
     aggregate = {key: float(np.mean([row[key] for row in rows])) for key in physics}  # every row has these keys
-    report = {
-        "scheme": roster.scheme,
-        "episodes": episodes,
-        "seeds": list(seeds),
-        "rows": rows,
-        "aggregate": aggregate,
-    }
-    if measure_latency:
-        report["latency_ms"] = {name: _latency_stats(vals) for name, vals in latencies.items()}
-    return report
+    return {"scheme": roster.scheme, "episodes": episodes, "seeds": list(seeds), "rows": rows, "aggregate": aggregate}
 
 
 def profile_latency(roster: AgentRoster, calls: int = 10_000, seed: int = 0) -> list[dict]:

@@ -50,7 +50,7 @@ _RANGES = {
     "tau": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "policy_delay": (lambda v: v >= 1, "be >= 1"),
     **dict.fromkeys(("lr_actor", "lr_critic"), (lambda v: v > 0.0, "be > 0")),
-    **dict.fromkeys(("smoothing_std", "noise_std", "noise_floor"), (lambda v: v >= 0.0, "be >= 0")),
+    **dict.fromkeys(("smoothing_std", "noise_std", "noise_floor", "explore_episodes"), (lambda v: v >= 0, "be >= 0")),
 }
 
 

@@ -307,8 +307,7 @@ def test_criterion_8_sensing_feasibility(desk_runs):
     feasible = 0
     total = 0
     for result in desk_runs["runs"][1]:
-        rep = evaluate(result.roster, scenario, episodes=2, measure_latency=False,
-                       include_trajectories=False)
+        rep = evaluate(result.roster, scenario, episodes=2)
         for row in rep["rows"]:
             feasible += row["snr_feasible_fraction"] * scenario.num_slots
             total += scenario.num_slots

@@ -160,6 +160,10 @@ class TestSpec:
         ({"train": {"lr_critic": 0}}, "lr_critic must be > 0, got 0"),
         ({"train": {"smoothing_std": -0.1}}, "smoothing_std must be >= 0"),
         ({"train": {"noise_std": -0.5}}, "noise_std must be >= 0"), ({"train": {"noise_floor": -0.01}}, "noise_floor"),
+        # a zero width used to fail once the agents were built (exit 2, after the run directory was made),
+        # a negative exploration horizon used to train without noise decay
+        ({"train": {"hidden": [0, 8]}}, "hidden widths must be >= 1, got [0, 8]"),
+        ({"train": {"explore_episodes": -5}}, "explore_episodes must be >= 0, got -5"),
     ])
     def test_bad_settings_are_usage_errors_before_any_run(self, tmp_path, capsys, overrides, message):
         config_path = tmp_path / "spec.json"
@@ -406,7 +410,7 @@ class TestEvalCompareProfile:
         report_path = spec.out_dir / "scheme1_seed0" / "eval_report.json"
         report = json.loads(report_path.read_text())
         assert len(report["rows"]) == spec.eval_episodes
-        assert "aggregate" in report and "latency_ms" in report
+        assert list(report) == ["scheme", "episodes", "seeds", "rows", "aggregate"]  # no latency_ms
 
     def test_compare_tables(self, trained_dir):
         spec = trained_dir
@@ -497,6 +501,26 @@ class TestResume:
         log.write_text(kept + '{"episode": 1, "sl')  # torn by a crash in the middle of a record
         _cut_episode_log(log, 5)
         assert log.read_text() == kept
+
+    def test_a_snapshot_of_the_per_part_replay_layout_is_refused(self, tmp_path, capsys):
+        # snapshots written before transitions were stored as critic rows hold one buffer field per part
+        common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--snapshot-interval", "1",
+                  "--out", str(tmp_path)]
+        assert main([*common, "--episodes", "1"]) == 0
+        run_dir, snapshot = tmp_path / "scheme1_seed0", tmp_path / "scheme1_seed0" / "snapshots"
+        (run_dir / "manifest.json").unlink()
+        with np.load(snapshot / "fast_buffer.npz") as arrays:
+            meta = arrays["buffer_meta"]
+        parts = ("uav_obs", "uav_act", "beam_obs", "beam_act", "rewards_uav", "reward_beam", "next_uav_obs",
+                 "next_beam_obs", "done")
+        np.savez(snapshot / "fast_buffer.npz", buffer_meta=meta, **{f"field_{key}": np.zeros((20, 1)) for key in parts})
+        state, metrics = (snapshot / "train_state.json").read_bytes(), (run_dir / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        assert main([*common, "--episodes", "2", "--resume"]) == 1
+        assert f"usage error: snapshot {snapshot} holds fast_buffer fields {list(parts)}" in capsys.readouterr().err
+        assert not (run_dir / "manifest.json").exists()  # nothing trained: no run completed, no snapshot written
+        assert (snapshot / "train_state.json").read_bytes() == state
+        assert (run_dir / "metrics.csv").read_bytes() == metrics
 
 
 # (section, key, a value runs recorded): settings that were removed because

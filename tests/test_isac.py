@@ -288,3 +288,63 @@ class TestSensingSnrProperties:
         # their terms, |h_j|^2 |W|^2, not at the scale of the result
         floor = 1e-13 * np.linalg.norm(h, axis=1) ** 2 * np.linalg.norm(w) ** 2 / sigma_s_sq
         assert np.all(np.abs(direct - quadratic) <= 1e-9 * np.abs(quadratic) + floor)
+
+
+@st.composite
+def receivers_and_precoder(draw):
+    """(M, N) receiver channels and an (N, M) precoder: one stream per receiver."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    return draw(complex_matrices(m, n)), draw(complex_matrices(n, m))
+
+
+def stream_gains(h, w):
+    """gains[m, i] = |w_i^H h_m|^2, each product summed one term at a time."""
+    gains = np.empty((h.shape[0], w.shape[1]))
+    for m in range(h.shape[0]):
+        for i in range(w.shape[1]):
+            product = 0j
+            for n in range(h.shape[1]):
+                product += np.conj(w[n, i]) * h[m, n]
+            gains[m, i] = abs(product) ** 2
+    return gains
+
+
+def signal_and_interference(gains):
+    """Each receiver's own-stream gain and the sum of its other streams' gains, stream by stream."""
+    count = len(gains)
+    return np.diag(gains), np.array([sum(gains[m, i] for i in range(count) if i != m) for m in range(count)])
+
+
+def term_scale(h, w):
+    """scale[m, i] = (sum_n |w_ni| |h_mn|)^2: the size of the terms behind gains[m, i].  Summed in
+    another order, a product agrees to a few ulps of this, not of itself, where its terms cancel."""
+    return (np.abs(h) @ np.abs(w)) ** 2
+
+
+class TestSinrProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(hw=receivers_and_precoder(), sigma_c_sq=st.floats(1e-10, 1.0))
+    def test_sinr_equals_a_per_stream_loop(self, hw, sigma_c_sq):
+        h, w = hw
+        gains, scale = stream_gains(h, w), term_scale(h, w)
+        signal, interference = signal_and_interference(gains)
+        want = signal / (interference + sigma_c_sq)
+        # sinr sums each product in BLAS order and forms the interference as the row total minus the
+        # signal, so the two round at the scale of the signal's terms and of the whole row's terms
+        bound = 1e-12 * (np.diag(scale) + want * scale.sum(axis=1)) / (interference + sigma_c_sq)
+        assert np.all(np.abs(sinr(h, w, sigma_c_sq) - want) <= bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hw=receivers_and_precoder(), sigma_c_sq=st.floats(1e-10, 1.0))
+    def test_signal_and_interference_add_up_to_the_received_power(self, hw, sigma_c_sq):
+        h, w = hw
+        gains, scale = stream_gains(h, w), term_scale(h, w)
+        signal, interference = signal_and_interference(gains)
+        # row m's total received power from every stream, h_m^H (W W^H) h_m
+        received = np.einsum("mn,nk,mk->m", h.conj(), w @ w.conj().T, h).real
+        # the quadratic form sums over antenna pairs, the loop over streams: they agree at the
+        # scale of the row's terms
+        assert np.all(np.abs(signal + interference - received) <= 1e-12 * scale.sum(axis=1))
+        got = sinr(h, w, sigma_c_sq)
+        assert np.all(np.abs(got * (received - signal + sigma_c_sq) - signal)
+                      <= 1e-12 * (np.diag(scale) + got * scale.sum(axis=1)))
