@@ -38,6 +38,7 @@ from .hdrl import (
     desk_train_config,
     evaluate,
     profile_latency,
+    snapshot_episode,
     train,
     train_config_from_dict,
 )
@@ -193,15 +194,14 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
                 raise ConfigError(f"run {run.name} is complete under a different config; "
                                   "resume needs the spec it was trained with, or a fresh output directory")
             return {"name": run.name, "status": "skipped"}
-    resume_from = None
     snapshot_dir = run_dir / "snapshots"
-    if resume and (snapshot_dir / "train_state.json").exists():
-        resume_from = snapshot_dir
+    next_episode = snapshot_episode(snapshot_dir) if resume else None
+    resume_from = None if next_episode is None else snapshot_dir
     log_stream = None
     if spec.episode_logs:
         log_path = run_dir / "episodes.ndjson"
         if resume_from is not None and log_path.exists():
-            _cut_episode_log(log_path, json.loads((resume_from / "train_state.json").read_text())["next_episode"])
+            _cut_episode_log(log_path, next_episode)
         log_stream = open(log_path, "w" if resume_from is None else "a")
     try:
         result = train(
@@ -265,12 +265,19 @@ def cmd_train(spec: ExperimentSpec, resume: bool = False) -> list[dict]:
 
 
 # ------------------------------------------------------------------ evaluation
-def load_run(run_dir) -> tuple[dict, ScenarioConfig, TrainConfig, AgentRoster]:
-    run_dir = Path(run_dir)
+def _load_actors(run_dir: Path) -> tuple[dict, ScenarioConfig, TrainConfig, AgentRoster]:
+    """A trained run's manifest, scenario, training config and roster, with
+    the actors alone read: all that ``eval`` and ``profile`` need."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    scenario = scenario_from_dict(manifest["scenario"])
-    train_cfg = train_config_from_dict(manifest["train"])
-    roster = AgentRoster.load(run_dir / "checkpoints", scenario, train_cfg)
+    scenario, train_cfg = scenario_from_dict(manifest["scenario"]), train_config_from_dict(manifest["train"])
+    return manifest, scenario, train_cfg, AgentRoster.load(run_dir / "checkpoints", scenario, train_cfg)
+
+
+def load_run(run_dir) -> tuple[dict, ScenarioConfig, TrainConfig, AgentRoster]:
+    """:func:`_load_actors` with every agent's learner state read: the whole run."""
+    manifest, scenario, train_cfg, roster = _load_actors(Path(run_dir))
+    for _, agent in roster.all_agents():
+        agent.read_learner_state()
     return manifest, scenario, train_cfg, roster
 
 
@@ -283,7 +290,7 @@ def cmd_eval(spec: ExperimentSpec, run_dirs=None) -> list[dict]:
         run_dir = Path(run_dir)
         if not (run_dir / "manifest.json").exists():
             raise FileNotFoundError(f"run {run_dir} has no manifest; train it first")
-        _, scenario, _, roster = load_run(run_dir)
+        _, scenario, _, roster = _load_actors(run_dir)
         report = evaluate(roster, scenario, episodes=spec.eval_episodes)
         (run_dir / "eval_report.json").write_text(json.dumps(report, indent=2))
         reports.append({"run": run_dir.name, **report["aggregate"]})
@@ -389,7 +396,7 @@ for name in ("sweep_pmax.csv", "sweep_tr.csv"):
 def cmd_profile(run_dir, calls: int = 10_000) -> list[dict]:
     """Measure per-agent forward latency for a trained run."""
     run_dir = Path(run_dir)
-    _, _, _, roster = load_run(run_dir)
+    _, _, _, roster = _load_actors(run_dir)
     rows = profile_latency(roster, calls=calls)
     (run_dir / "profile.json").write_text(json.dumps(rows, indent=2))
     return rows

@@ -17,6 +17,11 @@ the 6DMA, then the UAV agents pick flight directions, the beam agent the
 precoder, and the slot is scored.  ``train`` adds learning on top of it,
 ``evaluate`` trajectories.
 
+A roster load reads the actors, all that acting needs.  A snapshot
+(roster, buffers, generator states, rows) resumes ``train`` exactly, with
+every agent's learner state read first; it is swapped in whole, so a
+crash never mixes two.  Only this module knows a snapshot's files.
+
 Training is sequential and deterministic per seed; run several seeds as
 independent processes if parallelism is needed.
 """
@@ -24,6 +29,7 @@ independent processes if parallelism is needed.
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import accumulate
@@ -158,8 +164,8 @@ class AgentRoster:
 
     @classmethod
     def load(cls, directory, scenario: ScenarioConfig, config: TrainConfig) -> "AgentRoster":
-        """The roster :meth:`save` wrote, each agent built once from its files
-        (:meth:`Td3Agent.load` reads the actors now, the rest on first use).
+        """The roster :meth:`save` wrote, each agent built once from its files;
+        only the actors are read (see :meth:`Td3Agent.read_learner_state`).
 
         A checkpoint of another version is a ConfigError, checked first.
         Otherwise ConfigError names the field (and the agent) where the
@@ -332,8 +338,7 @@ def train(
     accumulated into one row per episode.
 
     ``episode_log`` is an optional text stream receiving one JSON record
-    per slot.  Snapshots (networks, optimizers, buffers, RNG states)
-    enable exact resumption via ``resume_from``.
+    per slot; ``resume_from`` names a snapshot to resume.
     """
     env = IsacEnv(scenario, scheme=config.scheme)
     fast_buffer = ReplayBuffer(config.buffer_capacity)
@@ -394,26 +399,38 @@ def _snapshot_config(scenario: ScenarioConfig, config: TrainConfig) -> dict:
     return json.loads(json.dumps(settings))
 
 
+def snapshot_episode(directory) -> int | None:
+    """The episode a resume from ``directory`` starts at; None without a snapshot."""
+    path = Path(directory) / "train_state.json"
+    return json.loads(path.read_text())["next_episode"] if path.exists() else None
+
+
 def _save_snapshot(directory: Path, next_episode: int, metrics, roster, fast_buffer, pose_buffer,
                    noise_rng, sample_rng, run_config: dict) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    roster.save(directory / "roster")
+    """Write the snapshot into ``<directory>.new`` and swap it in by two renames.  A crash
+    before them leaves the previous snapshot, one between them none; never a mix of two."""
+    staged, retired = (directory.with_name(directory.name + suffix) for suffix in (".new", ".old"))
+    for stale in (staged, retired):  # left by a crash
+        shutil.rmtree(stale, ignore_errors=True)
+    staged.mkdir(parents=True)
+    roster.save(staged / "roster")
     for name, buffer in (("fast_buffer", fast_buffer), ("pose_buffer", pose_buffer)):
-        np.savez(directory / f"{name}.npz", **buffer.state_arrays())
-    state = {
-        "next_episode": next_episode,
-        "metrics": [m.as_row() for m in metrics],
-        "noise_rng": noise_rng.bit_generator.state,
-        "sample_rng": sample_rng.bit_generator.state,
-        "config": run_config,
-    }
-    (directory / "train_state.json").write_text(json.dumps(state))
+        np.savez(staged / f"{name}.npz", **buffer.state_arrays())
+    state = {"next_episode": next_episode, "metrics": [m.as_row() for m in metrics],
+             "noise_rng": noise_rng.bit_generator.state, "sample_rng": sample_rng.bit_generator.state,
+             "config": run_config}
+    (staged / "train_state.json").write_text(json.dumps(state))
+    if directory.exists():
+        directory.rename(retired)
+    staged.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_rng,
                    scenario, config) -> tuple[AgentRoster, int, list[EpisodeMetrics]]:
-    """Restore buffers and generators; returns (roster, next episode, rows).
-    A snapshot written under other settings, or with none recorded, raises ConfigError."""
+    """Restore buffers and generators, and the roster with every agent's
+    learner state; returns (roster, next episode, rows).  A snapshot written
+    under other settings, or with none recorded, raises ConfigError."""
     state = json.loads((directory / "train_state.json").read_text())
     if "config" not in state:
         raise ConfigError(f"snapshot {directory} records no run settings to check; start afresh")
@@ -431,6 +448,8 @@ def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_
                                   f"{list(_TRANSITION_FIELDS)}, so train the run afresh")
             buffer.load_arrays(arrays)
     roster = AgentRoster.load(directory / "roster", scenario, config)
+    for _, agent in roster.all_agents():
+        agent.read_learner_state()
     noise_rng.bit_generator.state = state["noise_rng"]
     sample_rng.bit_generator.state = state["sample_rng"]
     metrics = [EpisodeMetrics(*row) for row in state["metrics"]]
@@ -445,16 +464,6 @@ def percentile_leq(values, quantile: float) -> float:
         raise ValueError("no samples")
     rank = int(np.ceil(quantile * ordered.size)) - 1
     return float(ordered[max(rank, 0)])
-
-
-def _latency_stats(samples_ms) -> dict:
-    arr = np.asarray(samples_ms, dtype=float)
-    return {
-        "avg_ms": float(arr.mean()),
-        "max_ms": float(arr.max()),
-        "p99_ms": percentile_leq(arr, 0.99),
-        "calls": int(arr.size),
-    }
 
 
 def evaluate(roster: AgentRoster, scenario: ScenarioConfig, episodes: int = 20, seeds=None) -> dict:
@@ -502,5 +511,6 @@ def profile_latency(roster: AgentRoster, calls: int = 10_000, seed: int = 0) -> 
             t0 = time.perf_counter()
             agent.select_action(obs)
             samples[k] = (time.perf_counter() - t0) * 1e3
-        rows.append({"agent": name, **_latency_stats(samples)})
+        rows.append({"agent": name, "avg_ms": float(samples.mean()), "max_ms": float(samples.max()),
+                     "p99_ms": percentile_leq(samples, 0.99), "calls": calls})
     return rows

@@ -6,8 +6,9 @@ the same class serves per-UAV agents, the beamforming agent and the
 surface agent; callers own the layout and pass the slice where this
 agent's action lives.  A trainer is the only mutator of an agent; frozen
 copies may serve inference concurrently.  Acting needs only the actor,
-so an agent read from a checkpoint reads its learner state (critics,
-targets, Adam moments) on first use.
+so :meth:`Td3Agent.load` reads the actor alone; a caller that learns
+calls :meth:`Td3Agent.read_learner_state` for the critics, targets and
+Adam moments.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import mmap
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,9 +32,6 @@ _NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "t
 # rate and its step count (the count of the updates it made).
 _OPTIMIZED = {"actor": ("lr_actor", "actor_update_count"), "critic1": ("lr_critic", "critic_update_count"),
               "critic2": ("lr_critic", "critic_update_count")}
-# What only learning uses (every network but the actor, which comes first,
-# and every optimizer): read from a checkpoint on first use, not at load.
-_LEARNER_STATE = frozenset(_NETWORKS[1:]) | {f"opt_{name}" for name in _OPTIMIZED}
 # The keys of state.npz, the actor's first: networks, then optimizer moments.
 _VECTORS = (*_NETWORKS, *(f"opt_{name}_{moment}" for name in _OPTIMIZED for moment in "mv"))
 # Constructor arguments an agent stores and its manifest records, in the
@@ -50,7 +47,8 @@ _RANGES = {
     "tau": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "policy_delay": (lambda v: v >= 1, "be >= 1"),
     **dict.fromkeys(("lr_actor", "lr_critic"), (lambda v: v > 0.0, "be > 0")),
-    **dict.fromkeys(("smoothing_std", "noise_std", "noise_floor", "explore_episodes"), (lambda v: v >= 0, "be >= 0")),
+    **dict.fromkeys(("smoothing_std", "noise_std", "noise_floor", "explore_episodes", "seed"),
+                    (lambda v: v >= 0, "be >= 0")),
 }
 
 
@@ -82,12 +80,6 @@ class NoiseSchedule:
             return self.floor_std
         frac = min(max(episode, 0), self.decay_episodes) / self.decay_episodes
         return max(self.floor_std, self.initial_std - (self.initial_std - self.floor_std) * frac)
-
-
-def _stamp(path: Path) -> tuple[int, int, int]:
-    """Inode, size and modification time of ``path``."""
-    st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _lazy_zeros(shape) -> np.ndarray:
@@ -188,6 +180,7 @@ class Td3Agent:
         self.opt_critic2 = Adam(self.critic2.parameters(), lr_critic)
         self.critic_update_count = 0
         self.actor_update_count = 0
+        self._checkpoint: Path | None = None  # the state.npz whose learner state is not yet read
 
     def _set_hyperparameters(self, values) -> None:
         """Check and store the :data:`_HYPERPARAMETERS` entries of ``values``
@@ -318,9 +311,10 @@ class Td3Agent:
         ``flat`` vector under the network's name and each optimizer's
         moments as ``opt_<network>_m`` and ``opt_<network>_v``.
 
-        Learner state not yet read from a checkpoint is read first, so an
-        agent may be saved over the files it was loaded from."""
-        self._read_learner_state()
+        An agent whose learner state is still on disk is a ProtocolError,
+        and nothing is written."""
+        if self._checkpoint is not None:
+            raise ProtocolError(f"{self._checkpoint} holds learner state not yet read; call read_learner_state()")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         arrays = {name: getattr(self, name).flat for name in _NETWORKS}
@@ -332,14 +326,10 @@ class Td3Agent:
 
     @classmethod
     def load(cls, directory) -> "Td3Agent":
-        """The agent :meth:`save` wrote, built once from its files: every
-        vector read from ``state.npz`` is adopted as it is, with no random
-        initialisation to overwrite.
-
-        Only the actor is read now, after the manifest's version and the
-        constructor's ranges are checked.  The critics, targets and Adam
-        moments are read on first use of any of them, by
-        :meth:`_read_learner_state`."""
+        """The agent :meth:`save` wrote, built from its files with no random
+        initialisation to overwrite.  Only the manifest (its version and
+        ranges checked) and the actor are read, enough to act; the rest
+        waits for :meth:`read_learner_state`."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         check_version(manifest, directory)
@@ -347,43 +337,33 @@ class Td3Agent:
         agent._set_hyperparameters(manifest)
         agent.critic_update_count = manifest["critic_update_count"]
         agent.actor_update_count = manifest["actor_update_count"]
-        path = directory / "state.npz"
-        agent._pending = (path, _stamp(path))  # stamped before the read: a file replaced under it fails first use
-        agent.actor = Mlp.from_flat(*agent._layer_plan()["actor"], agent._read_vectors(path, ["actor"])["actor"])
+        agent._checkpoint = directory / "state.npz"
+        agent.actor = Mlp.from_flat(*agent._layer_plan()["actor"], agent._read_vectors(["actor"])["actor"])
         return agent
 
-    def __getattr__(self, name):
-        # reached only for attributes not set: learner state still on disk
-        if name in _LEARNER_STATE and "_pending" in self.__dict__:
-            self._read_learner_state()
-            return getattr(self, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _read_vectors(self, path: Path, names) -> dict[str, np.ndarray]:
-        """The named vectors of ``state.npz``; a ValueError names one whose
-        length is not the one the manifest's layer plan implies."""
+    def _read_vectors(self, names) -> dict[str, np.ndarray]:
+        """The named vectors of the checkpoint's ``state.npz``, each adopted
+        as read; a ValueError names one whose length is not the one the
+        manifest's layer plan implies."""
         sizes = {name: sum(dout * (din + 1) for din, dout in zip(dims, dims[1:]))
                  for name, (dims, _) in self._layer_plan().items()}
         sizes |= {f"opt_{name}_{moment}": sizes[name] for name in _OPTIMIZED for moment in "mv"}
         vectors = {}
-        with np.load(path) as arrays:
+        with np.load(self._checkpoint) as arrays:
             for name in names:
                 vectors[name] = np.asarray(arrays[name], dtype=float)
                 if vectors[name].shape != (sizes[name],):
-                    raise ValueError(f"{path} holds {name} of shape {vectors[name].shape}, "
+                    raise ValueError(f"{self._checkpoint} holds {name} of shape {vectors[name].shape}, "
                                      f"the manifest implies ({sizes[name]},)")
         return vectors
 
-    def _read_learner_state(self) -> None:
+    def read_learner_state(self) -> None:
         """Read the critics, targets and Adam moments :meth:`load` left on
-        disk, if any.  A ``state.npz`` whose inode, size or mtime changed
-        since the load raises ProtocolError."""
-        if "_pending" not in self.__dict__:
-            return
-        path, stamp = self._pending
-        if not path.exists() or _stamp(path) != stamp:
-            raise ProtocolError(f"{path} changed since its checkpoint was loaded; load the checkpoint again")
-        vectors = self._read_vectors(path, _VECTORS[1:])
+        disk, which learning and :meth:`save` need.  An agent with none on
+        disk (built, or read already) is a ProtocolError."""
+        if self._checkpoint is None:
+            raise ProtocolError("this agent holds its learner state already; only a loaded agent reads it, once")
+        vectors = self._read_vectors(_VECTORS[1:])
         plan = self._layer_plan()
         for name in _NETWORKS[1:]:
             setattr(self, name, Mlp.from_flat(*plan[name], vectors[name]))
@@ -391,4 +371,4 @@ class Td3Agent:
             moments = vectors[f"opt_{name}_m"], vectors[f"opt_{name}_v"]
             setattr(self, f"opt_{name}", Adam(getattr(self, name).parameters(), getattr(self, lr), moments,
                                               getattr(self, count)))
-        del self._pending
+        self._checkpoint = None

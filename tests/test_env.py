@@ -10,6 +10,7 @@ from sixdma_isac import channel as ch
 from sixdma_isac import geometry as geo
 from sixdma_isac import isac
 from sixdma_isac.env import (
+    SCHEMES,
     IsacEnv,
     StepOutcome,
     WorldState,
@@ -274,6 +275,52 @@ class TestPoseUpdates:
                 env.step_slot(*zero_actions(env))
         offset = env.state.pose.center - env.config.initial_surface_center
         assert abs(offset[0]) <= env.config.surface_box_half_extent + 1e-12
+
+
+@st.composite
+def pose_episodes(draw):
+    """A preset scenario, a scheme, a seed for the UAV actions, and for each
+    decision slot of one episode an angle delta (in units of theta_max) and
+    a center action, each drawn up to three times beyond its box."""
+    scenario = draw(st.sampled_from([desk_scenario(), benchmark_scenario()]))
+    beyond_the_box = hnp.arrays(float, 3, elements=st.floats(-3.0, 3.0))
+    decisions = len(scenario.pose_decision_slots())
+    actions = draw(st.lists(st.tuples(beyond_the_box, beyond_the_box), min_size=decisions, max_size=decisions))
+    return scenario, draw(st.sampled_from(SCHEMES)), draw(st.integers(0, 2**32 - 1)), actions
+
+
+class TestPoseActionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(episode=pose_episodes())
+    def test_every_scheme_moves_the_pose_within_its_limits(self, episode):
+        cfg, scheme, seed, actions = episode
+        env, rng, decisions = IsacEnv(cfg, scheme=scheme), np.random.default_rng(seed), iter(actions)
+        anchor, half = cfg.initial_surface_center, cfg.surface_box_half_extent
+        env.reset()
+        for _ in range(cfg.num_slots):
+            if env.is_pose_slot():
+                angle_units, center_raw = next(decisions)
+                old = env.state.pose
+                update = env.apply_6dma_action(angle_units * cfg.theta_max, center_raw)
+                angles, center = update.pose.angles, update.pose.center
+                if scheme in (1, 2, 3):
+                    expected = old.angles + np.clip(angle_units * cfg.theta_max, -cfg.theta_max, cfg.theta_max)
+                    np.testing.assert_array_equal(angles, expected)
+                else:
+                    np.testing.assert_array_equal(angles, old.angles)
+                assert np.all(anchor - half <= center) and np.all(center <= anchor + half)
+                if scheme in (1, 2):  # (c + s) - c rounds: allow an ulp or so at the box's scale
+                    assert np.all(np.abs(center - old.center) <= cfg.center_step_limit + 1e-12)
+                elif scheme == 4:
+                    assert np.linalg.norm(center[:2] - anchor[:2]) == pytest.approx(cfg.scheme4_circle_radius,
+                                                                                    rel=1e-12)
+                    assert center[2] == anchor[2]
+                else:
+                    np.testing.assert_array_equal(center, old.center)
+                points = np.vstack([env.state.uav_positions, env.state.target_positions])
+                assert update.epsilon2 == int(not geo.half_space_ok(update.pose, env.layout, points)[0])
+            env.step_slot(rng.uniform(-1.0, 1.0, size=(cfg.num_uavs, 4)),
+                          np.zeros(2 * cfg.num_antennas * cfg.num_uavs))
 
 
 class TestSchemeRestrictions:

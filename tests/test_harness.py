@@ -28,7 +28,8 @@ from sixdma_isac.harness import (
     worker_count,
     write_metrics_csv,
 )
-from sixdma_isac.hdrl import AgentRoster, EpisodeMetrics, TrainConfig, desk_train_config
+from sixdma_isac.hdrl import AgentRoster, EpisodeMetrics, TrainConfig, desk_train_config, snapshot_episode
+from sixdma_isac.rl import Td3Agent
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -164,13 +165,15 @@ class TestSpec:
         # a negative exploration horizon used to train without noise decay
         ({"train": {"hidden": [0, 8]}}, "hidden widths must be >= 1, got [0, 8]"),
         ({"train": {"explore_episodes": -5}}, "explore_episodes must be >= 0, got -5"),
+        # a negative seed used to make its run directory, then fail in numpy (exit 2)
+        ({"seeds": [-1]}, "seed must be >= 0, got -1"),
     ])
     def test_bad_settings_are_usage_errors_before_any_run(self, tmp_path, capsys, overrides, message):
         config_path = tmp_path / "spec.json"
         config_path.write_text(json.dumps({"preset": "desk", "out_dir": "runs", **overrides}))
         assert main(["train", "--config", str(config_path)]) == 1
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "runs" / "scheme1_seed0").exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_whole_float_counts_become_ints(self):
         spec = spec_from_dict({"preset": "desk", "scenario": {"num_antennas": 4.0, "pose_update_period": 5.0},
@@ -434,12 +437,24 @@ class TestEvalCompareProfile:
         assert all(r["p99_ms"] <= r["max_ms"] for r in rows)
         assert (run_dir / "profile.json").exists()
 
-    def test_load_run_round_trip(self, trained_dir):
+    def test_load_run_round_trip(self, trained_dir, tmp_path):
         spec = trained_dir
         manifest, scenario, train_cfg, roster = load_run(spec.out_dir / "scheme1_seed0")
         assert manifest["scheme"] == 1
         assert scenario.num_uavs == 2
         assert roster.scheme == 1
+        roster.save(tmp_path / "copy")  # the whole run is read: an actor-only roster refuses to save
+
+    def test_eval_and_profile_read_the_actors_alone(self, trained_dir, tmp_path, monkeypatch):
+        run_dir = tmp_path / "scheme1_seed0"
+        shutil.copytree(trained_dir.out_dir / "scheme1_seed0", run_dir)
+
+        def refuse(agent):
+            raise AssertionError("learner state read")
+
+        monkeypatch.setattr(Td3Agent, "read_learner_state", refuse)
+        assert main(["eval", "--run", str(run_dir), "--eval-episodes", "1"]) == 0
+        assert main(["profile", "--run", str(run_dir), "--calls", "10"]) == 0
 
     def test_a_version_1_checkpoint_is_refused(self, trained_dir, tmp_path, capsys):
         run_dir = tmp_path / "scheme1_seed0"
@@ -486,7 +501,7 @@ class TestResume:
         run_dir = spec.out_dir / "scheme1_seed0"
         # interrupted after its last snapshot (episode 2 of 3 logged, not snapshotted)
         (run_dir / "manifest.json").unlink()
-        assert json.loads((run_dir / "snapshots" / "train_state.json").read_text())["next_episode"] == 2
+        assert snapshot_episode(run_dir / "snapshots") == 2
         assert cmd_train(spec, resume=True)[0]["status"] == "trained"
         assert (run_dir / "episodes.ndjson").read_bytes() == reference
 

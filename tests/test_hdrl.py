@@ -441,8 +441,8 @@ class TestTrainLoop:
 
     def test_resume_snapshotting_into_its_own_directory_matches_a_straight_run(self, tmp_path):
         # batch 16 outruns the 12 pose windows of 3 episodes: the pose agent
-        # never learns, so its saves read its learner state from the very files
-        # they then overwrite
+        # never learns, so only the resume's read gives its saves the learner
+        # state of the snapshot they replace
         scenario, config = desk_scenario(), tiny_config(episodes=3, seed=11, batch_size=16)
         straight = train(scenario, config)
         assert straight.roster.pose_agent.critic_update_count == 0
@@ -450,7 +450,10 @@ class TestTrainLoop:
         train(scenario, tiny_config(episodes=1, seed=11, batch_size=16), snapshot_dir=snap_dir, snapshot_interval=1)
         resumed = train(scenario, config, snapshot_dir=snap_dir, snapshot_interval=1, resume_from=snap_dir)
         assert [m.as_row() for m in resumed.metrics] == [m.as_row() for m in straight.metrics]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["snap"]  # no staged or retired copy left
         reloaded = AgentRoster.load(snap_dir / "roster", scenario, config)  # the last snapshot, after episode 3
+        for _, agent in reloaded.all_agents():
+            agent.read_learner_state()
         for roster in (resumed.roster, reloaded):
             for (name, a), (_, b) in zip(straight.roster.all_agents(), roster.all_agents()):
                 assert (b.critic_update_count, b.actor_update_count) == (a.critic_update_count, a.actor_update_count)
@@ -460,6 +463,27 @@ class TestTrainLoop:
                     x, y = getattr(a, opt), getattr(b, opt)
                     assert y.step_count == x.step_count, (name, opt)
                     assert (y.m.tobytes(), y.v.tobytes()) == (x.m.tobytes(), x.v.tobytes()), (name, opt)
+
+    def test_a_crash_inside_a_snapshot_leaves_the_previous_one_whole(self, tmp_path, monkeypatch):
+        scenario, config, snap_dir = desk_scenario(), tiny_config(episodes=3, seed=3, batch_size=16), tmp_path / "snap"
+        straight = train(scenario, config)
+        savez, pose_writes = np.savez, []
+
+        def crash_in_the_second_pose_buffer_write(file, **arrays):
+            if Path(file).name == "pose_buffer.npz":
+                pose_writes.append(file)
+                if len(pose_writes) == 2:
+                    raise OSError("simulated crash")
+            savez(file, **arrays)
+
+        monkeypatch.setattr(np, "savez", crash_in_the_second_pose_buffer_write)
+        with pytest.raises(OSError, match="simulated crash"):  # the roster and fast buffer of episode 2 are written
+            train(scenario, config, snapshot_dir=snap_dir, snapshot_interval=1)
+        monkeypatch.undo()
+        resumed = train(scenario, config, resume_from=snap_dir)
+        assert [m.as_row() for m in resumed.metrics] == [m.as_row() for m in straight.metrics]
+        assert hdrl.snapshot_episode(snap_dir) == 1  # the snapshot after episode 1, whole
+        assert (snap_dir.parent / "snap.new" / "roster").is_dir()  # the torn one, never read
 
     def test_target_smoothing_run_completes_and_repeats_bit_for_bit(self):
         scenario = desk_scenario()
@@ -617,6 +641,7 @@ class TestRosterCheckpoints:
         loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
         assert [name for name, _ in loaded.all_agents()] == [name for name, _ in roster.all_agents()]
         for (name, a), (_, b) in zip(roster.all_agents(), loaded.all_agents()):
+            b.read_learner_state()
             assert a.critic_update_count > 0
             assert (b.critic_update_count, b.actor_update_count) == (a.critic_update_count, a.actor_update_count)
             for net in NETWORKS:
@@ -659,32 +684,46 @@ class TestRosterCheckpoints:
         tracemalloc.start()
         try:
             loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
-            held = state_bytes(loaded)  # touches every network and moment: the deferred read runs here too
+            for _, agent in loaded.all_agents():
+                agent.read_learner_state()
+            held = state_bytes(loaded)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * held
 
     def test_load_evaluate_and_profile_read_no_learner_state(self, tmp_path, monkeypatch):
-        scenario, config = desk_scenario(), tiny_config(episodes=1)
-        train(scenario, config).roster.save(tmp_path / "roster")
+        scenario, snapshot = desk_scenario(), tmp_path / "snap"
+        train(scenario, tiny_config(episodes=1), snapshot_dir=snapshot, snapshot_interval=1)
         reads = []
         original = np.lib.npyio.NpzFile.__getitem__
 
         def spy(npz, key):
-            reads.append((Path(npz.zip.filename).relative_to(tmp_path / "roster").as_posix(), key))
+            path = Path(npz.zip.filename)
+            if path.name == "state.npz":  # an agent's, not a replay buffer's
+                reads.append((path.relative_to(snapshot / "roster").as_posix(), key))
             return original(npz, key)
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
-        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        loaded = AgentRoster.load(snapshot / "roster", scenario, tiny_config(episodes=1))
         evaluate(loaded, scenario, episodes=1)
         profile_latency(loaded, calls=5)
         assert sorted(reads) == sorted((f"{name}/state.npz", "actor") for name, _ in loaded.all_agents())
+
+        # a resume reads every vector of every agent before it learns
         reads.clear()
-        loaded.pose_agent.critic1  # first use reads that agent's learner state, and only that agent's
-        assert {path for path, _ in reads} == {"sixdma/state.npz"}
-        assert sorted(key for _, key in reads) == sorted([*NETWORKS[1:], *(f"{opt}_{moment}" for opt in OPTIMIZERS
-                                                                            for moment in "mv")])
+        reads_at_each_round = []
+        learn = hdrl._learn
+
+        def spied_learn(*args):
+            reads_at_each_round.append(sorted(reads))
+            return learn(*args)
+
+        monkeypatch.setattr(hdrl, "_learn", spied_learn)
+        train(scenario, tiny_config(episodes=2), resume_from=snapshot)
+        keys = ["actor", *NETWORKS[1:], *(f"{opt}_{moment}" for opt in OPTIMIZERS for moment in "mv")]
+        assert reads_at_each_round[0] == sorted((f"{name}/state.npz", key) for name, _ in loaded.all_agents()
+                                                for key in keys)
 
 
 class TestLatency:

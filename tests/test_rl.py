@@ -392,6 +392,7 @@ class TestCheckpoints:
                                     "opt_critic2_m", "opt_critic2_v"]
             np.testing.assert_array_equal(arrays["opt_critic2_v"], agent.opt_critic2.v)
         loaded = Td3Agent.load(tmp_path / "agent")
+        loaded.read_learner_state()
         assert loaded.critic_update_count == agent.critic_update_count
         for name in NETWORKS:
             for a, b in zip(getattr(agent, name).parameters(), getattr(loaded, name).parameters()):
@@ -405,6 +406,7 @@ class TestCheckpoints:
         agent.soft_update(0.5)
         agent.save(tmp_path / "agent")
         loaded = Td3Agent.load(tmp_path / "agent")
+        loaded.read_learner_state()
         for owner in (agent, loaded):
             for name in NETWORKS:
                 net = getattr(owner, name)
@@ -420,6 +422,7 @@ class TestCheckpoints:
             agent.soft_update()
         agent.save(tmp_path / "agent")
         loaded = Td3Agent.load(tmp_path / "agent")
+        loaded.read_learner_state()
         obs, inputs, targets = rng.normal(size=(8, 4)), rng.normal(size=(8, 6)), rng.normal(size=8)
         for a in (agent, loaded):
             a.critic_update(inputs, targets)
@@ -447,7 +450,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("name", ["actor", "critic2", "opt_actor_v"])
     def test_vector_unlike_its_manifest_is_rejected(self, tmp_path, name):
-        # the actor is checked at load, the learner state at its first use
+        # the actor is checked at load, the learner state when it is read
         make_agent(seed=32).save(tmp_path / "agent")
         path = tmp_path / "agent" / "state.npz"
         with np.load(path) as arrays:
@@ -456,7 +459,7 @@ class TestCheckpoints:
         np.savez(path, **vectors)
         pattern = rf"state.npz holds {name} of shape \({vectors[name].size},\), the manifest implies"
         with pytest.raises(ValueError, match=pattern):
-            Td3Agent.load(tmp_path / "agent").critic_update(np.zeros((2, 6)), np.zeros(2))
+            Td3Agent.load(tmp_path / "agent").read_learner_state()
 
     def test_load_reads_the_actor_and_leaves_the_learner_state_on_disk(self, tmp_path):
         agent = make_agent(seed=34)
@@ -465,26 +468,26 @@ class TestCheckpoints:
         assert set(vars(loaded)) & {"critic1", "target_actor", "opt_actor", "opt_critic2"} == set()
         obs = np.random.default_rng(35).normal(size=4)
         np.testing.assert_array_equal(loaded.select_action(obs), agent.select_action(obs))
-        np.testing.assert_array_equal(loaded.target_critic2.flat, agent.target_critic2.flat)  # first use reads all
+        loaded.read_learner_state()  # reads it all
         assert {"critic1", "target_actor", "opt_actor", "opt_critic2"} <= set(vars(loaded))
+        np.testing.assert_array_equal(loaded.target_critic2.flat, agent.target_critic2.flat)
         np.testing.assert_array_equal(loaded.opt_critic1.m, agent.opt_critic1.m)
 
-    @pytest.mark.parametrize("how", ["replaced", "rewritten_in_place"])
-    def test_a_state_file_changed_after_the_load_is_a_protocol_error(self, tmp_path, how):
+    def test_saving_an_actor_only_agent_is_a_protocol_error(self, tmp_path):
         make_agent(seed=36).save(tmp_path / "agent")
-        make_agent(seed=37).save(tmp_path / "other")
         loaded = Td3Agent.load(tmp_path / "agent")
-        path, data = tmp_path / "agent" / "state.npz", (tmp_path / "other" / "state.npz").read_bytes()
-        if how == "replaced":  # a new file under the old name: a new inode
-            (tmp_path / "new").write_bytes(data)
-            os.replace(tmp_path / "new", path)
-        else:  # same inode; the mtime moves on by a second, past any clock granularity
-            before = os.stat(path)
-            path.write_bytes(data)
-            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
-        with pytest.raises(ProtocolError, match="state.npz changed since its checkpoint was loaded"):
-            loaded.critic_update(np.zeros((2, 6)), np.zeros(2))
-        assert loaded.critic_update_count == 0
+        with pytest.raises(ProtocolError, match="state.npz holds learner state not yet read"):
+            loaded.save(tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
+
+    def test_learner_state_is_read_once(self, tmp_path):
+        make_agent(seed=37).save(tmp_path / "agent")
+        loaded = Td3Agent.load(tmp_path / "agent")
+        loaded.read_learner_state()
+        with pytest.raises(ProtocolError, match="holds its learner state already"):
+            loaded.read_learner_state()
+        with pytest.raises(ProtocolError, match="holds its learner state already"):
+            make_agent(seed=37).read_learner_state()  # a built agent has nothing on disk
 
     def test_save_over_its_own_checkpoint_keeps_every_array(self, tmp_path):
         agent = make_agent(seed=38)
@@ -492,7 +495,9 @@ class TestCheckpoints:
         for _ in range(2):
             agent.critic_update(rng.normal(size=(4, 6)), rng.normal(size=4))
         agent.save(tmp_path / "agent")
-        Td3Agent.load(tmp_path / "agent").save(tmp_path / "agent")
+        loaded = Td3Agent.load(tmp_path / "agent")
+        loaded.read_learner_state()
+        loaded.save(tmp_path / "agent")
         agent.save(tmp_path / "reference")
         with np.load(tmp_path / "agent" / "state.npz") as got, np.load(tmp_path / "reference" / "state.npz") as want:
             assert got.files == want.files
