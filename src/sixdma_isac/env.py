@@ -440,7 +440,7 @@ class IsacEnv:
         delta = np.clip(delta, -cfg.theta_max, cfg.theta_max)
         proposed = self._clamp_center(st.pose.center + np.clip(raw, -1.0, 1.0) * cfg.center_step_limit)
         delta, center = self.apply_scheme_restriction(delta, proposed)
-        pose = geo.SurfacePose(self._clamp_center(center), st.pose.angles + delta)
+        pose = geo.SurfacePose(center, st.pose.angles + delta)
         st.pose = pose
         points = np.vstack([st.uav_positions, st.target_positions])
         ok, worst = geo.half_space_ok(pose, self.layout, points)

@@ -467,13 +467,15 @@ def percentile_leq(values, quantile: float) -> float:
 
 
 def evaluate(roster: AgentRoster, scenario: ScenarioConfig, episodes: int = 20, seeds=None) -> dict:
-    """Noise-free rollouts of a trained roster.
+    """The noise-free rollout of a trained roster, reported per episode.
 
-    Returns one row per episode (mean sum rate, mean sensing SNR,
-    violation counts, the fraction of slots whose mean sensing SNR meets
-    the threshold, and the UAV trajectory) and an aggregate row.  The
-    report is deterministic given the seeds; :func:`profile_latency`
-    measures decision latency.
+    The rollout depends only on the roster, the scenario and the scheme
+    (:meth:`IsacEnv.reset` ignores its seed), so it runs once.  Returns one
+    row per episode, labelled with its seed, each repeating that rollout's
+    mean sum rate, mean sensing SNR, violation counts, the fraction of slots
+    whose mean sensing SNR meets the threshold and its own copy of the UAV
+    trajectory, and an aggregate row.  :func:`profile_latency` measures
+    decision latency.
     """
     if episodes < 1:
         raise ConfigError(f"evaluation needs at least one episode, got {episodes}")
@@ -481,15 +483,12 @@ def evaluate(roster: AgentRoster, scenario: ScenarioConfig, episodes: int = 20, 
         seeds = list(range(episodes))
     if len(seeds) != episodes:
         raise ConfigError("need exactly one seed per evaluation episode")
-    env = IsacEnv(scenario, scheme=roster.scheme)
-    rows = []
-    for episode, seed in enumerate(seeds):
-        sums = _EpisodeSums()
-        trajectory = [scenario.uav_starts.tolist()]  # reset puts every UAV at its start
-        for _ in _rollout(env, roster, sums):
-            trajectory.append(env.state.uav_positions.tolist())
-        physics = sums.physics(scenario.num_slots)
-        rows.append({"episode": episode, "seed": seed, **physics, "trajectory": trajectory})
+    env, sums = IsacEnv(scenario, scheme=roster.scheme), _EpisodeSums()
+    # reset puts every UAV at its start; tolist gives each row its own copy
+    path = np.stack([scenario.uav_starts, *(env.state.uav_positions.copy() for _ in _rollout(env, roster, sums))])
+    physics = sums.physics(scenario.num_slots)
+    rows = [{"episode": episode, "seed": seed, **physics, "trajectory": path.tolist()}
+            for episode, seed in enumerate(seeds)]
     aggregate = {key: float(np.mean([row[key] for row in rows])) for key in physics}  # every row has these keys
     return {"scheme": roster.scheme, "episodes": episodes, "seeds": list(seeds), "rows": rows, "aggregate": aggregate}
 

@@ -17,6 +17,9 @@ parameter gradients, written into one flat vector in the ``flat`` layout,
 and/or the gradient with respect to the network input.  Dropping the input
 gradient skips the first layer's ``g @ W0``; dropping the parameter
 gradients skips every weight and bias product.
+
+``Mlp.forward`` keeps no cache (``forward_cached`` feeds ``backward``): one
+pass applying each activation in place, where a vector in gives a vector out.
 """
 
 from __future__ import annotations
@@ -139,19 +142,28 @@ class Mlp:
         """Total parameter count: sum of d_in*d_out + d_out over layers."""
         return self.flat.size
 
-    def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _check_input(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
-        squeezed = arr.ndim == 1
-        if squeezed:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.input_dim:
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.input_dim:
             raise ValueError(f"expected input dim {self.input_dim}, got shape {arr.shape}")
-        return arr, squeezed
+        return arr
 
     def forward(self, x) -> np.ndarray:
-        out, cache = self.forward_cached(x)
-        self.release(cache, keep=cache[1][-1])
-        return out
+        """Output for ``x`` without a cache: a vector gives a vector, a
+        (batch, in) matrix a (batch, out) one.  ``x`` is never written."""
+        h = self._check_input(x)
+        pooled = h.ndim == 2 and h.shape[0] * self._widest >= POOL_MIN  # as in forward_cached
+        for k, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+            z = np.matmul(h, w.T, out=scratch.take((h.shape[0], w.shape[0]))) if pooled else h @ w.T
+            z += b
+            if act == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif act == "tanh":
+                np.tanh(z, out=z)
+            if pooled and k > 0:
+                scratch.give(h)
+            h = z
+        return h
 
     def forward_cached(self, x):
         """Forward pass returning (output, cache) for a later backward.
@@ -161,10 +173,13 @@ class Mlp:
         a single vector.  Hand its arrays back with :meth:`release` once
         the backward pass is done.
         """
-        arr, squeezed = self._check_input(x)
+        arr = self._check_input(x)
+        squeezed = arr.ndim == 1
+        if squeezed:
+            arr = arr[None, :]
         rows = arr.shape[0]
         # Work arrays come from the pool only when the widest layer reaches
-        # POOL_MIN elements; small calls (batch-1 inference) allocate plainly.
+        # POOL_MIN elements; small calls allocate plainly.
         pooled = rows * self._widest >= POOL_MIN
         pre: list[np.ndarray] = []
         post: list[np.ndarray] = [arr]
@@ -240,18 +255,14 @@ class Mlp:
             return grads, None
         return grads, g[0] if squeezed else g
 
-    def release(self, cache, keep=None) -> None:
-        """Give a spent cache's work arrays back to :data:`scratch`.
-
-        ``keep`` (an activation the caller still uses, such as the output)
-        stays out.  The cache is emptied, so a second release does nothing.
-        """
+    def release(self, cache) -> None:
+        """Give a spent cache's work arrays, its output among them, back to
+        :data:`scratch`.  The cache is emptied, so a second release does nothing."""
         pre, post, _ = cache
         if pre and pre[0].shape[0] * self._widest >= POOL_MIN:  # else nothing came from the pool
             for z, h in zip(pre, post[1:]):
-                if z is not keep:
-                    scratch.give(z)
-                if h is not z and h is not keep:
+                scratch.give(z)
+                if h is not z:
                     scratch.give(h)
         pre.clear()
         post.clear()

@@ -204,7 +204,8 @@ class Td3Agent:
         if noise_std > 0.0:
             if rng is None:
                 raise ValueError("exploration noise requires an rng")
-            action = np.clip(action + rng.normal(0.0, noise_std, size=action.shape), -1.0, 1.0)
+            action += rng.normal(0.0, noise_std, size=action.shape)
+            np.minimum(np.maximum(action, -1.0, out=action), 1.0, out=action)
         return action
 
     def target_actions(self, next_obs, rng: np.random.Generator | None = None) -> np.ndarray:

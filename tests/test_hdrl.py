@@ -551,6 +551,40 @@ class TestTrainLoop:
             )
 
 
+def hand_driven_rollout(roster, scenario, seed):
+    """The noise-free evaluation row of ``roster`` without its episode and
+    seed labels, driven slot by slot through the env's public calls."""
+    env = IsacEnv(scenario, scheme=roster.scheme)
+    env.reset(seed=seed)
+    obs = env.observations()
+    trajectory = [env.state.uav_positions.tolist()]
+    rate = snr = reward_beam = 0.0
+    feasible = collisions = blockages = 0
+    for _ in range(scenario.num_slots):
+        if env.is_pose_slot():
+            action = roster.pose_agent.select_action(obs.sixdma)
+            blockages += env.apply_6dma_action(action[:3] * scenario.theta_max, action[3:]).epsilon2
+        uav_actions = np.stack([agent.select_action(obs.uav[m]) for m, agent in enumerate(roster.uav_agents)])
+        outcome = env.step_slot(uav_actions, roster.beam_agent.select_action(obs.beam))
+        obs = env.observations()
+        trajectory.append(env.state.uav_positions.tolist())
+        rate += outcome.metrics.sum_rate
+        snr += outcome.mean_target_snr
+        feasible += int(outcome.mean_target_snr >= scenario.gamma_min)
+        collisions += outcome.epsilon1
+        reward_beam += outcome.reward_beam
+    k = scenario.num_slots
+    return {
+        "sum_rate": rate / k,
+        "mean_snr": snr / k,
+        "snr_feasible_fraction": feasible / k,
+        "collisions": collisions,
+        "blockages": blockages,
+        "reward_beam": reward_beam,
+        "trajectory": trajectory,
+    }
+
+
 @pytest.fixture(scope="module")
 def trained():
     scenario = desk_scenario()
@@ -577,39 +611,27 @@ class TestEvaluate:
         assert reads == []
 
     def test_row_equals_a_hand_driven_rollout(self, trained):
-        roster, scenario = trained.roster, trained.scenario
-        row = evaluate(roster, scenario, episodes=1, seeds=[7])["rows"][0]
-        env = IsacEnv(scenario, scheme=roster.scheme)
-        env.reset(seed=7)
-        obs = env.observations()
-        trajectory = [env.state.uav_positions.tolist()]
-        rate = snr = reward_beam = 0.0
-        feasible = collisions = blockages = 0
-        for _ in range(scenario.num_slots):
-            if env.is_pose_slot():
-                action = roster.pose_agent.select_action(obs.sixdma)
-                blockages += env.apply_6dma_action(action[:3] * scenario.theta_max, action[3:]).epsilon2
-            uav_actions = np.stack([agent.select_action(obs.uav[m]) for m, agent in enumerate(roster.uav_agents)])
-            outcome = env.step_slot(uav_actions, roster.beam_agent.select_action(obs.beam))
-            obs = env.observations()
-            trajectory.append(env.state.uav_positions.tolist())
-            rate += outcome.metrics.sum_rate
-            snr += outcome.mean_target_snr
-            feasible += int(outcome.mean_target_snr >= scenario.gamma_min)
-            collisions += outcome.epsilon1
-            reward_beam += outcome.reward_beam
-        k = scenario.num_slots
-        assert row == {
-            "episode": 0,
-            "seed": 7,
-            "sum_rate": rate / k,
-            "mean_snr": snr / k,
-            "snr_feasible_fraction": feasible / k,
-            "collisions": collisions,
-            "blockages": blockages,
-            "reward_beam": reward_beam,
-            "trajectory": trajectory,
-        }
+        row = evaluate(trained.roster, trained.scenario, episodes=1, seeds=[7])["rows"][0]
+        assert row == {"episode": 0, "seed": 7, **hand_driven_rollout(trained.roster, trained.scenario, seed=7)}
+
+    def test_every_seed_repeats_the_hand_driven_rollout(self, trained):
+        expected = hand_driven_rollout(trained.roster, trained.scenario, seed=0)
+        rows = evaluate(trained.roster, trained.scenario, episodes=3, seeds=[7, 0, 13])["rows"]
+        assert rows == [{"episode": k, "seed": seed, **expected} for k, seed in enumerate([7, 0, 13])]
+
+    def test_the_rollout_runs_once_for_any_number_of_episodes(self, trained, monkeypatch):
+        calls = []
+        step_slot = IsacEnv.step_slot
+        monkeypatch.setattr(IsacEnv, "step_slot", lambda env, *args: calls.append(1) or step_slot(env, *args))
+        report = evaluate(trained.roster, trained.scenario, episodes=5)
+        assert len(calls) == trained.scenario.num_slots and len(report["rows"]) == 5
+
+    def test_each_row_owns_its_trajectory(self, trained):
+        rows = evaluate(trained.roster, trained.scenario, episodes=3)["rows"]
+        untouched = copy.deepcopy(rows[1:])
+        rows[0]["trajectory"][1][0][2] += 1.0
+        rows[0]["trajectory"].append([])
+        assert rows[1:] == untouched
 
     def test_trajectories_have_full_length(self, trained):
         report = evaluate(trained.roster, trained.scenario, episodes=1)

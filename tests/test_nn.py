@@ -8,6 +8,7 @@ from sixdma_isac.nn import (
     finite_difference_gradients,
     flatten_grads,
     max_relative_gradient_error,
+    scratch,
 )
 
 
@@ -213,6 +214,47 @@ class TestScratchPool:
             net.forward(rng.normal(size=(self.ROWS, 8)))
         np.testing.assert_array_equal(y, held[0])
         np.testing.assert_array_equal(input_grad, held[1])
+
+
+class TestCachelessForward:
+    # relu, tanh and linear layers; 128 rows reach POOL_MIN, 3 rows and a vector do not.
+    # The pooled input reaches POOL_MIN in the first layer's output shape, so a
+    # forward that handed its input to the pool would grow the pool.
+    DIMS, ACTS = [160, 160, 120, 4], ["relu", "tanh", "linear"]
+    SHAPES = [(160,), (3, 160), (128, 160)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["vector", "small_batch", "pooled_batch"])
+    def test_equals_the_cached_forward_bit_for_bit(self, shape):
+        net = make_net(self.DIMS, self.ACTS, seed=41)
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            x = rng.normal(size=shape)
+            expected, cache = net.forward_cached(x)
+            expected = expected.copy()
+            net.release(cache)
+            out = net.forward(x)
+            assert out.shape == shape[:-1] + (4,)
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["vector", "small_batch", "pooled_batch"])
+    def test_never_writes_into_its_input(self, shape):
+        net = make_net(self.DIMS, self.ACTS, seed=43)
+        x = np.random.default_rng(44).normal(size=shape)
+        held = x.copy()
+        x.flags.writeable = False  # a write would raise
+        net.forward(x)
+        net.forward(x)
+        np.testing.assert_array_equal(x, held)
+
+    def test_pooled_calls_keep_the_pool_the_same_size(self):
+        net = make_net(self.DIMS, self.ACTS, seed=45)
+        rng = np.random.default_rng(46)
+        assert 128 * max(self.DIMS[1:]) >= POOL_MIN
+        net.forward(rng.normal(size=(128, 160)))
+        sizes = {shape: len(stack) for shape, stack in scratch._free.items()}
+        for _ in range(5):
+            net.forward(rng.normal(size=(128, 160)))
+            assert {shape: len(stack) for shape, stack in scratch._free.items()} == sizes
 
 
 def assert_params_alias_flat(net):

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.errors import ConfigError, ProtocolError
 from sixdma_isac.nn import Mlp
@@ -48,6 +51,17 @@ class TestSelectAction:
         for _ in range(1000):
             a = agent.select_action(obs, noise_std=2.0, rng=rng)
             assert np.all(a >= -1.0) and np.all(a <= 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        std=st.floats(1e-3, 3.0),
+        obs=hnp.arrays(np.float64, 4, elements=st.floats(-50.0, 50.0)),
+    )
+    def test_noisy_action_is_the_clipped_sum_of_output_and_draw(self, seed, std, obs):
+        agent = make_agent()
+        expected = np.clip(agent.actor.forward(obs) + np.random.default_rng(seed).normal(0.0, std, size=2), -1.0, 1.0)
+        np.testing.assert_array_equal(agent.select_action(obs, std, np.random.default_rng(seed)), expected)
 
     def test_inner_components_not_rescaled(self):
         agent = make_agent()
