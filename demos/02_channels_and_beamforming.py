@@ -10,7 +10,7 @@ import numpy as np
 
 from sixdma_isac import (
     SurfacePose,
-    channel_vector,
+    channel_matrix,
     db_to_linear,
     dbm_to_watts,
     global_antenna_positions,
@@ -32,8 +32,8 @@ antennas = global_antenna_positions(pose, layout)
 receivers = np.array([[12.0, -8.0, 24.0], [18.0, 10.0, 26.0]])
 targets = np.array([[8.0, 2.0, 22.0], [12.0, -4.0, 24.0]])
 
-h_rx = np.stack([channel_vector(pose.center, p, antennas, wavelength) for p in receivers])
-h_tg = np.stack([channel_vector(pose.center, p, antennas, wavelength) for p in targets])
+h_rx = channel_matrix(pose.center, receivers, antennas, wavelength)
+h_tg = channel_matrix(pose.center, targets, antennas, wavelength)
 print("per-entry channel amplitude for receiver 0:", abs(h_rx[0, 0]))
 print("free-space prediction:", wavelength / (4 * np.pi * np.linalg.norm(receivers[0] - pose.center)))
 

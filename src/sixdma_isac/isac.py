@@ -74,23 +74,6 @@ def sensing_snr(channels_target, precoder, sigma_s_sq: float) -> np.ndarray:
     return (np.abs(h @ w) ** 2).sum(axis=1) / sigma_s_sq
 
 
-def sensing_snr_quadratic(channels_target, precoder, sigma_s_sq: float) -> np.ndarray:
-    """Sensing SNR via the transmit covariance quadratic form.
-
-    Forms C = sum_m w_m w_m^H explicitly and evaluates h_j C h_j^H; equal
-    to :func:`sensing_snr` up to rounding, kept as the second evaluation
-    path for cross-checking.
-    """
-    h = np.asarray(channels_target, dtype=complex)
-    w = np.asarray(precoder, dtype=complex)
-    _check_dims(h, w)
-    if sigma_s_sq <= 0:
-        raise ValueError("sigma_s_sq must be positive")
-    cov = w @ w.conj().T
-    values = np.einsum("jn,nk,jk->j", h, cov, h.conj())
-    return values.real / sigma_s_sq
-
-
 def tx_power(precoder) -> float:
     """Total transmit power sum_m ||w_m||^2 in watts."""
     w = np.asarray(precoder, dtype=complex)

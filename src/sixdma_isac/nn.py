@@ -337,57 +337,3 @@ class Adam:
             d *= self.lr
             d /= t
             p -= d
-
-
-def flatten_grads(grads) -> list[np.ndarray]:
-    out = []
-    for dw, db in grads:
-        out.extend([dw, db])
-    return out
-
-
-def finite_difference_gradients(net: Mlp, x, upstream, h: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradients of sum(upstream * output) per parameter.
-
-    Independent of :meth:`Mlp.backward`; used as the reference when
-    checking the analytic gradients.
-    """
-    arr = np.asarray(x, dtype=float)
-    up = np.asarray(upstream, dtype=float)
-
-    def loss() -> float:
-        return float(np.sum(net.forward(arr) * up))
-
-    fd = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            plus = loss()
-            p[idx] = orig - h
-            minus = loss()
-            p[idx] = orig
-            g[idx] = (plus - minus) / (2.0 * h)
-            it.iternext()
-        fd.append(g)
-    return fd
-
-
-def max_relative_gradient_error(net: Mlp, x, upstream, h: float = 1e-5) -> float:
-    """Worst-case elementwise mismatch between analytic and FD gradients.
-
-    Each element is compared as |a - f| / max(|a|, |f|, 1e-6) so that
-    near-zero gradients do not inflate the ratio.
-    """
-    out, cache = net.forward_cached(x)
-    grads, _ = net.backward(cache, np.broadcast_to(np.asarray(upstream, dtype=float), np.shape(out)))
-    analytic = flatten_grads(grads)
-    reference = finite_difference_gradients(net, x, upstream, h=h)
-    worst = 0.0
-    for a, f in zip(analytic, reference):
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - f) / scale)))
-    return worst

@@ -16,8 +16,9 @@ from sixdma_isac import isac
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
 from sixdma_isac.harness import ExperimentSpec, cmd_train
 from sixdma_isac.hdrl import desk_train_config, evaluate, profile_latency, train
-from sixdma_isac.nn import max_relative_gradient_error
 from sixdma_isac.rl import Td3Agent
+
+from oracles import max_relative_gradient_error, oracle_sensing, oracle_sinr, sensing_snr_quadratic
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -71,30 +72,6 @@ def test_criterion_1_geometry_suite():
 
 
 # --------------------------------------------------------------- criterion 2
-def _oracle_sinr(channels, precoder, noise):
-    m_count, n_count = channels.shape
-    out = []
-    for m in range(m_count):
-        sig = abs(sum(precoder[n, m].conjugate() * channels[m, n] for n in range(n_count))) ** 2
-        interf = 0.0
-        for i in range(m_count):
-            if i != m:
-                interf += abs(sum(precoder[n, i].conjugate() * channels[m, n] for n in range(n_count))) ** 2
-        out.append(sig / (interf + noise))
-    return np.array(out)
-
-
-def _oracle_sensing(channels, precoder, noise):
-    j_count, n_count = channels.shape
-    out = []
-    for j in range(j_count):
-        total = 0.0
-        for m in range(precoder.shape[1]):
-            total += abs(sum(channels[j, n] * precoder[n, m] for n in range(n_count))) ** 2
-        out.append(total / noise)
-    return np.array(out)
-
-
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(7)
     worst_sinr = worst_rate = worst_snr = worst_paths = 0.0
@@ -107,15 +84,15 @@ def test_criterion_2_oracle_equivalence():
         w = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
         noise = float(rng.uniform(1e-9, 1e-6))
         got_sinr = isac.sinr(h_c, w, noise)
-        want_sinr = _oracle_sinr(h_c, w, noise)
+        want_sinr = oracle_sinr(h_c, w, noise)
         worst_sinr = max(worst_sinr, float(np.max(np.abs(got_sinr - want_sinr) / np.abs(want_sinr))))
         got_rate = isac.sum_rate(got_sinr)
         want_rate = float(sum(np.log2(1.0 + g) for g in want_sinr))
         worst_rate = max(worst_rate, abs(got_rate - want_rate) / max(abs(want_rate), 1e-300))
         got_snr = isac.sensing_snr(h_s, w, noise)
-        want_snr = _oracle_sensing(h_s, w, noise)
+        want_snr = oracle_sensing(h_s, w, noise)
         worst_snr = max(worst_snr, float(np.max(np.abs(got_snr - want_snr) / np.abs(want_snr))))
-        quad = isac.sensing_snr_quadratic(h_s, w, noise)
+        quad = sensing_snr_quadratic(h_s, w, noise)
         worst_paths = max(worst_paths, float(np.max(np.abs(quad - got_snr) / np.abs(got_snr))))
     ok = worst_sinr < 1e-9 and worst_rate < 1e-9 and worst_snr < 1e-9 and worst_paths < 1e-10
     report(

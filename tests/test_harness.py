@@ -375,14 +375,20 @@ class TestTrainCommand:
         record = json.loads(lines[0])
         assert record["episode"] == 0 and record["slot"] == 0
 
-    def test_worker_count_env(self, monkeypatch):
+    def test_worker_count_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.delenv("SIXDMA_ISAC_WORKERS", raising=False)
         assert worker_count() == 1
         monkeypatch.setenv("SIXDMA_ISAC_WORKERS", "3")
         assert worker_count() == 3
-        monkeypatch.setenv("SIXDMA_ISAC_WORKERS", "junk")
-        with pytest.raises(ConfigError):
-            worker_count()
+        for raw in ("junk", "0", "-1"):
+            monkeypatch.setenv("SIXDMA_ISAC_WORKERS", raw)
+            with pytest.raises(ConfigError):
+                worker_count()
+            # a usage error before the output directory is made
+            out = tmp_path / f"runs{raw}"
+            assert main(["train", "--preset", "desk", "--episodes", "1", "--out", str(out)]) == 1
+            assert "SIXDMA_ISAC_WORKERS" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_multi_worker_dispatch(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIXDMA_ISAC_WORKERS", "2")
@@ -403,6 +409,56 @@ def trained_dir(tmp_path_factory):
     spec = tiny_spec(tmp_path, schemes=(1, 5))
     cmd_train(spec)
     return spec
+
+
+@pytest.fixture(scope="module")
+def swept_dir(tmp_path_factory):
+    """Trained, evaluated, compared and profiled runs of a T_r sweep: every
+    whole-file output of the harness exists once."""
+    spec = tiny_spec(tmp_path_factory.mktemp("swept"), schemes=(1, 5), sweep_tr=(5, 10))
+    cmd_train(spec)
+    cmd_eval(spec)
+    cmd_compare(spec)
+    cmd_profile(spec.out_dir / "scheme1_seed0_tr5", calls=10)
+    return spec
+
+
+class TestWholeFileWrites:
+    COMMANDS = {
+        "metrics.csv": cmd_train,
+        "manifest.json": cmd_train,
+        "eval_report.json": cmd_eval,
+        "profile.json": lambda spec: cmd_profile(spec.out_dir / "scheme1_seed0_tr5", calls=10),
+        "comparison.csv": cmd_compare,
+        "sweep_tr.csv": cmd_compare,
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_write_that_fails_midway_leaves_the_previous_file(self, swept_dir, tmp_path, monkeypatch, name):
+        spec = replace(swept_dir, out_dir=tmp_path / "runs")
+        shutil.copytree(swept_dir.out_dir, spec.out_dir)
+
+        def harness_file(path):  # an agent checkpoint's own manifest.json is not one
+            return path.name in (name, name + ".tmp") and "checkpoints" not in path.parts
+
+        def contents():
+            return {path: path.read_bytes() for path in spec.out_dir.rglob(name) if harness_file(path)}
+
+        before = contents()
+        assert before
+        write_text = Path.write_text
+
+        def torn(path, text, *args, **kwargs):
+            if harness_file(path):  # half the bytes land, then the write fails
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("injected write fault")
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="injected write fault"):
+            self.COMMANDS[name](spec)
+        assert contents() == before
+        assert list(spec.out_dir.rglob("*.tmp")) == []
 
 
 class TestEvalCompareProfile:

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from sixdma_isac.nn import (
-    POOL_MIN,
-    Adam,
-    Mlp,
-    finite_difference_gradients,
-    flatten_grads,
-    max_relative_gradient_error,
-    scratch,
-)
+from sixdma_isac.nn import POOL_MIN, Adam, Mlp, scratch
+
+from oracles import finite_difference_gradients, flatten_grads, max_relative_gradient_error
 
 
 def make_net(dims, acts, seed=0, final_scale=1.0):
