@@ -474,16 +474,13 @@ class IsacEnv:
         m = self.config.num_uavs
         return rows[:m], rows[m:]
 
-    def set_precoder_action(self, beam_action) -> None:
-        """Install the precoder from raw [-1, 1] outputs.
+    def _raw_precoder(self, beam_action) -> np.ndarray:
+        """The (N, M) precoder of raw [-1, 1] outputs, before projection.
 
         Entries interleave (re, im) per antenna, per stream; the scale is
         chosen so a fully saturated action meets the power budget exactly.
-        Physics uses the power-projected matrix while the raw power is
-        kept for the over-budget penalty.
         """
         cfg = self.config
-        st = self._require_state()
         n, m = cfg.num_antennas, cfg.num_uavs
         raw = np.asarray(beam_action, dtype=float)
         if raw.shape != (2 * n * m,):
@@ -492,9 +489,7 @@ class IsacEnv:
             raise ValueError("beam action contains non-finite entries")
         scale = np.sqrt(cfg.p_max / (2 * n * m))
         entries = scale * (raw[0::2] + 1j * raw[1::2])
-        w = entries.reshape(m, n).T  # stream-major raw layout -> (N, M)
-        st.precoder_raw = w
-        st.precoder = isac.project_power(w, cfg.p_max)
+        return entries.reshape(m, n).T  # stream-major raw layout -> (N, M)
 
     def step_metrics(self) -> isac.LinkMetrics:
         """All link metrics for the current state (projected precoder)."""
@@ -572,15 +567,22 @@ class IsacEnv:
 
     # ------------------------------------------------------------ stepping
     def step_slot(self, uav_actions, beam_action) -> StepOutcome:
-        """Advance one slot: move UAVs, install the precoder, score it."""
+        """Advance one slot: move UAVs, install the precoder, score it.
+
+        Both actions are checked before any state changes: a refused one
+        leaves the positions, the precoder and the slot as they were.
+        Physics uses the power-projected precoder, while the raw one's power
+        is kept for the over-budget penalty.
+        """
         cfg = self.config
         st = self._require_state()
         if st.slot >= cfg.num_slots:
             raise ProtocolError("episode is over; reset() to continue")
         slot = st.slot
         prev_positions = st.uav_positions.copy()
-        move = self.apply_uav_actions(uav_actions)
-        self.set_precoder_action(beam_action)
+        w = self._raw_precoder(beam_action)
+        move = self.apply_uav_actions(uav_actions)  # checks every UAV before it moves one
+        st.precoder_raw, st.precoder = w, isac.project_power(w, cfg.p_max)
         metrics = self.step_metrics()
         raw_power = isac.tx_power(st.precoder_raw)
         prev_dist = np.linalg.norm(prev_positions - cfg.uav_ends, axis=1)

@@ -42,6 +42,7 @@ from .hdrl import (
     train,
     train_config_from_dict,
 )
+from .rl import staged_file, write_whole
 
 WORKERS_ENV_VAR = "SIXDMA_ISAC_WORKERS"
 
@@ -160,18 +161,6 @@ def content_hash(scenario: ScenarioConfig, train_cfg: TrainConfig) -> str:
 
 
 # ------------------------------------------------------------------ file io
-def _write_whole(path, text: str) -> None:
-    """Write ``text`` to ``<path>.tmp`` and rename it over ``path``: a crash
-    mid-write leaves the previous file (or none), never a torn one."""
-    path = Path(path)
-    staged = path.with_name(path.name + ".tmp")
-    try:
-        staged.write_text(text)
-        os.replace(staged, path)
-    finally:
-        staged.unlink(missing_ok=True)
-
-
 _COLUMN_TYPES = tuple(get_type_hints(EpisodeMetrics).values())
 
 
@@ -181,7 +170,7 @@ def write_metrics_csv(path, metrics) -> None:
     for m in metrics:
         cells = (repr(float(v)) if kind is float else str(int(v)) for kind, v in zip(_COLUMN_TYPES, m.as_row()))
         lines.append(",".join(cells))
-    _write_whole(path, "\n".join(lines) + "\n")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def read_metrics_csv(path) -> list[EpisodeMetrics]:
@@ -227,8 +216,6 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
     finally:
         if log_stream is not None:
             log_stream.close()
-    write_metrics_csv(run_dir / "metrics.csv", result.metrics)
-    result.roster.save(run_dir / "checkpoints")
     manifest = {
         "name": run.name,
         "scheme": run.train.scheme,
@@ -239,7 +226,14 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
         "episodes": len(result.metrics),
         "status": "complete",
     }
-    _write_whole(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+    # The new manifest is staged first and renamed into place last.  The old
+    # one is retired before metrics.csv or a checkpoint file is replaced, so
+    # a run cut in between has no manifest: eval refuses it, --resume retrains it.
+    with staged_file(manifest_path) as staged:
+        staged.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        manifest_path.unlink(missing_ok=True)
+        write_metrics_csv(run_dir / "metrics.csv", result.metrics)
+        result.roster.save(run_dir / "checkpoints")
     return {"name": run.name, "status": "trained"}
 
 
@@ -309,7 +303,7 @@ def cmd_eval(spec: ExperimentSpec, run_dirs=None) -> list[dict]:
             raise FileNotFoundError(f"run {run_dir} has no manifest; train it first")
         _, scenario, _, roster = _load_actors(run_dir)
         report = evaluate(roster, scenario, episodes=spec.eval_episodes)
-        _write_whole(run_dir / "eval_report.json", json.dumps(report, indent=2))
+        write_whole(run_dir / "eval_report.json", json.dumps(report, indent=2))
         reports.append({"run": run_dir.name, **report["aggregate"]})
     return reports
 
@@ -356,7 +350,7 @@ def cmd_compare(spec: ExperimentSpec) -> dict:
             f"{scheme},{entry['converged_sum_rate']!r},{entry['converged_mean_snr']!r},{entry['n_seeds']}"
         )
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_whole(spec.out_dir / "comparison.csv", "\n".join(table_lines) + "\n")
+    write_whole(spec.out_dir / "comparison.csv", "\n".join(table_lines) + "\n")
 
     if spec.sweep_pmax or spec.sweep_tr:
         axis_name, filename = ("p_max", "sweep_pmax.csv") if spec.sweep_pmax else ("t_r", "sweep_tr.csv")
@@ -368,8 +362,8 @@ def cmd_compare(spec: ExperimentSpec) -> dict:
                 point_scores = by_point[value] if len(by_point) > 1 else next(iter(by_point.values()))
                 series[scheme].append(float(np.median([rate for rate, _ in point_scores])))
             lines.append(",".join([repr(float(value))] + [repr(series[s][-1]) for s in spec.schemes]))
-        _write_whole(spec.out_dir / filename, "\n".join(lines) + "\n")
-        _write_whole(spec.out_dir / "render_plots.py", RENDER_SCRIPT)
+        write_whole(spec.out_dir / filename, "\n".join(lines) + "\n")
+        write_whole(spec.out_dir / "render_plots.py", RENDER_SCRIPT)
         result["sweep"] = {"axis": axis_name, "values": values, "series": series}
     return result
 
@@ -415,7 +409,7 @@ def cmd_profile(run_dir, calls: int = 10_000) -> list[dict]:
     run_dir = Path(run_dir)
     _, _, _, roster = _load_actors(run_dir)
     rows = profile_latency(roster, calls=calls)
-    _write_whole(run_dir / "profile.json", json.dumps(rows, indent=2))
+    write_whole(run_dir / "profile.json", json.dumps(rows, indent=2))
     return rows
 
 

@@ -39,7 +39,15 @@ import numpy as np
 
 from .env import SCHEMES, IsacEnv, ScenarioConfig
 from .errors import ConfigError, real_number, whole_number
-from .rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_ranges, check_version
+from .rl import (
+    CHECKPOINT_VERSION,
+    NoiseSchedule,
+    ReplayBuffer,
+    Td3Agent,
+    check_ranges,
+    check_version,
+    write_whole,
+)
 
 UAV_OBS_DIM = 10
 UAV_ACT_DIM = 4
@@ -160,7 +168,7 @@ class AgentRoster:
         for name, agent in self.all_agents():
             agent.save(directory / name)
         manifest = {"version": CHECKPOINT_VERSION, "scheme": self.scheme, "num_uavs": self.num_uavs}
-        (directory / "roster.json").write_text(json.dumps(manifest, indent=2))
+        write_whole(directory / "roster.json", json.dumps(manifest, indent=2))
 
     @classmethod
     def load(cls, directory, scenario: ScenarioConfig, config: TrainConfig) -> "AgentRoster":

@@ -18,8 +18,10 @@ and/or the gradient with respect to the network input.  Dropping the input
 gradient skips the first layer's ``g @ W0``; dropping the parameter
 gradients skips every weight and bias product.
 
-``Mlp.forward`` keeps no cache (``forward_cached`` feeds ``backward``): one
-pass applying each activation in place, where a vector in gives a vector out.
+``Mlp.forward`` and ``Mlp.forward_cached`` run one layer loop that applies
+each activation in place.  ``forward`` keeps no cache, and a vector in gives
+a vector out; ``forward_cached`` keeps each layer's output for ``backward``,
+which takes every activation's slope from the output alone.
 """
 
 from __future__ import annotations
@@ -148,11 +150,13 @@ class Mlp:
             raise ValueError(f"expected input dim {self.input_dim}, got shape {arr.shape}")
         return arr
 
-    def forward(self, x) -> np.ndarray:
-        """Output for ``x`` without a cache: a vector gives a vector, a
-        (batch, in) matrix a (batch, out) one.  ``x`` is never written."""
-        h = self._check_input(x)
-        pooled = h.ndim == 2 and h.shape[0] * self._widest >= POOL_MIN  # as in forward_cached
+    def _layers(self, h: np.ndarray, outputs: list | None) -> np.ndarray:
+        """The one layer loop: the output for ``h``, each activation applied
+        in place.  Each layer's output is appended to ``outputs``; without
+        that list, each spent intermediate goes back to :data:`scratch`.
+        Work arrays come from the pool only when the widest layer reaches
+        POOL_MIN elements; small calls allocate plainly."""
+        pooled = h.ndim == 2 and h.shape[0] * self._widest >= POOL_MIN
         for k, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             z = np.matmul(h, w.T, out=scratch.take((h.shape[0], w.shape[0]))) if pooled else h @ w.T
             z += b
@@ -160,46 +164,39 @@ class Mlp:
                 np.maximum(z, 0.0, out=z)
             elif act == "tanh":
                 np.tanh(z, out=z)
-            if pooled and k > 0:
+            if outputs is not None:
+                outputs.append(z)
+            elif pooled and k > 0:
                 scratch.give(h)
             h = z
         return h
 
+    def forward(self, x) -> np.ndarray:
+        """Output for ``x`` without a cache: a vector gives a vector, a
+        (batch, in) matrix a (batch, out) one.  ``x`` is never written."""
+        return self._layers(self._check_input(x), None)
+
     def forward_cached(self, x):
         """Forward pass returning (output, cache) for a later backward.
 
-        The cache is ``(pre, post, squeezed)``: per-layer pre-activations,
-        the input followed by per-layer activations, and whether ``x`` was
-        a single vector.  Hand its arrays back with :meth:`release` once
-        the backward pass is done.
+        The cache is ``(outputs, squeezed)``: the input followed by every
+        layer's output, and whether ``x`` was a single vector.  Hand its
+        arrays back with :meth:`release` once the backward pass is done.
         """
         arr = self._check_input(x)
         squeezed = arr.ndim == 1
         if squeezed:
             arr = arr[None, :]
-        rows = arr.shape[0]
-        # Work arrays come from the pool only when the widest layer reaches
-        # POOL_MIN elements; small calls allocate plainly.
-        pooled = rows * self._widest >= POOL_MIN
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [arr]
-        h = arr
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = np.matmul(h, w.T, out=scratch.take((rows, w.shape[0]))) if pooled else h @ w.T
-            z += b
-            if act == "relu":
-                h = np.maximum(z, 0.0, out=scratch.take(z.shape)) if pooled else np.maximum(z, 0.0)
-            elif act == "tanh":
-                h = np.tanh(z, out=scratch.take(z.shape)) if pooled else np.tanh(z)
-            else:
-                h = z
-            pre.append(z)
-            post.append(h)
-        out = h[0] if squeezed else h
-        return out, (pre, post, squeezed)
+        outputs = [arr]
+        h = self._layers(arr, outputs)
+        return (h[0] if squeezed else h), (outputs, squeezed)
 
     def backward(self, cache, upstream, param_grads: bool = True, input_grad: bool = True, out=None):
         """Backpropagate ``upstream`` (dLoss/dOutput) through the cache.
+
+        Each activation's slope comes from its layer's output: ``1 - y**2``
+        for tanh, and ``y > 0`` for ReLU, which holds exactly where the
+        pre-activation is positive (for -0.0 and NaN too).
 
         Returns ``(grads, input_grad)``.  ``grads`` is a list of (dW, db)
         pairs aligned with the layers, views into ``out`` (a vector shaped
@@ -209,11 +206,11 @@ class Mlp:
         """
         if not (param_grads or input_grad):
             raise ValueError("backward needs parameter gradients, the input gradient or both")
-        pre, post, squeezed = cache
+        outputs, squeezed = cache
         g = np.asarray(upstream, dtype=float)
         if squeezed:
             g = g[None, :]
-        if g.shape != (post[0].shape[0], self.output_dim):
+        if g.shape != (outputs[0].shape[0], self.output_dim):
             raise ValueError(f"upstream gradient shape {g.shape} does not match output")
         grads = None
         if param_grads:
@@ -224,15 +221,15 @@ class Mlp:
             views = _views(out, self._spans)
             grads = list(zip(views[0::2], views[1::2]))
         rows = g.shape[0]
-        pooled = rows * self._widest >= POOL_MIN  # as in forward_cached
+        pooled = rows * self._widest >= POOL_MIN  # as in _layers
         owned = False  # g may still be the caller's array; never write into it
         for k in range(len(self.weights) - 1, -1, -1):
             act = self.activations[k]
             if act != "linear":
                 if act == "relu":
-                    slope = pre[k] > 0.0
+                    slope = outputs[k + 1] > 0.0
                 else:
-                    slope = np.square(post[k + 1])
+                    slope = np.square(outputs[k + 1])
                     np.subtract(1.0, slope, out=slope)
                 if owned:
                     g *= slope
@@ -241,7 +238,7 @@ class Mlp:
                     owned = True
             if param_grads:
                 dw, db = grads[k]
-                np.matmul(g.T, post[k], out=dw)
+                np.matmul(g.T, outputs[k], out=dw)
                 np.add.reduce(g, axis=0, out=db)
             if k > 0 or input_grad:
                 w = self.weights[k]
@@ -256,16 +253,12 @@ class Mlp:
         return grads, g[0] if squeezed else g
 
     def release(self, cache) -> None:
-        """Give a spent cache's work arrays, its output among them, back to
-        :data:`scratch`.  The cache is emptied, so a second release does nothing."""
-        pre, post, _ = cache
-        if pre and pre[0].shape[0] * self._widest >= POOL_MIN:  # else nothing came from the pool
-            for z, h in zip(pre, post[1:]):
-                scratch.give(z)
-                if h is not z:
-                    scratch.give(h)
-        pre.clear()
-        post.clear()
+        """Give a spent cache's layer outputs, the network's output among
+        them, back to :data:`scratch`; the input stays the caller's.  The
+        cache is emptied, so a second release does nothing."""
+        outputs, _ = cache
+        scratch.give(*outputs[1:])  # arrays under POOL_MIN, allocated plainly, are dropped
+        outputs.clear()
 
     def parameters(self) -> list[np.ndarray]:
         """Per-layer [w0, b0, w1, b1, ...], views into ``flat``."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,26 @@ def check_version(manifest: dict, directory) -> None:
                           f"only version {CHECKPOINT_VERSION} checkpoints, so train the run afresh")
 
 
+@contextmanager
+def staged_file(path):
+    """Yield ``<path>.tmp`` to write and rename it over ``path`` once the
+    block ends; a block that fails removes it.  A crash mid-write leaves
+    the previous file (or none), never a torn one."""
+    path = Path(path)
+    staged = path.with_name(path.name + ".tmp")
+    try:
+        yield staged
+        os.replace(staged, path)
+    finally:
+        staged.unlink(missing_ok=True)
+
+
+def write_whole(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`staged_file`."""
+    with staged_file(path) as staged:
+        staged.write_text(text)
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Linearly decaying exploration noise, flat after the decay horizon."""
@@ -101,7 +123,8 @@ class ReplayBuffer:
     replacement.
 
     Fields are fixed on the first push; each later push must carry the
-    same keys and shapes.
+    same keys and shapes, or it is a ValueError naming the field and nothing
+    is written.
     """
 
     def __init__(self, capacity: int):
@@ -120,8 +143,17 @@ class ReplayBuffer:
             self._storage = {}
             for key, value in transition.items():
                 self._storage[key] = _lazy_zeros((self.capacity, *np.shape(value)))
+        if transition.keys() != self._storage.keys():
+            key = min(transition.keys() ^ self._storage.keys())
+            raise ValueError(f"replay field {key!r} is " + ("missing from the transition" if key in self._storage
+                                                            else "not one the buffer stores"))
+        rows = {key: np.asarray(value, dtype=float) for key, value in transition.items()}
         for key, store in self._storage.items():
-            store[self._next] = np.asarray(transition[key], dtype=float)
+            if rows[key].shape != store.shape[1:]:
+                raise ValueError(f"replay field {key!r} has shape {rows[key].shape}, "
+                                 f"the buffer stores {store.shape[1:]}")
+        for key, store in self._storage.items():
+            store[self._next] = rows[key]
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -322,8 +354,9 @@ class Td3Agent:
         for name in _OPTIMIZED:
             opt = getattr(self, f"opt_{name}")
             arrays[f"opt_{name}_m"], arrays[f"opt_{name}_v"] = opt.m, opt.v
-        np.savez(directory / "state.npz", **arrays)
-        (directory / "manifest.json").write_text(json.dumps(self.manifest(), indent=2))
+        with staged_file(directory / "state.npz") as staged, open(staged, "wb") as file:
+            np.savez(file, **arrays)
+        write_whole(directory / "manifest.json", json.dumps(self.manifest(), indent=2))
 
     @classmethod
     def load(cls, directory) -> "Td3Agent":

@@ -102,6 +102,37 @@ def flatten_grads(grads) -> list[np.ndarray]:
     return out
 
 
+def layer_pass(net: Mlp, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``(pre, post)`` of ``net`` at the (batch, in) or vector input ``x`` by
+    plain expressions: each layer's pre-activation, and the input (as one
+    row when a vector) followed by each layer's output."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    pre, post = [], [h]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = h @ w.T + b
+        h = np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z
+        pre.append(z)
+        post.append(h)
+    return pre, post
+
+
+def backward_from_pre_activations(net: Mlp, x, upstream) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``(grads, input_grad)`` as :meth:`Mlp.backward` returns them, for a
+    (batch, in) ``x``, by a loop that takes each ReLU slope from the
+    pre-activation (``z > 0``) rather than from the layer output."""
+    pre, post = layer_pass(net, x)
+    g = np.asarray(upstream, dtype=float)
+    grads = []
+    for k in range(len(net.weights) - 1, -1, -1):
+        if net.activations[k] == "relu":
+            g = g * (pre[k] > 0.0)
+        elif net.activations[k] == "tanh":
+            g = g * (1.0 - np.square(post[k + 1]))
+        grads.append((g.T @ post[k], g.sum(axis=0)))
+        g = g @ net.weights[k]
+    return grads[::-1], g
+
+
 def finite_difference_gradients(net: Mlp, x, upstream, h: float = 1e-5) -> list[np.ndarray]:
     """Central-difference gradients of sum(upstream * output) per parameter.
 

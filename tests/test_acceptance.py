@@ -18,7 +18,7 @@ from sixdma_isac.harness import ExperimentSpec, cmd_train
 from sixdma_isac.hdrl import desk_train_config, evaluate, profile_latency, train
 from sixdma_isac.rl import Td3Agent
 
-from oracles import max_relative_gradient_error, oracle_sensing, oracle_sinr, sensing_snr_quadratic
+from oracles import layer_pass, max_relative_gradient_error, oracle_sensing, oracle_sinr, sensing_snr_quadratic
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -185,7 +185,7 @@ def test_criterion_4_gradient_check():
 
             net = Mlp(dims, acts, rng)
             x = rng.normal(size=(4, dims[0]))
-            _, (pre, _, _) = net.forward_cached(x)
+            pre, _ = layer_pass(net, x)
             margins_ok = all(
                 act != "relu" or np.min(np.abs(z)) > 1e-3 for z, act in zip(pre, acts)
             )

@@ -593,6 +593,40 @@ class TestDeterminismAndEpisode:
         assert list(parsed)[8:] == [f.name for f in fields(StepOutcome)][2:]
 
 
+class TestRefusedStep:
+    @pytest.mark.parametrize("bad", ["beam_nan", "beam_shape", "uav_nan", "uav_shape"])
+    def test_a_refused_action_changes_nothing_and_the_retry_moves_at_most_the_limit(self, bad):
+        env = IsacEnv(desk_scenario())
+        env.reset()
+        cfg = env.config
+        uav = np.zeros((cfg.num_uavs, 4))
+        uav[:, 1] = uav[:, 3] = 1.0  # full speed along +y
+        beam = np.full(2 * cfg.num_antennas * cfg.num_uavs, 0.5)
+        env.step_slot(uav, beam)  # the refused step must keep this slot's precoder
+        state = env.state
+        slot, positions = state.slot, state.uav_positions.copy()
+        precoder, precoder_raw = state.precoder.copy(), state.precoder_raw.copy()
+        bad_uav, bad_beam = uav.copy(), -beam  # the good one of the two would change the state
+        if bad == "beam_nan":
+            bad_beam[3] = np.nan
+        elif bad == "beam_shape":
+            bad_beam = bad_beam[:-1]
+        elif bad == "uav_nan":
+            bad_uav[0, 0] = np.nan
+        else:
+            bad_uav = bad_uav[:-1]
+        with pytest.raises(ValueError):
+            env.step_slot(bad_uav, bad_beam)
+        assert env.state.slot == slot
+        np.testing.assert_array_equal(env.state.uav_positions, positions)
+        np.testing.assert_array_equal(env.state.precoder, precoder)
+        np.testing.assert_array_equal(env.state.precoder_raw, precoder_raw)
+        env.step_slot(uav, beam)
+        moved = np.linalg.norm(env.state.uav_positions - positions, axis=1)
+        assert env.state.slot == slot + 1
+        assert np.all(moved <= cfg.v_max * cfg.slot_duration + 1e-9), moved
+
+
 def per_uav_positions(env, acts):
     """Reference UAV kinematics: one UAV at a time with scalar arithmetic."""
     cfg = env.config

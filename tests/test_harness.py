@@ -461,6 +461,34 @@ class TestWholeFileWrites:
         assert list(spec.out_dir.rglob("*.tmp")) == []
 
 
+    def test_a_fault_in_a_checkpoint_write_leaves_a_run_that_eval_refuses_and_resume_retrains(
+            self, trained_dir, tmp_path, monkeypatch):
+        spec = replace(trained_dir, out_dir=tmp_path / "runs", schemes=(1,))
+        shutil.copytree(trained_dir.out_dir, spec.out_dir)
+        run_dir = spec.out_dir / "scheme1_seed0"
+        metrics = (run_dir / "metrics.csv").read_bytes()
+        write_text = Path.write_text
+        faults = []
+
+        def torn(path, text, *args, **kwargs):
+            if not faults and path.name.startswith("manifest.json") and "checkpoints" in path.parts:
+                faults.append(path)  # the first agent manifest: half the bytes land, then the write fails
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("injected write fault")
+            return write_text(path, text, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", torn)
+            with pytest.raises(OSError, match="injected write fault"):
+                cmd_train(spec)  # a retrain over the trained run
+        assert faults and list(spec.out_dir.rglob("*.tmp")) == []
+        with pytest.raises(FileNotFoundError, match="no manifest"):
+            cmd_eval(spec)
+        assert cmd_train(spec, resume=True) == [{"name": "scheme1_seed0", "status": "trained"}]
+        assert (run_dir / "metrics.csv").read_bytes() == metrics
+        assert len(cmd_eval(spec)) == 1
+
+
 class TestEvalCompareProfile:
     def test_eval_writes_reports(self, trained_dir):
         spec = trained_dir

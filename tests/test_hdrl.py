@@ -470,7 +470,7 @@ class TestTrainLoop:
         savez, pose_writes = np.savez, []
 
         def crash_in_the_second_pose_buffer_write(file, **arrays):
-            if Path(file).name == "pose_buffer.npz":
+            if Path(getattr(file, "name", file)).name == "pose_buffer.npz":  # a path, or an open file
                 pose_writes.append(file)
                 if len(pose_writes) == 2:
                     raise OSError("simulated crash")

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.nn import POOL_MIN, Adam, Mlp, scratch
 
-from oracles import finite_difference_gradients, flatten_grads, max_relative_gradient_error
+from oracles import (
+    backward_from_pre_activations,
+    finite_difference_gradients,
+    flatten_grads,
+    layer_pass,
+    max_relative_gradient_error,
+)
 
 
 def make_net(dims, acts, seed=0, final_scale=1.0):
@@ -16,7 +25,7 @@ def net_with_safe_relu_margins(dims, acts, rng, margin=1e-3, batch=4):
     while True:
         net = Mlp(dims, acts, rng)
         x = rng.normal(size=(batch, dims[0]))
-        _, (pre, _, _) = net.forward_cached(x)
+        pre, _ = layer_pass(net, x)
         ok = True
         for z, act in zip(pre, acts):
             if act == "relu" and np.min(np.abs(z)) < margin:
@@ -116,6 +125,38 @@ SKIP_CASES = [
     ([6, 8, 8, 1], ["relu", "relu", "linear"]),
     ([4, 7, 2], ["tanh", "relu"]),
 ]
+
+
+# floats with both zeros, the smallest subnormals and NaN drawn often
+KINK_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.nan]), st.floats())
+
+
+class TestReluSlopeFromOutput:
+    """backward takes each ReLU slope from the layer output, max(z, 0) > 0,
+    where the gradient's definition reads it from the pre-activation, z > 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=12), elements=KINK_FLOATS))
+    def test_output_is_positive_exactly_where_the_pre_activation_is(self, z):
+        np.testing.assert_array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
+
+    @pytest.mark.parametrize("dims,acts,rows", [(d, a, 5) for d, a in SKIP_CASES]
+                             + [([8, 160, 120, 4], ["relu", "relu", "tanh"], 128)])  # plain and pooled
+    def test_gradients_equal_the_pre_activation_oracle_bit_for_bit(self, dims, acts, rows):
+        net = make_net(dims, acts, seed=51)
+        k = acts.index("relu")  # two units of the first ReLU layer sit exactly on the kink
+        net.weights[k][:2] = 0.0
+        net.biases[k][:2] = [0.0, -0.0]
+        rng = np.random.default_rng(52)
+        x, up = rng.normal(size=(rows, dims[0])), rng.normal(size=(rows, dims[-1]))
+        assert any((z == 0.0).any() for z, act in zip(layer_pass(net, x)[0], acts) if act == "relu")
+        want, want_input = backward_from_pre_activations(net, x, up)
+        _, cache = net.forward_cached(x)
+        grads, input_grad = net.backward(cache, up)
+        net.release(cache)
+        assert input_grad.tobytes() == want_input.tobytes()
+        for (dw, db), (want_dw, want_db) in zip(grads, want):
+            assert dw.tobytes() == want_dw.tobytes() and db.tobytes() == want_db.tobytes()
 
 
 class TestBackwardSkips:

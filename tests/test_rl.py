@@ -334,6 +334,25 @@ class TestReplayBuffer:
         for key, value in buf.state_arrays().items():
             np.testing.assert_array_equal(clone.state_arrays()[key], value)
 
+    @pytest.mark.parametrize("transition, field", [
+        ({"row": 7.0, "reward": np.ones(2)}, "row"),  # a scalar where a vector is stored
+        ({"row": np.ones(3), "reward": np.ones(2), "extra": 1.0}, "extra"),
+        ({"row": np.ones(3)}, "reward"),
+        ({"row": np.ones(3), "reward": np.ones(3)}, "reward"),  # found after the row was checked
+    ], ids=["scalar_for_vector", "extra_key", "missing_key", "late_shape_error"])
+    def test_a_refused_push_names_the_field_and_writes_nothing(self, transition, field):
+        buf = ReplayBuffer(capacity=3)
+        for k in range(4):  # full and wrapped: the next push overwrites the oldest row
+            buf.push({"row": np.full(3, float(k)), "reward": np.full(2, -float(k))})
+        before = {key: value.copy() for key, value in buf.state_arrays().items()}
+        with pytest.raises(ValueError, match=f"replay field '{field}'"):
+            buf.push(transition)
+        assert len(buf) == 3
+        after = buf.state_arrays()
+        assert after.keys() == before.keys()
+        for key, value in before.items():  # buffer_meta holds the size and the write index
+            np.testing.assert_array_equal(after[key], value)
+
     def test_load_from_npz_holds_one_copy(self, tmp_path):
         buf = ReplayBuffer(capacity=20_000)
         rng = np.random.default_rng(0)
