@@ -28,30 +28,15 @@ import numpy as np
 from . import channel as ch
 from . import geometry as geo
 from . import isac
-from .errors import ConfigError, InvariantError, ProtocolError, real_number, whole_number
+from .errors import ConfigError, InvariantError, ProtocolError, check_fields, real_array, real_number
 
 SCHEMES = (1, 2, 3, 4, 5)
-
-
-def _vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ConfigError(f"expected a 3-vector, got shape {a.shape}")
-    return a
-
-
-def _points(v, count, name) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (count, 3):
-        raise ConfigError(f"{name} must have shape ({count}, 3), got {a.shape}")
-    return a
-
-
-_POSITIVE_FIELDS = (
-    "num_uavs", "num_targets", "num_antennas", "num_slots", "slot_duration", "v_max", "d_min",
-    "wavelength", "sigma_c_sq", "sigma_s_sq", "p_max", "gamma_min", "theta_max", "pose_update_period",
-    "area_half_extent", "altitude_max", "surface_side_length", "surface_box_half_extent", "center_step_limit",
-)
+# The scenario settings that have a range, each one "positive": (test, what the test asks).
+_RANGES = dict.fromkeys((
+    "num_uavs", "num_targets", "num_antennas", "num_slots", "slot_duration", "v_max", "d_min", "wavelength",
+    "sigma_c_sq", "sigma_s_sq", "p_max", "gamma_min", "theta_max", "pose_update_period", "area_half_extent",
+    "altitude_max", "surface_side_length", "surface_box_half_extent", "center_step_limit",
+), (lambda v: v > 0, "be positive"))
 
 
 @dataclass(frozen=True)
@@ -59,7 +44,9 @@ class ScenarioConfig:
     """Physical scenario: geometry, counts, limits and penalty weights.
 
     Powers are linear watts and angles radians; use :func:`scenario_from_dict`
-    or the factory helpers to enter dBm / dB / degree values.
+    or the factory helpers to enter dBm / dB / degree values.  Construction
+    checks every field (by kind, finite, in range) and the rules across
+    fields, among them the UAV start separation and the antenna spacing.
     """
 
     num_uavs: int
@@ -92,25 +79,11 @@ class ScenarioConfig:
     scheme4_circle_radius: float = 2.5
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int":  # the counts
-                object.__setattr__(self, f.name, whole_number(getattr(self, f.name), f.name))
-            elif f.type == "float":
-                real_number(getattr(self, f.name), f.name)
-        object.__setattr__(self, "bs_position", _vec3(self.bs_position))
-        object.__setattr__(self, "initial_surface_center", _vec3(self.initial_surface_center))
-        object.__setattr__(self, "uav_starts", _points(self.uav_starts, self.num_uavs, "uav_starts"))
-        object.__setattr__(self, "uav_ends", _points(self.uav_ends, self.num_uavs, "uav_ends"))
-        object.__setattr__(
-            self, "target_positions", _points(self.target_positions, self.num_targets, "target_positions")
-        )
-        self.validate()
-
-    def validate(self) -> None:
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        check_fields(self, _RANGES)
+        m, j = self.num_uavs, self.num_targets
+        for name, shape in (("bs_position", (3,)), ("initial_surface_center", (3,)), ("uav_starts", (m, 3)),
+                            ("uav_ends", (m, 3)), ("target_positions", (j, 3))):
+            object.__setattr__(self, name, real_array(getattr(self, name), shape, name))
         if self.pose_update_period > self.num_slots:
             raise ConfigError(f"pose_update_period {self.pose_update_period} must be at most "
                               f"num_slots {self.num_slots}")
@@ -121,12 +94,15 @@ class ScenarioConfig:
         n_side = math.isqrt(self.num_antennas)
         if n_side * n_side != self.num_antennas:
             raise ConfigError("num_antennas must be a perfect square for the default grid layout")
+        separation = geo.min_pairwise_distance(self.uav_starts)
+        if separation < self.d_min:
+            raise ConfigError(f"uav_starts must lie at least d_min {self.d_min} m apart, got {separation:.3f} m")
+        if not geo.validate_spacing(self.antenna_layout(), self.wavelength):
+            raise ConfigError(f"surface_side_length must space the {n_side}x{n_side} antennas at least half a "
+                              f"wavelength ({self.wavelength / 2:g} m) apart, got {self.surface_side_length!r}")
 
     def antenna_layout(self) -> geo.AntennaLayout:
-        layout = geo.square_grid_layout(math.isqrt(self.num_antennas), self.surface_side_length)
-        if not geo.validate_spacing(layout, self.wavelength):
-            raise ConfigError("antenna grid violates the half-wavelength spacing requirement")
-        return layout
+        return geo.square_grid_layout(math.isqrt(self.num_antennas), self.surface_side_length)
 
     def pose_decision_slots(self) -> list[int]:
         return list(range(0, self.num_slots, self.pose_update_period))
@@ -159,7 +135,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     for key, name, convert in _UNIT_KEYS:
         if key in kwargs:
             if name in kwargs:
-                raise ConfigError(f"scenario keys {key} and {name} both give {name}; keep one")
+                raise ConfigError(f"{key} gives {name}, which is given too; keep one of the two keys")
             kwargs[name] = convert(float(real_number(kwargs.pop(key), key)))
     unknown = set(kwargs) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
@@ -316,16 +292,10 @@ class IsacEnv:
         compatibility and has no effect.
         """
         cfg = self.config
-        starts = cfg.uav_starts.copy()
-        sep = geo.min_pairwise_distance(starts)
-        if sep < cfg.d_min:
-            raise ConfigError(
-                f"initial separation {sep:.3f} m violates d_min={cfg.d_min} m"
-            )
         n, m = cfg.num_antennas, cfg.num_uavs
         self.state = WorldState(
             slot=0,
-            uav_positions=starts,
+            uav_positions=cfg.uav_starts.copy(),
             target_positions=cfg.target_positions.copy(),
             pose=geo.SurfacePose(cfg.initial_surface_center.copy(), np.zeros(3)),
             precoder=np.zeros((n, m), dtype=complex),

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _as_vec3(value, name: str = "vector") -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite components: {v}")
-    return v
+from .errors import real_array
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -54,7 +47,7 @@ def rotation_matrix(angles) -> np.ndarray:
 
     Returns an orthonormal 3x3 matrix with determinant +1.
     """
-    a = _as_vec3(angles, "angles")
+    a = real_array(angles, (3,), "angles")
     return rotation_z(a[2]) @ rotation_y(a[1]) @ rotation_x(a[0])
 
 
@@ -75,7 +68,7 @@ class AntennaLayout:
             raise ValueError(f"local_positions must be (N, 3), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("local_positions contain non-finite entries")
-        normal = _as_vec3(self.local_normal, "local_normal")
+        normal = real_array(self.local_normal, (3,), "local_normal")
         if abs(np.linalg.norm(normal) - 1.0) > 1e-12:
             raise ValueError("local_normal must be a unit vector")
         offsets = pos @ normal
@@ -101,8 +94,8 @@ class SurfacePose:
     angles: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _freeze(_as_vec3(self.center, "center")))
-        object.__setattr__(self, "angles", _freeze(_as_vec3(self.angles, "angles")))
+        object.__setattr__(self, "center", _freeze(real_array(self.center, (3,), "center")))
+        object.__setattr__(self, "angles", _freeze(real_array(self.angles, (3,), "angles")))
         # a pose lives for a whole decision window: build its rotation once
         object.__setattr__(self, "_rotation", _freeze(rotation_matrix(self.angles)))
 

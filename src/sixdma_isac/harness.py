@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .env import ScenarioConfig, desk_scenario, benchmark_scenario, scenario_from_dict
-from .errors import ConfigError, real_number, whole_number
+from .errors import ConfigError, check_fields
 from .hdrl import (
     METRIC_COLUMNS,
     AgentRoster,
@@ -50,6 +51,11 @@ _PRESETS = {
     "benchmark": (benchmark_scenario, TrainConfig),
     "desk": (desk_scenario, desk_train_config),
 }
+# The experiment settings that have a range: (test, what the test asks).
+_RANGES = {
+    **dict.fromkeys(("schemes", "seeds"), (bool, "not be empty")),
+    **dict.fromkeys(("eval_episodes", "converged_window", "snapshot_interval"), (lambda v: v >= 1, "be >= 1")),
+}
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,9 @@ class ExperimentSpec:
     """Everything one experiment needs: configs, schemes, seeds, sweeps.
 
     Its fields are the keys of a JSON spec and the ``dest``s of the CLI
-    flags; sequences become tuples and counts ints on construction.  A
-    count that is not a whole number, a ``sweep_pmax`` value that is not a
-    number or an ``episode_logs`` that is not a bool is a ConfigError; a
-    scheme or sweep point is checked by the run configs :func:`plan_runs`
-    builds from it."""
+    flags; sequences become tuples and counts ints on construction, which
+    also refuses a repeated value and a second sweep axis.  A scheme or
+    sweep point is checked by the run configs :func:`plan_runs` builds."""
 
     scenario: ScenarioConfig
     train: TrainConfig
@@ -76,28 +80,15 @@ class ExperimentSpec:
     snapshot_interval: int | None = None
 
     def __post_init__(self):
-        for name, check in {"schemes": whole_number, "seeds": whole_number, "sweep_tr": whole_number,
-                            "sweep_pmax": real_number}.items():
-            object.__setattr__(self, name, tuple(check(v, name) for v in getattr(self, name)))
-        for name in ("eval_episodes", "converged_window", "snapshot_interval"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        check_fields(self, _RANGES)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if not isinstance(self.episode_logs, bool):
-            raise ConfigError(f"episode_logs takes true or false only, got {self.episode_logs!r}")
-        if not self.schemes or not self.seeds:
-            raise ConfigError("at least one scheme and one seed are required")
         for name in ("schemes", "seeds", "sweep_pmax", "sweep_tr"):  # a repeat would plan the same run twice
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{name} repeats the value {repeated[0]}")
         if self.sweep_pmax and self.sweep_tr:  # plan_runs sweeps one axis
-            raise ConfigError("sweep_pmax and sweep_tr cannot both be given; sweep one axis per experiment")
-        if self.eval_episodes < 1 or self.converged_window < 1:
-            raise ConfigError("eval_episodes and converged_window must be >= 1")
-        if self.snapshot_interval is not None and self.snapshot_interval < 1:
-            raise ConfigError("snapshot_interval must be >= 1 when given")
+            raise ConfigError("sweep_tr cannot be given beside sweep_pmax; sweep one axis per experiment")
         plan_runs(self)
 
 
@@ -198,13 +189,17 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
     snapshot_dir = run_dir / "snapshots"
     next_episode = snapshot_episode(snapshot_dir) if resume else None
     resume_from = None if next_episode is None else snapshot_dir
-    log_stream = None
-    if spec.episode_logs:
-        log_path = run_dir / "episodes.ndjson"
-        if resume_from is not None and log_path.exists():
-            _cut_episode_log(log_path, next_episode)
-        log_stream = open(log_path, "w" if resume_from is None else "a")
-    try:
+    log_path = run_dir / "episodes.ndjson"
+    if spec.episode_logs and resume_from is not None and log_path.exists():
+        _cut_episode_log(log_path, next_episode)
+    # The new manifest (and a fresh log) is staged and renamed into place last.
+    # The old one is retired before metrics.csv, the log or a checkpoint file
+    # is replaced, so a run cut in between has no manifest: eval refuses it,
+    # --resume retrains it.  A resume appends to the log it cut.
+    fresh_log = spec.episode_logs and resume_from is None
+    with (staged_file(manifest_path) as staged_manifest,
+          staged_file(log_path) if fresh_log else nullcontext(log_path) as log_file,
+          open(log_file, "w" if fresh_log else "a") if spec.episode_logs else nullcontext() as log_stream):
         result = train(
             run.scenario,
             run.train,
@@ -213,24 +208,17 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
             snapshot_interval=spec.snapshot_interval,
             resume_from=resume_from,
         )
-    finally:
-        if log_stream is not None:
-            log_stream.close()
-    manifest = {
-        "name": run.name,
-        "scheme": run.train.scheme,
-        "seed": run.train.seed,
-        "scenario": run.scenario.to_dict(),
-        "train": run.train.to_dict(),
-        "content_hash": digest,
-        "episodes": len(result.metrics),
-        "status": "complete",
-    }
-    # The new manifest is staged first and renamed into place last.  The old
-    # one is retired before metrics.csv or a checkpoint file is replaced, so
-    # a run cut in between has no manifest: eval refuses it, --resume retrains it.
-    with staged_file(manifest_path) as staged:
-        staged.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        manifest = {
+            "name": run.name,
+            "scheme": run.train.scheme,
+            "seed": run.train.seed,
+            "scenario": run.scenario.to_dict(),
+            "train": run.train.to_dict(),
+            "content_hash": digest,
+            "episodes": len(result.metrics),
+            "status": "complete",
+        }
+        staged_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         manifest_path.unlink(missing_ok=True)
         write_metrics_csv(run_dir / "metrics.csv", result.metrics)
         result.roster.save(run_dir / "checkpoints")

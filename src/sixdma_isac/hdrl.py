@@ -38,13 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from .env import SCHEMES, IsacEnv, ScenarioConfig
-from .errors import ConfigError, real_number, whole_number
+from .errors import ConfigError, check_fields
 from .rl import (
+    AGENT_RANGES,
     CHECKPOINT_VERSION,
     NoiseSchedule,
     ReplayBuffer,
     Td3Agent,
-    check_ranges,
     check_version,
     write_whole,
 )
@@ -56,10 +56,21 @@ POSE_ACT_DIM = 6
 _TRANSITION_FIELDS = ("row", "next_row", "reward", "done")
 # TrainConfig fields every Td3Agent of a roster is built with.
 _AGENT_SETTINGS = ("hidden", "lr_actor", "lr_critic", "gamma", "tau", "policy_delay", "smoothing_std")
+# The training settings that have a range, the agents' own first: (test, what the test asks).
+_RANGES = {
+    **AGENT_RANGES,
+    **dict.fromkeys(("episodes", "batch_size", "buffer_capacity", "pose_buffer_capacity"),
+                    (lambda v: v >= 1, "be >= 1")),
+    **dict.fromkeys(("noise_std", "noise_floor", "explore_episodes", "seed"), (lambda v: v >= 0, "be >= 0")),
+}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training budget, agent settings and exploration of one run; built only
+    when every field passes :data:`_RANGES`, the scheme id is known and a
+    batch fits both replay buffers."""
+
     episodes: int = 1000
     batch_size: int = 256
     gamma: float = 0.99
@@ -78,25 +89,13 @@ class TrainConfig:
     pose_buffer_capacity: int | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type in ("int", "int | None") and getattr(self, f.name) is not None:
-                object.__setattr__(self, f.name, whole_number(getattr(self, f.name), f.name))
-            elif f.type == "float":
-                real_number(getattr(self, f.name), f.name)
-        check_ranges(vars(self))
-        if self.episodes < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
-            raise ConfigError("episodes, batch_size and buffer_capacity must be positive")
+        check_fields(self, _RANGES)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme id {self.scheme}")
-        if self.pose_buffer_capacity is not None and self.pose_buffer_capacity < 1:
-            raise ConfigError("pose_buffer_capacity must be positive when given")
         pose_capacity = self.pose_buffer_capacity or self.buffer_capacity
         if self.batch_size > min(self.buffer_capacity, pose_capacity):  # that buffer's agents would never learn
             raise ConfigError(f"batch_size {self.batch_size} exceeds a replay capacity "
                               f"(buffer_capacity {self.buffer_capacity}, pose buffer {pose_capacity})")
-        object.__setattr__(self, "hidden", tuple(whole_number(h, "hidden") for h in self.hidden))
-        if any(width < 1 for width in self.hidden):
-            raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}

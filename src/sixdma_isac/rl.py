@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_ranges
 from .nn import CHUNK, Adam, Mlp, scratch
 
 CHECKPOINT_VERSION = 2
@@ -43,23 +43,15 @@ _HYPERPARAMETERS = {
     "lr_actor": float, "lr_critic": float, "gamma": float, "tau": float, "policy_delay": int,
     "smoothing_std": float,
 }
-# The range of every learning setting that has one: (test, what the test asks).
-_RANGES = {
+# The constructor settings that have a range: (test, what the test asks).
+AGENT_RANGES = {
+    "hidden": (lambda widths: all(w >= 1 for w in widths), "hold widths >= 1"),
     "gamma": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
     "tau": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "policy_delay": (lambda v: v >= 1, "be >= 1"),
     **dict.fromkeys(("lr_actor", "lr_critic"), (lambda v: v > 0.0, "be > 0")),
-    **dict.fromkeys(("smoothing_std", "noise_std", "noise_floor", "explore_episodes", "seed"),
-                    (lambda v: v >= 0, "be >= 0")),
+    "smoothing_std": (lambda v: v >= 0, "be >= 0"),
 }
-
-
-def check_ranges(values) -> None:
-    """ConfigError naming the first setting of ``values`` (a mapping of
-    setting names to numbers) that lies outside its range."""
-    for name, (within, rule) in _RANGES.items():
-        if name in values and not within(values[name]):
-            raise ConfigError(f"{name} must {rule}, got {values[name]!r}")
 
 
 def check_version(manifest: dict, directory) -> None:
@@ -217,7 +209,7 @@ class Td3Agent:
     def _set_hyperparameters(self, values) -> None:
         """Check and store the :data:`_HYPERPARAMETERS` entries of ``values``
         (the constructor's arguments or a checkpoint manifest)."""
-        check_ranges(values)
+        check_ranges(values, AGENT_RANGES)
         for key, kind in _HYPERPARAMETERS.items():
             setattr(self, key, kind(values[key]))
 

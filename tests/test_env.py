@@ -67,7 +67,9 @@ class TestConfig:
                 "collision_penalty": st.floats(0.0, 50.0),
                 "progress_bonus_weight": st.floats(-2.0, 2.0),
                 "scheme4_circle_radius": st.floats(0.0, 5.0),
-                "uav_starts": hnp.arrays(float, (2, 3), elements=st.floats(-40.0, 40.0)),
+                # starts closer than d_min are refused on construction
+                "uav_starts": hnp.arrays(float, (2, 3), elements=st.floats(-40.0, 40.0)).filter(
+                    lambda starts: geo.min_pairwise_distance(starts) >= 3.0),
                 "target_positions": hnp.arrays(float, (2, 3), elements=st.floats(-40.0, 40.0)),
             },
         )
@@ -137,11 +139,9 @@ class TestReset:
         np.testing.assert_array_equal(o2.beam, snapshot[1])
 
     def test_too_close_starts_rejected(self):
-        cfg = desk_scenario(
-            uav_starts=[(10.0, -30.0, 25.0), (10.0, -29.0, 25.0)],
-        )
-        with pytest.raises(ConfigError):
-            IsacEnv(cfg).reset()
+        # refused when the scenario is built, before any environment or run exists
+        with pytest.raises(ConfigError, match="^uav_starts must lie at least d_min 3.0 m apart, got 1.000 m$"):
+            desk_scenario(uav_starts=[(10.0, -30.0, 25.0), (10.0, -29.0, 25.0)])
 
 
 class TestUavKinematics:

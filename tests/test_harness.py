@@ -5,12 +5,15 @@ import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixdma_isac import harness
-from sixdma_isac.env import desk_scenario
+from sixdma_isac.env import _UNIT_KEYS, ScenarioConfig, desk_scenario
 from sixdma_isac.errors import ConfigError
 from sixdma_isac.harness import (
     ExperimentSpec,
@@ -98,13 +101,14 @@ class TestSpec:
             tiny_spec(tmp_path, **{name: values})
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"eval_episodes": 0}, "eval_episodes and converged_window must be >= 1"),
-        ({"converged_window": 0}, "eval_episodes and converged_window must be >= 1"),
-        ({"snapshot_interval": 0}, "snapshot_interval must be >= 1"),
-        ({"snapshot_interval": -3}, "snapshot_interval must be >= 1"),
+        ({"eval_episodes": 0}, "eval_episodes must be >= 1, got 0"),
+        ({"converged_window": 0}, "converged_window must be >= 1, got 0"),
+        ({"snapshot_interval": 0}, "snapshot_interval must be >= 1, got 0"),
+        ({"snapshot_interval": -3}, "snapshot_interval must be >= 1, got -3"),
+        ({"seeds": ()}, r"seeds must not be empty, got \(\)"),
     ])
     def test_counts_must_be_positive(self, tmp_path, overrides, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             tiny_spec(tmp_path, **overrides)
 
     @pytest.mark.parametrize("overrides, name", [
@@ -163,16 +167,29 @@ class TestSpec:
         ({"train": {"noise_std": -0.5}}, "noise_std must be >= 0"), ({"train": {"noise_floor": -0.01}}, "noise_floor"),
         # a zero width used to fail once the agents were built (exit 2, after the run directory was made),
         # a negative exploration horizon used to train without noise decay
-        ({"train": {"hidden": [0, 8]}}, "hidden widths must be >= 1, got [0, 8]"),
+        ({"train": {"hidden": [0, 8]}}, "hidden must hold widths >= 1, got (0, 8)"),
         ({"train": {"explore_episodes": -5}}, "explore_episodes must be >= 0, got -5"),
         # a negative seed used to make its run directory, then fail in numpy (exit 2)
         ({"seeds": [-1]}, "seed must be >= 0, got -1"),
+        # a NaN penalty used to train to a complete run with reward_uav = nan, a NaN start point
+        # to fail at the first pose update (exit 2), after the run directory was made
+        ({"scenario": {"collision_penalty": float("nan")}}, "collision_penalty must be finite, got nan"),
+        ({"scenario": {"uav_starts": [[10.0, -25.0, float("nan")], [18.0, -25.0, 26.0]]}},
+         "uav_starts must be finite, got [[10.0, -25.0, nan], [18.0, -25.0, 26.0]]"),
+        ({"scenario": {"p_max_dbm": float("inf")}}, "p_max_dbm must be finite, got inf"),
+        ({"train": {"noise_std": float("-inf")}}, "noise_std must be finite, got -inf"),
+        # starts closer than d_min and a grid under half a wavelength used to be refused by the
+        # environment, after the run directory was made
+        ({"scenario": {"uav_starts": [[10.0, -25.0, 22.0], [11.0, -25.0, 22.0]]}},
+         "uav_starts must lie at least d_min 3.0 m apart, got 1.000 m"),
+        ({"scenario": {"surface_side_length": 0.1}},
+         "surface_side_length must space the 2x2 antennas at least half a wavelength (0.0625 m) apart, got 0.1"),
     ])
     def test_bad_settings_are_usage_errors_before_any_run(self, tmp_path, capsys, overrides, message):
         config_path = tmp_path / "spec.json"
         config_path.write_text(json.dumps({"preset": "desk", "out_dir": "runs", **overrides}))
         assert main(["train", "--config", str(config_path)]) == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")  # the one field it names first
         assert not (tmp_path / "runs").exists()
 
     def test_whole_float_counts_become_ints(self):
@@ -193,6 +210,40 @@ class TestSpec:
     def test_json_scenario_override_in_linear_units_is_kept(self, name, value):
         spec = spec_from_dict({"preset": "desk", "scenario": {name: value}})
         assert getattr(spec.scenario, name) == value
+
+
+# Bad values by the kind a setting takes: a string, a bool, null where null is not allowed, NaN,
+# +-inf, or x.5 for a count.
+_TEXT = st.sampled_from(["", "1", "0.5", "nan", "true"]) | st.text(max_size=4)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_BAD_NUMBER = _TEXT | st.booleans() | st.none() | _NON_FINITE
+_BAD_COUNT = _BAD_NUMBER | st.integers(-1000, 1000).map(lambda n: n + 0.5)
+_BAD_VALUES = {
+    int: _BAD_COUNT,
+    int | None: _BAD_COUNT.filter(lambda v: v is not None),
+    float: _BAD_NUMBER,
+    bool: _TEXT | st.none() | _NON_FINITE | st.integers(0, 1),
+    tuple[int, ...]: _BAD_COUNT.map(lambda v: [v]) | _BAD_NUMBER,  # a bad entry, or no list at all
+    tuple[float, ...]: _BAD_NUMBER.map(lambda v: [v]) | _BAD_NUMBER,
+}
+# (section of the JSON spec, setting, the strategy of its bad values) for every numeric or bool field
+# of the three configs and every scenario unit key
+_SETTINGS = [
+    (section, name, _BAD_VALUES[kind])
+    for section, config in (("scenario", ScenarioConfig), ("train", TrainConfig), (None, ExperimentSpec))
+    for name, kind in get_type_hints(config).items() if kind in _BAD_VALUES
+] + [("scenario", key, _BAD_NUMBER) for key, _, _ in _UNIT_KEYS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset=st.sampled_from(["desk", "benchmark"]),
+       setting=st.sampled_from(_SETTINGS).flatmap(lambda s: st.tuples(st.just(s[:2]), s[2])))
+def test_every_setting_refuses_a_bad_value_by_its_name(preset, setting):
+    (section, name), value = setting
+    data = {"preset": preset, **({name: value} if section is None else {section: {name: value}})}
+    with pytest.raises(ConfigError) as refused:
+        spec_from_dict(data)
+    assert str(refused.value).startswith(f"{name} "), (data, str(refused.value))
 
 
 def _spec_values(spec):
@@ -233,12 +284,13 @@ class TestCliSpecFlags:
         assert _spec_values(from_flags) == _spec_values(from_json)
 
     @pytest.mark.parametrize("flags, message", [
-        (["eval", "--eval-episodes", "0"], "eval_episodes and converged_window must be >= 1"),
-        (["train", "--episodes", "0"], "episodes, batch_size and buffer_capacity must be positive"),
-        (["train", "--snapshot-interval", "-3"], "snapshot_interval must be >= 1"),
+        (["eval", "--eval-episodes", "0"], "eval_episodes must be >= 1, got 0"),
+        (["train", "--episodes", "0"], "episodes must be >= 1, got 0"),
+        (["train", "--snapshot-interval", "-3"], "snapshot_interval must be >= 1, got -3"),
         (["train", "--scheme", "1,1", "--seeds", "0,0"], "schemes repeats the value 1"),
         # plan_runs sweeps one axis, so the other would be dropped silently
-        (["train", "--sweep-pmax", "0.01,0.04", "--sweep-tr", "5,10"], "sweep_pmax and sweep_tr cannot both be given"),
+        (["train", "--sweep-pmax", "0.01,0.04", "--sweep-tr", "5,10"],
+         "sweep_tr cannot be given beside sweep_pmax"),
     ])
     def test_falsy_or_repeated_flag_values_are_usage_errors(self, tmp_path, capsys, flags, message):
         # zero used to fall back to the default silently: 20 eval episodes, the preset's 150 episodes
@@ -374,6 +426,26 @@ class TestTrainCommand:
         assert len(lines) == 2 * spec.scenario.num_slots  # 2 episodes
         record = json.loads(lines[0])
         assert record["episode"] == 0 and record["slot"] == 0
+
+    def test_a_retrain_cut_in_training_leaves_the_complete_run_whole(self, tmp_path, monkeypatch):
+        # a fresh log is staged: a retrain cut after its first episode used to empty episodes.ndjson
+        # (down to that episode's records) beside the old manifest, which still said complete
+        spec = tiny_spec(tmp_path, episode_logs=True)
+        cmd_train(spec)
+        run_dir = spec.out_dir / "scheme1_seed0"
+        names = ("manifest.json", "metrics.csv", "episodes.ndjson")
+        before = {name: (run_dir / name).read_bytes() for name in names}
+        train = harness.train
+
+        def cut(scenario, config, **kwargs):
+            train(scenario, replace(config, episodes=1), **kwargs)
+            raise RuntimeError("cut after the first episode")
+
+        monkeypatch.setattr(harness, "train", cut)
+        with pytest.raises(RuntimeError, match="cut after the first episode"):
+            cmd_train(spec)
+        assert {name: (run_dir / name).read_bytes() for name in names} == before
+        assert list(spec.out_dir.rglob("*.tmp")) == []
 
     def test_worker_count_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.delenv("SIXDMA_ISAC_WORKERS", raising=False)

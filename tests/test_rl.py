@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import tracemalloc
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sixdma_isac.errors import ConfigError, ProtocolError
+from sixdma_isac.errors import ConfigError, ProtocolError, check_ranges
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent, check_ranges
+from sixdma_isac.rl import AGENT_RANGES, CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent
 
 
 def make_agent(obs_dim=4, action_dim=2, hidden=(16, 16), seed=0, **kwargs):
@@ -391,6 +392,7 @@ class TestSettingRanges:
         ("gamma", 1.0, r"gamma must lie in \[0, 1\), got 1.0"), ("tau", 0.0, r"tau must lie in \(0, 1\], got 0.0"),
         ("policy_delay", 0, "policy_delay must be >= 1, got 0"), ("lr_actor", 0.0, "lr_actor must be > 0, got 0.0"),
         ("lr_critic", -1e-4, "lr_critic must be > 0"), ("smoothing_std", -0.1, "smoothing_std must be >= 0"),
+        ("hidden", (16, 0), "hidden must hold widths >= 1, got "),
     ])
     def test_an_agent_refuses_a_setting_out_of_range(self, tmp_path, setting, value, message):
         with pytest.raises(ConfigError, match=f"^{message}"):
@@ -403,9 +405,12 @@ class TestSettingRanges:
             Td3Agent.load(tmp_path / "agent")
 
     def test_check_ranges_reads_the_settings_it_is_given(self):
-        check_ranges({"noise_std": 0.0, "noise_floor": 0.0, "smoothing_std": 0.0, "unrelated": -1.0})
-        with pytest.raises(ConfigError, match="^noise_floor must be >= 0, got -0.01$"):
-            check_ranges({"noise_std": 0.5, "noise_floor": -0.01})
+        # the agent's table names its constructor settings alone: a training-only setting such as
+        # noise_floor is the training config's to check
+        assert set(AGENT_RANGES) <= set(inspect.signature(Td3Agent).parameters)
+        check_ranges({"smoothing_std": 0.0, "noise_floor": -0.01, "unrelated": -1.0}, AGENT_RANGES)
+        with pytest.raises(ConfigError, match="^smoothing_std must be >= 0, got -0.01$"):
+            check_ranges({"gamma": 0.5, "smoothing_std": -0.01}, AGENT_RANGES)
 
 
 NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
