@@ -85,8 +85,8 @@ class ScenarioConfig:
                             ("uav_ends", (m, 3)), ("target_positions", (j, 3))):
             object.__setattr__(self, name, real_array(getattr(self, name), shape, name))
         if self.pose_update_period > self.num_slots:
-            raise ConfigError(f"pose_update_period {self.pose_update_period} must be at most "
-                              f"num_slots {self.num_slots}")
+            raise ConfigError(f"pose_update_period must be at most the {self.num_slots} slots of an episode, "
+                              f"got {self.pose_update_period}")
         if self.d_min >= 2 * self.area_half_extent:
             raise ConfigError("d_min must be smaller than the flight area")
         if self.scheme4_circle_radius > self.surface_box_half_extent:
@@ -96,10 +96,10 @@ class ScenarioConfig:
             raise ConfigError("num_antennas must be a perfect square for the default grid layout")
         separation = geo.min_pairwise_distance(self.uav_starts)
         if separation < self.d_min:
-            raise ConfigError(f"uav_starts must lie at least d_min {self.d_min} m apart, got {separation:.3f} m")
+            raise ConfigError(f"uav_starts must lie at least {self.d_min} m apart, got {separation:.3f} m")
         if not geo.validate_spacing(self.antenna_layout(), self.wavelength):
-            raise ConfigError(f"surface_side_length must space the {n_side}x{n_side} antennas at least half a "
-                              f"wavelength ({self.wavelength / 2:g} m) apart, got {self.surface_side_length!r}")
+            raise ConfigError(f"surface_side_length must space the {n_side}x{n_side} antennas at least "
+                              f"lambda/2 = {self.wavelength / 2:g} m apart, got {self.surface_side_length!r}")
 
     def antenna_layout(self) -> geo.AntennaLayout:
         return geo.square_grid_layout(math.isqrt(self.num_antennas), self.surface_side_length)
@@ -135,8 +135,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     for key, name, convert in _UNIT_KEYS:
         if key in kwargs:
             if name in kwargs:
-                raise ConfigError(f"{key} gives {name}, which is given too; keep one of the two keys")
-            kwargs[name] = convert(float(real_number(kwargs.pop(key), key)))
+                raise ConfigError(f"{key} gives a value that the spec gives in its base unit too; keep one")
+            value = float(real_number(kwargs.pop(key), key))
+            try:
+                kwargs[name] = convert(value)
+            except OverflowError:
+                raise ConfigError(f"{key} must be small enough to convert to a float, got {value!r}") from None
     unknown = set(kwargs) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")

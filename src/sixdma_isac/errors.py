@@ -34,17 +34,18 @@ def real_number(value, name: str):
     return value
 
 
-def real_array(value, shape: tuple, name: str) -> np.ndarray:
-    """``value`` as a float array; a ConfigError naming ``name`` unless it
-    has ``shape`` and finite entries only."""
+def real_array(value, shape: tuple, name: str, error: type[ValueError] = ConfigError) -> np.ndarray:
+    """``value`` as a float array; an ``error`` naming ``name`` unless it
+    has ``shape`` and finite entries only.  Config fields take the default;
+    geometry, whose values are also built while a run acts, passes ValueError."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} takes numbers only, got {value!r}") from None
+        raise error(f"{name} takes numbers only, got {value!r}") from None
     if array.shape != shape:
-        raise ConfigError(f"{name} must have shape {shape}, got {array.shape}")
+        raise error(f"{name} must have shape {shape}, got {array.shape}")
     if not np.all(np.isfinite(array)):
-        raise ConfigError(f"{name} must be finite, got {array.tolist()}")
+        raise error(f"{name} must be finite, got {array.tolist()}")
     return array
 
 

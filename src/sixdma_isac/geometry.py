@@ -47,7 +47,7 @@ def rotation_matrix(angles) -> np.ndarray:
 
     Returns an orthonormal 3x3 matrix with determinant +1.
     """
-    a = real_array(angles, (3,), "angles")
+    a = real_array(angles, (3,), "angles", ValueError)
     return rotation_z(a[2]) @ rotation_y(a[1]) @ rotation_x(a[0])
 
 
@@ -68,7 +68,7 @@ class AntennaLayout:
             raise ValueError(f"local_positions must be (N, 3), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("local_positions contain non-finite entries")
-        normal = real_array(self.local_normal, (3,), "local_normal")
+        normal = real_array(self.local_normal, (3,), "local_normal", ValueError)
         if abs(np.linalg.norm(normal) - 1.0) > 1e-12:
             raise ValueError("local_normal must be a unit vector")
         offsets = pos @ normal
@@ -94,8 +94,8 @@ class SurfacePose:
     angles: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _freeze(real_array(self.center, (3,), "center")))
-        object.__setattr__(self, "angles", _freeze(real_array(self.angles, (3,), "angles")))
+        object.__setattr__(self, "center", _freeze(real_array(self.center, (3,), "center", ValueError)))
+        object.__setattr__(self, "angles", _freeze(real_array(self.angles, (3,), "angles", ValueError)))
         # a pose lives for a whole decision window: build its rotation once
         object.__setattr__(self, "_rotation", _freeze(rotation_matrix(self.angles)))
 

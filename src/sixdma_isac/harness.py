@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -88,7 +88,7 @@ class ExperimentSpec:
             if repeated:
                 raise ConfigError(f"{name} repeats the value {repeated[0]}")
         if self.sweep_pmax and self.sweep_tr:  # plan_runs sweeps one axis
-            raise ConfigError("sweep_tr cannot be given beside sweep_pmax; sweep one axis per experiment")
+            raise ConfigError("sweep_tr cannot be given beside a power sweep; sweep one axis per experiment")
         plan_runs(self)
 
 
@@ -189,17 +189,13 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
     snapshot_dir = run_dir / "snapshots"
     next_episode = snapshot_episode(snapshot_dir) if resume else None
     resume_from = None if next_episode is None else snapshot_dir
+    # The new manifest and log are staged and renamed into place last.  The
+    # old manifest is retired before metrics.csv, the log or a checkpoint
+    # file is replaced, so a run cut in between has no manifest: eval
+    # refuses it, --resume resumes or retrains it.
     log_path = run_dir / "episodes.ndjson"
-    if spec.episode_logs and resume_from is not None and log_path.exists():
-        _cut_episode_log(log_path, next_episode)
-    # The new manifest (and a fresh log) is staged and renamed into place last.
-    # The old one is retired before metrics.csv, the log or a checkpoint file
-    # is replaced, so a run cut in between has no manifest: eval refuses it,
-    # --resume retrains it.  A resume appends to the log it cut.
-    fresh_log = spec.episode_logs and resume_from is None
     with (staged_file(manifest_path) as staged_manifest,
-          staged_file(log_path) if fresh_log else nullcontext(log_path) as log_file,
-          open(log_file, "w" if fresh_log else "a") if spec.episode_logs else nullcontext() as log_stream):
+          _staged_log(log_path, next_episode, snapshot_dir) if spec.episode_logs else nullcontext() as log_stream):
         result = train(
             run.scenario,
             run.train,
@@ -223,6 +219,29 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
         write_metrics_csv(run_dir / "metrics.csv", result.metrics)
         result.roster.save(run_dir / "checkpoints")
     return {"name": run.name, "status": "trained"}
+
+
+@contextmanager
+def _staged_log(path: Path, resume_at: int | None, snapshot_dir: Path):
+    """Yield the stream of a run's episode log, written in ``<path>.tmp`` and
+    renamed over ``path`` when the block ends.  A resume from the snapshot of
+    episode ``resume_at`` cuts the staged log (or, without one, the log) at
+    that episode and appends.  A block that fails keeps the staged log while
+    a snapshot can resume it, and removes it otherwise."""
+    staged = path.with_name(path.name + ".tmp")
+    if resume_at is not None:
+        if path.exists() and not staged.exists():  # in place: the run was cut before its manifest
+            os.replace(path, staged)
+        if staged.exists():
+            _cut_episode_log(staged, resume_at)
+    try:
+        with open(staged, "w" if resume_at is None else "a") as stream:
+            yield stream
+        os.replace(staged, path)
+    except BaseException:
+        if snapshot_episode(snapshot_dir) is None:
+            staged.unlink(missing_ok=True)
+        raise
 
 
 def _cut_episode_log(path: Path, next_episode: int) -> None:

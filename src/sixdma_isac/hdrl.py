@@ -92,10 +92,10 @@ class TrainConfig:
         check_fields(self, _RANGES)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme id {self.scheme}")
-        pose_capacity = self.pose_buffer_capacity or self.buffer_capacity
-        if self.batch_size > min(self.buffer_capacity, pose_capacity):  # that buffer's agents would never learn
-            raise ConfigError(f"batch_size {self.batch_size} exceeds a replay capacity "
-                              f"(buffer_capacity {self.buffer_capacity}, pose buffer {pose_capacity})")
+        capacity = min(self.buffer_capacity, self.pose_buffer_capacity or self.buffer_capacity)
+        if self.batch_size > capacity:  # that buffer's agents would never learn
+            raise ConfigError(f"batch_size must be at most the smaller replay capacity, {capacity}, "
+                              f"got {self.batch_size}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}

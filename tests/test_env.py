@@ -90,7 +90,8 @@ class TestConfig:
         assert json.dumps(clone.to_dict()) == json.dumps(cfg.to_dict())
 
     def test_rejects_bad_period(self):
-        with pytest.raises(ConfigError, match="^pose_update_period 21 must be at most num_slots 20$"):
+        message = "^pose_update_period must be at most the 20 slots of an episode, got 21$"
+        with pytest.raises(ConfigError, match=message):
             desk_scenario(pose_update_period=21)
 
     def test_rejects_non_square_antenna_count(self):
@@ -140,7 +141,7 @@ class TestReset:
 
     def test_too_close_starts_rejected(self):
         # refused when the scenario is built, before any environment or run exists
-        with pytest.raises(ConfigError, match="^uav_starts must lie at least d_min 3.0 m apart, got 1.000 m$"):
+        with pytest.raises(ConfigError, match="^uav_starts must lie at least 3.0 m apart, got 1.000 m$"):
             desk_scenario(uav_starts=[(10.0, -30.0, 25.0), (10.0, -29.0, 25.0)])
 
 

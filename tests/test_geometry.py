@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sixdma_isac.errors import ConfigError
 from sixdma_isac.geometry import (
     AntennaLayout,
     SurfacePose,
@@ -50,9 +51,17 @@ class TestRotationMatrix:
         xyz = rotation_x(a) @ rotation_y(a) @ rotation_z(a)
         assert np.max(np.abs(zyx - xyz)) > 1e-6
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            rotation_matrix([np.nan, 0.0, 0.0])
+    @pytest.mark.parametrize("build", [
+        lambda: rotation_matrix([np.nan, 0.0, 0.0]),
+        lambda: SurfacePose([0.0, np.inf, 0.0], np.zeros(3)),
+        lambda: AntennaLayout(np.zeros((1, 3)), [1.0, np.nan, 0.0]),
+        lambda: AntennaLayout(np.full((1, 3), np.nan), [1.0, 0.0, 0.0]),
+    ])
+    def test_rejects_non_finite(self, build):
+        # geometry values are also built while a run acts: a bad one is a fault, not a usage error
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert not isinstance(raised.value, ConfigError)
 
     @settings(max_examples=50, deadline=None)
     @given(hnp.arrays(float, 3, elements=st.floats(-np.pi, np.pi)))

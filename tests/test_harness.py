@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixdma_isac import harness
+from sixdma_isac import harness, hdrl
 from sixdma_isac.env import _UNIT_KEYS, ScenarioConfig, desk_scenario
 from sixdma_isac.errors import ConfigError
 from sixdma_isac.harness import (
@@ -81,7 +81,7 @@ class TestSpec:
         assert "unknown train-config keys: ['episodez']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"sweep_tr": (100,)}, "pose_update_period 100 must be at most num_slots 20"),
+        ({"sweep_tr": (100,)}, "pose_update_period must be at most the 20 slots of an episode, got 100"),
         ({"sweep_tr": (0,)}, "pose_update_period must be positive, got 0"),
         ({"sweep_pmax": (-1.0,)}, "p_max must be positive, got -1.0"),
         ({"schemes": (9,)}, "unknown scheme id 9"),
@@ -177,13 +177,15 @@ class TestSpec:
         ({"scenario": {"uav_starts": [[10.0, -25.0, float("nan")], [18.0, -25.0, 26.0]]}},
          "uav_starts must be finite, got [[10.0, -25.0, nan], [18.0, -25.0, 26.0]]"),
         ({"scenario": {"p_max_dbm": float("inf")}}, "p_max_dbm must be finite, got inf"),
+        # a finite dBm too large for a float used to end in OverflowError (exit 2)
+        ({"scenario": {"p_max_dbm": 1e4}}, "p_max_dbm must be small enough to convert to a float, got 10000.0"),
         ({"train": {"noise_std": float("-inf")}}, "noise_std must be finite, got -inf"),
         # starts closer than d_min and a grid under half a wavelength used to be refused by the
         # environment, after the run directory was made
         ({"scenario": {"uav_starts": [[10.0, -25.0, 22.0], [11.0, -25.0, 22.0]]}},
-         "uav_starts must lie at least d_min 3.0 m apart, got 1.000 m"),
+         "uav_starts must lie at least 3.0 m apart, got 1.000 m"),
         ({"scenario": {"surface_side_length": 0.1}},
-         "surface_side_length must space the 2x2 antennas at least half a wavelength (0.0625 m) apart, got 0.1"),
+         "surface_side_length must space the 2x2 antennas at least lambda/2 = 0.0625 m apart, got 0.1"),
     ])
     def test_bad_settings_are_usage_errors_before_any_run(self, tmp_path, capsys, overrides, message):
         config_path = tmp_path / "spec.json"
@@ -290,7 +292,7 @@ class TestCliSpecFlags:
         (["train", "--scheme", "1,1", "--seeds", "0,0"], "schemes repeats the value 1"),
         # plan_runs sweeps one axis, so the other would be dropped silently
         (["train", "--sweep-pmax", "0.01,0.04", "--sweep-tr", "5,10"],
-         "sweep_tr cannot be given beside sweep_pmax"),
+         "sweep_tr cannot be given beside a power sweep"),
     ])
     def test_falsy_or_repeated_flag_values_are_usage_errors(self, tmp_path, capsys, flags, message):
         # zero used to fall back to the default silently: 20 eval episodes, the preset's 150 episodes
@@ -660,6 +662,42 @@ class TestResume:
         assert snapshot_episode(run_dir / "snapshots") == 2
         assert cmd_train(spec, resume=True)[0]["status"] == "trained"
         assert (run_dir / "episodes.ndjson").read_bytes() == reference
+
+    @pytest.mark.parametrize("cut", ["a fresh run after its first snapshot", "a retrain after the old manifest"])
+    def test_a_run_cut_with_snapshots_resumes_to_the_uninterrupted_files(self, tmp_path, monkeypatch, cut):
+        # a fresh log is staged: a cut that removed the staged log left its resume to append to no
+        # log, or to the log of the training before
+        train_cfg = desk_train_config(episodes=3, batch_size=8, hidden=(8, 8), buffer_capacity=500)
+        straight = tiny_spec(tmp_path, out_dir=tmp_path / "straight", train=train_cfg, episode_logs=True)
+        cmd_train(straight)
+        names = ("episodes.ndjson", "metrics.csv")
+        reference = {name: (straight.out_dir / "scheme1_seed0" / name).read_bytes() for name in names}
+
+        spec = tiny_spec(tmp_path, out_dir=tmp_path / "cut", train=train_cfg, episode_logs=True,
+                         snapshot_interval=1)
+        if cut.startswith("a fresh run"):
+            save = hdrl._save_snapshot
+
+            def save_then_cut(*args):
+                save(*args)
+                raise RuntimeError("cut")
+
+            monkeypatch.setattr(hdrl, "_save_snapshot", save_then_cut)
+        else:  # a complete 2-episode run, retrained for 3 and cut once its manifest is retired
+            cmd_train(replace(spec, train=replace(train_cfg, episodes=2)))
+
+            def cut_metrics(*args):
+                raise RuntimeError("cut")
+
+            monkeypatch.setattr(harness, "write_metrics_csv", cut_metrics)
+        with pytest.raises(RuntimeError, match="cut"):
+            cmd_train(spec)
+        monkeypatch.undo()
+        run_dir = spec.out_dir / "scheme1_seed0"
+        assert not (run_dir / "manifest.json").exists()
+        assert cmd_train(spec, resume=True)[0]["status"] == "trained"
+        assert {name: (run_dir / name).read_bytes() for name in names} == reference
+        assert list(spec.out_dir.rglob("*.tmp")) == []
 
     def test_log_cut_keeps_whole_records_before_the_snapshot(self, tmp_path):
         from sixdma_isac.harness import _cut_episode_log

@@ -789,13 +789,15 @@ class TestTrainConfig:
         with pytest.raises(Exception):
             TrainConfig(scheme=7)
 
-    @pytest.mark.parametrize("overrides", [
-        {"batch_size": 16, "pose_buffer_capacity": 8},
-        {"batch_size": 501},
-        {"batch_size": 600, "pose_buffer_capacity": 1000},
+    @pytest.mark.parametrize("overrides, capacity", [
+        ({"batch_size": 16, "pose_buffer_capacity": 8}, 8),
+        ({"batch_size": 501}, 500),
+        ({"batch_size": 600, "pose_buffer_capacity": 1000}, 500),
     ])
-    def test_rejects_a_batch_that_a_buffer_cannot_hold(self, overrides):
-        with pytest.raises(ConfigError, match=f"batch_size {overrides['batch_size']} exceeds a replay capacity"):
+    def test_rejects_a_batch_that_a_buffer_cannot_hold(self, overrides, capacity):
+        batch = overrides["batch_size"]
+        message = f"^batch_size must be at most the smaller replay capacity, {capacity}, got {batch}$"
+        with pytest.raises(ConfigError, match=message):
             tiny_config(**overrides)
 
     def test_accepts_a_batch_as_large_as_both_buffers(self):
