@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
@@ -189,6 +190,8 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
     snapshot_dir = run_dir / "snapshots"
     next_episode = snapshot_episode(snapshot_dir) if resume else None
     resume_from = None if next_episode is None else snapshot_dir
+    if resume_from is None:  # an earlier training's snapshot would resume over this training's log
+        shutil.rmtree(snapshot_dir, ignore_errors=True)
     # The new manifest and log are staged and renamed into place last.  The
     # old manifest is retired before metrics.csv, the log or a checkpoint
     # file is replaced, so a run cut in between has no manifest: eval

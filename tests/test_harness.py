@@ -663,7 +663,8 @@ class TestResume:
         assert cmd_train(spec, resume=True)[0]["status"] == "trained"
         assert (run_dir / "episodes.ndjson").read_bytes() == reference
 
-    @pytest.mark.parametrize("cut", ["a fresh run after its first snapshot", "a retrain after the old manifest"])
+    @pytest.mark.parametrize("cut", ["a fresh run after its first snapshot", "a retrain after the old manifest",
+                                     "a fresh run before its own first snapshot"])
     def test_a_run_cut_with_snapshots_resumes_to_the_uninterrupted_files(self, tmp_path, monkeypatch, cut):
         # a fresh log is staged: a cut that removed the staged log left its resume to append to no
         # log, or to the log of the training before
@@ -683,6 +684,17 @@ class TestResume:
                 raise RuntimeError("cut")
 
             monkeypatch.setattr(hdrl, "_save_snapshot", save_then_cut)
+        elif cut.startswith("a fresh run before"):  # over the snapshot of a training cut earlier
+            cmd_train(replace(spec, train=replace(train_cfg, episodes=2)))
+            (spec.out_dir / "scheme1_seed0" / "manifest.json").unlink()
+            train = harness.train
+
+            def train_then_cut(scenario, config, **kwargs):
+                train(scenario, replace(config, episodes=1), **kwargs)
+                raise RuntimeError("cut")
+
+            monkeypatch.setattr(harness, "train", train_then_cut)
+            spec = replace(spec, snapshot_interval=2)
         else:  # a complete 2-episode run, retrained for 3 and cut once its manifest is retired
             cmd_train(replace(spec, train=replace(train_cfg, episodes=2)))
 
