@@ -186,6 +186,8 @@ def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
             if manifest.get("content_hash") != digest:
                 raise ConfigError(f"run {run.name} is complete under a different config; "
                                   "resume needs the spec it was trained with, or a fresh output directory")
+            for stray in run_dir.glob("*.tmp"):  # staged by a retrain killed before it retired the manifest
+                stray.unlink()
             return {"name": run.name, "status": "skipped"}
     snapshot_dir = run_dir / "snapshots"
     next_episode = snapshot_episode(snapshot_dir) if resume else None

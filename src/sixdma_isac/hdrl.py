@@ -38,10 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from .env import SCHEMES, IsacEnv, ScenarioConfig
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_ranges
 from .rl import (
-    AGENT_RANGES,
     CHECKPOINT_VERSION,
+    AgentSettings,
     NoiseSchedule,
     ReplayBuffer,
     Td3Agent,
@@ -54,11 +54,8 @@ UAV_ACT_DIM = 4
 POSE_ACT_DIM = 6
 # The fields of a replay transition, in push order (see _transition).
 _TRANSITION_FIELDS = ("row", "next_row", "reward", "done")
-# TrainConfig fields every Td3Agent of a roster is built with.
-_AGENT_SETTINGS = ("hidden", "lr_actor", "lr_critic", "gamma", "tau", "policy_delay", "smoothing_std")
-# The training settings that have a range, the agents' own first: (test, what the test asks).
+# The training settings beside the agents' own that have a range: (test, what the test asks).
 _RANGES = {
-    **AGENT_RANGES,
     **dict.fromkeys(("episodes", "batch_size", "buffer_capacity", "pose_buffer_capacity"),
                     (lambda v: v >= 1, "be >= 1")),
     **dict.fromkeys(("noise_std", "noise_floor", "explore_episodes", "seed"), (lambda v: v >= 0, "be >= 0")),
@@ -66,30 +63,24 @@ _RANGES = {
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Training budget, agent settings and exploration of one run; built only
-    when every field passes :data:`_RANGES`, the scheme id is known and a
-    batch fits both replay buffers."""
+class TrainConfig(AgentSettings):
+    """Training budget and exploration of one run beside the agent settings it
+    inherits; built only when every field passes its range, the scheme id is
+    known and a batch fits both replay buffers."""
 
     episodes: int = 1000
     batch_size: int = 256
-    gamma: float = 0.99
-    tau: float = 0.01
-    lr_critic: float = 3e-4
-    lr_actor: float = 1e-4
     explore_episodes: int = 600
     noise_std: float = 0.5
     noise_floor: float = 0.05
-    policy_delay: int = 2
-    hidden: tuple[int, ...] = (256, 256)
     buffer_capacity: int = 100_000
     scheme: int = 1
     seed: int = 0
-    smoothing_std: float = 0.0
     pose_buffer_capacity: int | None = None
 
     def __post_init__(self):
-        check_fields(self, _RANGES)
+        super().__post_init__()  # coerces every field, then checks the agents' ranges
+        check_ranges(vars(self), _RANGES)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme id {self.scheme}")
         capacity = min(self.buffer_capacity, self.pose_buffer_capacity or self.buffer_capacity)
@@ -118,7 +109,6 @@ def desk_train_config(**overrides) -> TrainConfig:
         noise_std=0.5,
         noise_floor=0.02,
         lr_critic=5e-4,
-        lr_actor=1e-4,
         pose_buffer_capacity=128,
     )
     base.update(overrides)
@@ -147,8 +137,7 @@ class AgentRoster:
         self.num_uavs = scenario.num_uavs
         if agents is None:
             init_seeds = np.random.SeedSequence([config.seed, 101]).spawn(len(dims))
-            common = {key: getattr(config, key) for key in _AGENT_SETTINGS}
-            agents = {name: Td3Agent(*d, rng=np.random.default_rng(seed), **common)
+            agents = {name: Td3Agent(*d, rng=np.random.default_rng(seed), **config.agent_settings())
                       for (name, d), seed in zip(dims.items(), init_seeds)}
         self.agents = {name: agents[name] for name in dims}  # roster order
         self.uav_agents = [agents[f"uav_{k}"] for k in range(self.num_uavs)]
@@ -183,10 +172,10 @@ class AgentRoster:
         for key, want in (("scheme", config.scheme), ("num_uavs", scenario.num_uavs)):
             if manifest[key] != want:
                 raise ConfigError(f"checkpoint {directory} has {key} {manifest[key]}, the config implies {want}")
-        agents = {}
+        agents, settings = {}, config.agent_settings()
         for name, dims in _agent_dims(scenario, config).items():
             agent = Td3Agent.load(directory / name)
-            for key, want in zip(("obs_dim", "action_dim", "critic_input_dim", "hidden"), (*dims, config.hidden)):
+            for key, want in {**dict(zip(("obs_dim", "action_dim", "critic_input_dim"), dims)), **settings}.items():
                 if getattr(agent, key) != want:
                     raise ConfigError(f"checkpoint agent {name} has {key} {getattr(agent, key)}, "
                                       f"the config implies {want}")
@@ -390,6 +379,8 @@ def train(
                 episode_log.write(json.dumps({"episode": episode, **env.episode_record(outcome)}) + "\n")
         metrics.append(sums.training_row(episode, num_slots))
         if snapshot_dir is not None and snapshot_interval and (episode + 1) % snapshot_interval == 0:
+            if episode_log is not None:  # a resume keeps the logged records the snapshot covers: on disk first
+                episode_log.flush()
             _save_snapshot(Path(snapshot_dir), episode + 1, metrics, roster, fast_buffer, pose_buffer,
                            noise_rng, sample_rng, _snapshot_config(scenario, config))
     # one fast transition per slot and one pose transition per window, resumed episodes included

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_ranges
+from .errors import ConfigError, ProtocolError, check_fields, check_ranges, whole_number
 from .nn import CHUNK, Adam, Mlp, scratch
 
 CHECKPOINT_VERSION = 2
@@ -36,14 +36,11 @@ _OPTIMIZED = {"actor": ("lr_actor", "actor_update_count"), "critic1": ("lr_criti
               "critic2": ("lr_critic", "critic_update_count")}
 # The keys of state.npz, the actor's first: networks, then optimizer moments.
 _VECTORS = (*_NETWORKS, *(f"opt_{name}_{moment}" for name in _OPTIMIZED for moment in "mv"))
-# Constructor arguments an agent stores and its manifest records, in the
-# manifest's key order, with the type each is stored as.
-_HYPERPARAMETERS = {
-    "obs_dim": int, "action_dim": int, "critic_input_dim": int, "hidden": lambda h: tuple(int(x) for x in h),
-    "lr_actor": float, "lr_critic": float, "gamma": float, "tau": float, "policy_delay": int,
-    "smoothing_std": float,
-}
-# The constructor settings that have a range: (test, what the test asks).
+# An agent's sizes and update counts, its manifest's whole numbers, with their ranges.
+_DIMS = ("obs_dim", "action_dim", "critic_input_dim")
+_NUMBER_RANGES = {**dict.fromkeys(_DIMS, (lambda v: v >= 1, "be >= 1")),
+                 **dict.fromkeys(("critic_update_count", "actor_update_count"), (lambda v: v >= 0, "be >= 0"))}
+# The AgentSettings that have a range: (test, what the test asks).
 AGENT_RANGES = {
     "hidden": (lambda widths: all(w >= 1 for w in widths), "hold widths >= 1"),
     "gamma": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
@@ -52,6 +49,28 @@ AGENT_RANGES = {
     **dict.fromkeys(("lr_actor", "lr_critic"), (lambda v: v > 0.0, "be > 0")),
     "smoothing_std": (lambda v: v >= 0, "be >= 0"),
 }
+
+
+@dataclass(frozen=True)
+class AgentSettings:
+    """The TD3 settings of an agent, in its manifest's key order; built only
+    when every field passes :data:`AGENT_RANGES`.  ``hdrl.TrainConfig``
+    inherits them, and a roster's agents take its config's."""
+
+    hidden: tuple[int, ...] = (256, 256)
+    lr_actor: float = 1e-4
+    lr_critic: float = 3e-4
+    gamma: float = 0.99
+    tau: float = 0.01
+    policy_delay: int = 2
+    smoothing_std: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self, AGENT_RANGES)
+
+    def agent_settings(self) -> dict:
+        """The :class:`AgentSettings` fields by name, in their order (a subclass holds more)."""
+        return {key: getattr(self, key) for key in AgentSettings.__dataclass_fields__}
 
 
 def check_version(manifest: dict, directory) -> None:
@@ -176,22 +195,12 @@ class ReplayBuffer:
 class Td3Agent:
     """Actor, twin critics and target networks with delayed policy updates."""
 
-    def __init__(
-        self,
-        obs_dim: int,
-        action_dim: int,
-        critic_input_dim: int,
-        hidden=(256, 256),
-        lr_actor: float = 1e-4,
-        lr_critic: float = 3e-4,
-        gamma: float = 0.99,
-        tau: float = 0.01,
-        policy_delay: int = 2,
-        smoothing_std: float = 0.0,
-        *,
-        rng: np.random.Generator,
-    ):
-        self._set_hyperparameters(locals())
+    def __init__(self, obs_dim: int, action_dim: int, critic_input_dim: int, *, rng: np.random.Generator,
+                 **settings):
+        """``settings``: :class:`AgentSettings` fields, kept as attributes; the rest take their defaults."""
+        self.obs_dim, self.action_dim, self.critic_input_dim = int(obs_dim), int(action_dim), int(critic_input_dim)
+        for key, value in AgentSettings(**settings).agent_settings().items():
+            setattr(self, key, value)
         plan = self._layer_plan()
         self.actor = Mlp(*plan["actor"], rng, final_scale=1e-3)
         self.critic1 = Mlp(*plan["critic1"], rng)
@@ -199,19 +208,12 @@ class Td3Agent:
         self.target_actor = self.actor.copy()
         self.target_critic1 = self.critic1.copy()
         self.target_critic2 = self.critic2.copy()
-        self.opt_actor = Adam(self.actor.parameters(), lr_actor)
-        self.opt_critic1 = Adam(self.critic1.parameters(), lr_critic)
-        self.opt_critic2 = Adam(self.critic2.parameters(), lr_critic)
+        self.opt_actor = Adam(self.actor.parameters(), self.lr_actor)
+        self.opt_critic1 = Adam(self.critic1.parameters(), self.lr_critic)
+        self.opt_critic2 = Adam(self.critic2.parameters(), self.lr_critic)
         self.critic_update_count = 0
         self.actor_update_count = 0
         self._checkpoint: Path | None = None  # the state.npz whose learner state is not yet read
-
-    def _set_hyperparameters(self, values) -> None:
-        """Check and store the :data:`_HYPERPARAMETERS` entries of ``values``
-        (the constructor's arguments or a checkpoint manifest)."""
-        check_ranges(values, AGENT_RANGES)
-        for key, kind in _HYPERPARAMETERS.items():
-            setattr(self, key, kind(values[key]))
 
     def _layer_plan(self) -> dict[str, tuple[list[int], list[str]]]:
         """Layer dims and activations of every network, by checkpoint name."""
@@ -326,7 +328,7 @@ class Td3Agent:
     def manifest(self) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
-            **{key: getattr(self, key) for key in _HYPERPARAMETERS},
+            **{key: getattr(self, key) for key in (*_DIMS, *AgentSettings.__dataclass_fields__)},
             "critic_update_count": self.critic_update_count,
             "actor_update_count": self.actor_update_count,
         }
@@ -353,16 +355,18 @@ class Td3Agent:
     @classmethod
     def load(cls, directory) -> "Td3Agent":
         """The agent :meth:`save` wrote, built from its files with no random
-        initialisation to overwrite.  Only the manifest (its version and
-        ranges checked) and the actor are read, enough to act; the rest
-        waits for :meth:`read_learner_state`."""
+        initialisation to overwrite.  Only the manifest (its version, then each
+        entry's kind before its range: a ConfigError naming the entry) and the
+        actor are read, enough to act; the rest waits for :meth:`read_learner_state`."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         check_version(manifest, directory)
         agent = object.__new__(cls)
-        agent._set_hyperparameters(manifest)
-        agent.critic_update_count = manifest["critic_update_count"]
-        agent.actor_update_count = manifest["actor_update_count"]
+        numbers = {key: whole_number(manifest[key], key) for key in _NUMBER_RANGES}
+        check_ranges(numbers, _NUMBER_RANGES)
+        settings = AgentSettings(**{key: manifest[key] for key in AgentSettings.__dataclass_fields__})
+        for key, value in {**numbers, **settings.agent_settings()}.items():
+            setattr(agent, key, value)
         agent._checkpoint = directory / "state.npz"
         agent.actor = Mlp.from_flat(*agent._layer_plan()["actor"], agent._read_vectors(["actor"])["actor"])
         return agent

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sixdma_isac
 from sixdma_isac import harness, hdrl
 from sixdma_isac.env import _UNIT_KEYS, ScenarioConfig, desk_scenario
 from sixdma_isac.errors import ConfigError
@@ -412,6 +415,18 @@ class TestTrainCommand:
         statuses = cmd_train(spec, resume=True)
         assert statuses == [{"name": "scheme1_seed0", "status": "skipped"}]
 
+    def test_resume_skip_removes_the_files_a_killed_retrain_staged(self, tmp_path, capsys):
+        common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--episodes", "1", "--episode-logs",
+                  "--out", str(tmp_path)]
+        assert main(common) == 0
+        run_dir = tmp_path / "scheme1_seed0"
+        for name in ("episodes.ndjson.tmp", "manifest.json.tmp"):  # a kill leaves them, as no exception unwinds
+            (run_dir / name).write_text("{}\n")
+        capsys.readouterr()
+        assert main([*common, "--resume"]) == 0
+        assert capsys.readouterr().out == "scheme1_seed0: skipped\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_resume_refuses_a_complete_run_with_another_config(self, tmp_path, capsys):
         common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--out", str(tmp_path)]
         assert main([*common, "--episodes", "1"]) == 0
@@ -710,6 +725,31 @@ class TestResume:
         assert cmd_train(spec, resume=True)[0]["status"] == "trained"
         assert {name: (run_dir / name).read_bytes() for name in names} == reference
         assert list(spec.out_dir.rglob("*.tmp")) == []
+
+    def test_a_run_killed_after_its_first_snapshot_resumes_to_the_uninterrupted_log(self, tmp_path):
+        # a kill runs no finally clause and flushes no buffer: the records the snapshot covers must be on
+        # disk before it is swapped in, or the resume keeps a log short of them
+        common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--episodes", "4",
+                  "--snapshot-interval", "1", "--episode-logs"]
+        assert main([*common, "--out", str(tmp_path / "straight")]) == 0
+        child = ("import os, sys\n"
+                 "from sixdma_isac import harness, hdrl\n"
+                 "save = hdrl._save_snapshot\n"
+                 "def save_then_kill(*args):\n"
+                 "    save(*args)\n"
+                 "    os._exit(9)\n"
+                 "hdrl._save_snapshot = save_then_kill\n"
+                 "harness.main(sys.argv[1:])\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(sixdma_isac.__file__).parents[1])}
+        killed = subprocess.run([sys.executable, "-c", child, *common, "--out", str(tmp_path / "killed")], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert killed.returncode == 9, killed.stderr
+        run_dir = tmp_path / "killed" / "scheme1_seed0"
+        assert snapshot_episode(run_dir / "snapshots") == 1 and not (run_dir / "manifest.json").exists()
+        assert main([*common, "--out", str(tmp_path / "killed"), "--resume"]) == 0
+        for name in ("episodes.ndjson", "metrics.csv"):
+            assert (run_dir / name).read_bytes() == (tmp_path / "straight" / "scheme1_seed0" / name).read_bytes()
+        assert list(run_dir.rglob("*.tmp")) == []
 
     def test_log_cut_keeps_whole_records_before_the_snapshot(self, tmp_path):
         from sixdma_isac.harness import _cut_episode_log

@@ -675,6 +675,7 @@ class TestRosterCheckpoints:
 
     @pytest.mark.parametrize("saved_scheme, scenario_overrides, config_overrides, pattern", [
         (1, {}, {"hidden": (16, 16)}, "agent uav_0 has hidden"),
+        (1, {}, {"lr_critic": 5e-4}, "^checkpoint agent uav_0 has lr_critic 0.0003, the config implies 0.0005$"),
         (1, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {}, "agent uav_0 has critic_input_dim"),
         (2, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {"scheme": 2}, "agent beam has obs_dim"),
         (1, {}, {"scheme": 3}, "has scheme 1"),

@@ -1,17 +1,17 @@
-import inspect
 import json
 import os
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.errors import ConfigError, ProtocolError, check_ranges
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import AGENT_RANGES, CHECKPOINT_VERSION, NoiseSchedule, ReplayBuffer, Td3Agent
+from sixdma_isac.rl import AGENT_RANGES, CHECKPOINT_VERSION, AgentSettings, NoiseSchedule, ReplayBuffer, Td3Agent
 
 
 def make_agent(obs_dim=4, action_dim=2, hidden=(16, 16), seed=0, **kwargs):
@@ -407,10 +407,64 @@ class TestSettingRanges:
     def test_check_ranges_reads_the_settings_it_is_given(self):
         # the agent's table names its constructor settings alone: a training-only setting such as
         # noise_floor is the training config's to check
-        assert set(AGENT_RANGES) <= set(inspect.signature(Td3Agent).parameters)
+        assert set(AGENT_RANGES) <= {f.name for f in fields(AgentSettings)}
         check_ranges({"smoothing_std": 0.0, "noise_floor": -0.01, "unrelated": -1.0}, AGENT_RANGES)
         with pytest.raises(ConfigError, match="^smoothing_std must be >= 0, got -0.01$"):
             check_ranges({"gamma": 0.5, "smoothing_std": -0.01}, AGENT_RANGES)
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# Per agent-manifest entry: values of its kind that lie outside its range.
+_OUT_OF_RANGE = {
+    "hidden": st.tuples(st.integers(1, 64), st.integers(max_value=0)).map(list),
+    "lr_actor": _floats(max_value=0.0),
+    "lr_critic": _floats(max_value=0.0),
+    "gamma": _floats(max_value=0.0, exclude_max=True) | _floats(min_value=1.0),
+    "tau": _floats(max_value=0.0) | _floats(min_value=1.0, exclude_min=True),
+    "policy_delay": st.integers(max_value=0),
+    "smoothing_std": _floats(max_value=0.0, exclude_max=True),
+    "critic_update_count": st.integers(max_value=-1),
+    "actor_update_count": st.integers(max_value=-1),
+}
+_WHOLE_NUMBERS = ("policy_delay", "critic_update_count", "actor_update_count")
+
+
+def _bad_entry(name):
+    """A value of a wrong kind, a non-finite number or a value out of range for the manifest entry ``name``."""
+    wrong_kind = st.sampled_from(["0.9", "7", True, False, None, [0.9], {"value": 1}])
+    non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    if name == "hidden":  # a list is its kind: a wrong kind or non-finite number goes in as a width
+        wrong_kind = wrong_kind | wrong_kind.map(lambda v: [16, v])
+        non_finite = non_finite.map(lambda v: [16, v])
+    elif name in _WHOLE_NUMBERS:
+        wrong_kind = wrong_kind | st.sampled_from([2.5, -0.5])
+    return st.tuples(st.just(name), wrong_kind | non_finite | _OUT_OF_RANGE[name])
+
+
+@pytest.fixture(scope="module")
+def saved_agent(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("agent")
+    make_agent(seed=40).save(directory)
+    return directory, json.loads((directory / "manifest.json").read_text())
+
+
+@given(entry=st.sampled_from(list(_OUT_OF_RANGE)).flatmap(_bad_entry))
+@example(entry=("gamma", "0.9"))
+@example(entry=("critic_update_count", "7"))
+@example(entry=("actor_update_count", 2.5))
+@example(entry=("critic_update_count", -3))
+def test_a_bad_manifest_entry_is_a_config_error_naming_it(saved_agent, entry):
+    # every setting and update count is checked by kind before range, so none escapes as a TypeError
+    assert set(_OUT_OF_RANGE) == {*(f.name for f in fields(AgentSettings)), "critic_update_count",
+                                  "actor_update_count"}
+    directory, manifest = saved_agent
+    name, value = entry
+    (directory / "manifest.json").write_text(json.dumps({**manifest, name: value}))
+    with pytest.raises(ConfigError, match=f"^{name} "):
+        Td3Agent.load(directory)
 
 
 NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
