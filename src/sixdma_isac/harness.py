@@ -8,6 +8,10 @@ given spec and seed) and a ``checkpoints/`` roster.  ``compare`` reduces
 finished runs to per-scheme tables and plot-ready columnar files;
 ``profile`` measures per-agent inference latency.
 
+A run trains in ``<run>.part/`` and is swapped over ``<run>/`` whole, so
+``eval``, ``compare`` and a ``--resume`` skip read only complete runs and
+a kill at any point leaves the previous run whole.
+
 Exit codes: 0 success, 1 usage error, 2 runtime error.  The worker-pool
 size comes from the ``SIXDMA_ISAC_WORKERS`` environment variable
 (a whole number of at least 1, default 1; determinism guarantees apply to
@@ -22,7 +26,8 @@ import json
 import os
 import shutil
 import sys
-from contextlib import contextmanager, nullcontext
+import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -41,10 +46,10 @@ from .hdrl import (
     evaluate,
     profile_latency,
     snapshot_episode,
+    swap_dir,
     train,
     train_config_from_dict,
 )
-from .rl import staged_file, write_whole
 
 WORKERS_ENV_VAR = "SIXDMA_ISAC_WORKERS"
 
@@ -156,13 +161,25 @@ def content_hash(scenario: ScenarioConfig, train_cfg: TrainConfig) -> str:
 _COLUMN_TYPES = tuple(get_type_hints(EpisodeMetrics).values())
 
 
+def write_whole(path, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp`` and rename it over ``path`` (a failed
+    write removes it): a crash mid-write leaves the previous file, never a torn one."""
+    path = Path(path)
+    staged = path.with_name(path.name + ".tmp")
+    try:
+        staged.write_text(text)
+        os.replace(staged, path)
+    finally:
+        staged.unlink(missing_ok=True)
+
+
 def write_metrics_csv(path, metrics) -> None:
     """Fixed columns, repr-formatted floats: byte-stable per spec+seed."""
     lines = [",".join(METRIC_COLUMNS)]
     for m in metrics:
         cells = (repr(float(v)) if kind is float else str(int(v)) for kind, v in zip(_COLUMN_TYPES, m.as_row()))
         lines.append(",".join(cells))
-    write_whole(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_metrics_csv(path) -> list[EpisodeMetrics]:
@@ -175,85 +192,90 @@ def read_metrics_csv(path) -> list[EpisodeMetrics]:
 
 # ------------------------------------------------------------------ run execution
 def _execute_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> dict:
-    """Train one run into its directory (module-level for process pools)."""
-    run_dir = spec.out_dir / run.name
-    run_dir.mkdir(parents=True, exist_ok=True)
-    digest = content_hash(run.scenario, run.train)
-    manifest_path = run_dir / "manifest.json"
-    if resume and manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("status") == "complete":
-            if manifest.get("content_hash") != digest:
-                raise ConfigError(f"run {run.name} is complete under a different config; "
-                                  "resume needs the spec it was trained with, or a fresh output directory")
-            for stray in run_dir.glob("*.tmp"):  # staged by a retrain killed before it retired the manifest
-                stray.unlink()
-            return {"name": run.name, "status": "skipped"}
-    snapshot_dir = run_dir / "snapshots"
-    next_episode = snapshot_episode(snapshot_dir) if resume else None
-    resume_from = None if next_episode is None else snapshot_dir
-    if resume_from is None:  # an earlier training's snapshot would resume over this training's log
-        shutil.rmtree(snapshot_dir, ignore_errors=True)
-    # The new manifest and log are staged and renamed into place last.  The
-    # old manifest is retired before metrics.csv, the log or a checkpoint
-    # file is replaced, so a run cut in between has no manifest: eval
-    # refuses it, --resume resumes or retrains it.
-    log_path = run_dir / "episodes.ndjson"
-    with (staged_file(manifest_path) as staged_manifest,
-          _staged_log(log_path, next_episode, snapshot_dir) if spec.episode_logs else nullcontext() as log_stream):
-        result = train(
-            run.scenario,
-            run.train,
-            episode_log=log_stream,
-            snapshot_dir=snapshot_dir if spec.snapshot_interval else None,
-            snapshot_interval=spec.snapshot_interval,
-            resume_from=resume_from,
-        )
-        manifest = {
-            "name": run.name,
-            "scheme": run.train.scheme,
-            "seed": run.train.seed,
-            "scenario": run.scenario.to_dict(),
-            "train": run.train.to_dict(),
-            "content_hash": digest,
-            "episodes": len(result.metrics),
-            "status": "complete",
-        }
-        staged_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        manifest_path.unlink(missing_ok=True)
-        write_metrics_csv(run_dir / "metrics.csv", result.metrics)
-        result.roster.save(run_dir / "checkpoints")
-    return {"name": run.name, "status": "trained"}
-
-
-@contextmanager
-def _staged_log(path: Path, resume_at: int | None, snapshot_dir: Path):
-    """Yield the stream of a run's episode log, written in ``<path>.tmp`` and
-    renamed over ``path`` when the block ends.  A resume from the snapshot of
-    episode ``resume_at`` cuts the staged log (or, without one, the log) at
-    that episode and appends.  A block that fails keeps the staged log while
-    a snapshot can resume it, and removes it otherwise."""
-    staged = path.with_name(path.name + ".tmp")
-    if resume_at is not None:
-        if path.exists() and not staged.exists():  # in place: the run was cut before its manifest
-            os.replace(path, staged)
-        if staged.exists():
-            _cut_episode_log(staged, resume_at)
+    """Train one run (module-level for process pools).  A runtime error fails this run
+    alone: its traceback goes to stderr and its ``.part`` stays for a resume.  A usage
+    error stops the command."""
     try:
-        with open(staged, "w" if resume_at is None else "a") as stream:
-            yield stream
-        os.replace(staged, path)
-    except BaseException:
-        if snapshot_episode(snapshot_dir) is None:
-            staged.unlink(missing_ok=True)
+        return {"name": run.name, "status": _train_run(run, spec, resume)}
+    except ConfigError:
         raise
+    except Exception as err:
+        traceback.print_exc()
+        return {"name": run.name, "status": f"failed: {err}"}
+
+
+def _train_run(run: RunSpec, spec: ExperimentSpec, resume: bool) -> str:
+    """Train ``run`` in ``<run>.part/``, written plainly, manifest last, and swap
+    it over ``<run>/`` whole.  A resume settles what a cut left, then skips a
+    run complete under this spec or continues ``.part`` from its snapshot."""
+    run_dir = spec.out_dir / run.name
+    part = run_dir.with_name(run.name + ".part")
+    digest = content_hash(run.scenario, run.train)
+    snapshot_dir = part / "snapshots"
+    next_episode = None
+    if resume:
+        manifest, next_episode = _settle(run_dir, part), snapshot_episode(snapshot_dir)
+        if manifest is not None and manifest.get("content_hash") == digest:
+            shutil.rmtree(part, ignore_errors=True)
+            return "skipped"
+        if manifest is not None and next_episode is None:  # no cut retrain of it to continue
+            raise ConfigError(f"run {run.name} is complete under a different config; "
+                              "resume needs the spec it was trained with, or a fresh output directory")
+    if next_episode is None:
+        shutil.rmtree(part, ignore_errors=True)
+    part.mkdir(parents=True, exist_ok=True)
+    log_path = part / "episodes.ndjson"  # appended in place: a fresh .part holds none
+    if spec.episode_logs and next_episode is not None:
+        _cut_episode_log(log_path, next_episode)
+    with (open(log_path, "a") if spec.episode_logs else nullcontext()) as log:
+        result = train(run.scenario, run.train, episode_log=log, snapshot_interval=spec.snapshot_interval,
+                       snapshot_dir=snapshot_dir if spec.snapshot_interval else None,
+                       resume_from=None if next_episode is None else snapshot_dir)
+    write_metrics_csv(part / "metrics.csv", result.metrics)
+    result.roster.save(part / "checkpoints")
+    manifest = {"name": run.name, "scheme": run.train.scheme, "seed": run.train.seed,
+                "scenario": run.scenario.to_dict(), "train": run.train.to_dict(), "content_hash": digest,
+                "episodes": len(result.metrics), "status": "complete"}
+    (part / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    swap_dir(part, run_dir)
+    return "trained"
+
+
+def _settle(run_dir: Path, part: Path) -> dict | None:
+    """Put in order what a cut left of a run; its manifest if complete, else None.
+    A complete ``.part`` finishes its swap; else, in the gap between the swap's
+    renames, ``<run>.old`` is restored.  A ``<run>`` without a complete manifest
+    becomes the ``.part``, and a ``<run>.old`` beside a complete one is removed."""
+    retired = run_dir.with_name(run_dir.name + ".old")
+    if _complete_manifest(part) is not None:
+        swap_dir(part, run_dir)
+    elif retired.exists() and not run_dir.exists():
+        retired.rename(run_dir)
+    manifest = _complete_manifest(run_dir)
+    if manifest is None and run_dir.exists():
+        shutil.rmtree(part, ignore_errors=True)
+        run_dir.rename(part)
+        staged_log = part / "episodes.ndjson.tmp"  # where an earlier version kept the log of a cut run
+        if staged_log.exists():
+            os.replace(staged_log, part / "episodes.ndjson")
+    shutil.rmtree(retired, ignore_errors=True)
+    return manifest
+
+
+def _complete_manifest(run_dir: Path) -> dict | None:
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except (FileNotFoundError, ValueError):  # none, or torn by a kill mid-write
+        return None
+    return manifest if manifest.get("status") == "complete" else None
 
 
 def _cut_episode_log(path: Path, next_episode: int) -> None:
     """Keep only the records of episodes before ``next_episode``: a resume
     trains the later ones again and logs them anew.  Records run in episode
     order, so the log is cut at the first later one (or a torn last line)."""
-    with open(path, "r+b") as log:
+    with open(path, "a+b") as log:  # creates the log when the resumed training kept none
+        log.seek(0)
         end = 0
         for line in log:
             if not line.endswith(b"\n") or json.loads(line)["episode"] >= next_episode:
@@ -274,10 +296,10 @@ def worker_count() -> int:
 
 
 def cmd_train(spec: ExperimentSpec, resume: bool = False) -> list[dict]:
-    """Train every planned run; returns one status dict per run."""
+    """Train every planned run, each to the end whether or not another fails;
+    returns one status dict per run: trained, skipped or ``failed: <error>``."""
     runs = plan_runs(spec)
     workers = worker_count()
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     if workers == 1:
         return [_execute_run(run, spec, resume) for run in runs]
     # imported here: the pool module adds about 15 ms to every ``import sixdma_isac``
@@ -520,32 +542,21 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command == "train":
-            spec = _spec_from_args(args)
-            statuses = cmd_train(spec, resume=args.resume)
+            statuses = cmd_train(_spec_from_args(args), resume=args.resume)
             for status in statuses:
                 print(f"{status['name']}: {status['status']}")
+            if any(status["status"].startswith("failed") for status in statuses):
+                return 2
         elif args.command == "eval":
-            spec = _spec_from_args(args)
-            reports = cmd_eval(spec, run_dirs=args.run)
-            for report in reports:
-                print(
-                    f"{report['run']}: sum_rate={report['sum_rate']:.4f} "
-                    f"mean_snr={report['mean_snr']:.4f} "
-                    f"feasible={report['snr_feasible_fraction']:.2%}"
-                )
+            for report in cmd_eval(_spec_from_args(args), run_dirs=args.run):
+                print(f"{report['run']}: sum_rate={report['sum_rate']:.4f} mean_snr={report['mean_snr']:.4f} "
+                      f"feasible={report['snr_feasible_fraction']:.2%}")
         elif args.command == "compare":
-            spec = _spec_from_args(args)
-            result = cmd_compare(spec)
-            for scheme, entry in result["schemes"].items():
-                print(
-                    f"scheme {scheme}: sum_rate={entry['converged_sum_rate']:.4f} "
-                    f"mean_snr={entry['converged_mean_snr']:.4f} (n={entry['n_seeds']})"
-                )
-        elif args.command == "profile":
-            rows = cmd_profile(args.run, calls=args.calls)
-            print(format_profile_table(rows))
-        else:  # pragma: no cover - argparse enforces the choices
-            raise _UsageError(f"unknown command {args.command}")
+            for scheme, entry in cmd_compare(_spec_from_args(args))["schemes"].items():
+                print(f"scheme {scheme}: sum_rate={entry['converged_sum_rate']:.4f} "
+                      f"mean_snr={entry['converged_mean_snr']:.4f} (n={entry['n_seeds']})")
+        else:  # profile: argparse allows no other command
+            print(format_profile_table(cmd_profile(args.run, calls=args.calls)))
     except (ConfigError, _UsageError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -19,8 +19,8 @@ precoder, and the slot is scored.  ``train`` adds learning on top of it,
 
 A roster load reads the actors, all that acting needs.  A snapshot
 (roster, buffers, generator states, rows) resumes ``train`` exactly, with
-every agent's learner state read first; it is swapped in whole, so a
-crash never mixes two.  Only this module knows a snapshot's files.
+every agent's learner state read first; :func:`swap_dir` swaps it in whole,
+as it does a run, so a crash never mixes two.  Only this module knows its files.
 
 Training is sequential and deterministic per seed; run several seeds as
 independent processes if parallelism is needed.
@@ -46,7 +46,6 @@ from .rl import (
     ReplayBuffer,
     Td3Agent,
     check_version,
-    write_whole,
 )
 
 UAV_OBS_DIM = 10
@@ -156,7 +155,7 @@ class AgentRoster:
         for name, agent in self.all_agents():
             agent.save(directory / name)
         manifest = {"version": CHECKPOINT_VERSION, "scheme": self.scheme, "num_uavs": self.num_uavs}
-        write_whole(directory / "roster.json", json.dumps(manifest, indent=2))
+        (directory / "roster.json").write_text(json.dumps(manifest, indent=2))
 
     @classmethod
     def load(cls, directory, scenario: ScenarioConfig, config: TrainConfig) -> "AgentRoster":
@@ -403,13 +402,24 @@ def snapshot_episode(directory) -> int | None:
     return json.loads(path.read_text())["next_episode"] if path.exists() else None
 
 
+def swap_dir(staged: Path, directory: Path) -> None:
+    """Rename ``directory`` to ``<directory>.old`` and ``staged`` to ``directory``, then
+    remove the ``.old`` (and first one a cut swap left).  A crash between the renames
+    leaves ``staged`` and the ``.old`` without ``directory``; never a mix of two."""
+    retired = directory.with_name(directory.name + ".old")
+    shutil.rmtree(retired, ignore_errors=True)
+    if directory.exists():
+        directory.rename(retired)
+    staged.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
+
+
 def _save_snapshot(directory: Path, next_episode: int, metrics, roster, fast_buffer, pose_buffer,
                    noise_rng, sample_rng, run_config: dict) -> None:
-    """Write the snapshot into ``<directory>.new`` and swap it in by two renames.  A crash
-    before them leaves the previous snapshot, one between them none; never a mix of two."""
-    staged, retired = (directory.with_name(directory.name + suffix) for suffix in (".new", ".old"))
-    for stale in (staged, retired):  # left by a crash
-        shutil.rmtree(stale, ignore_errors=True)
+    """Write the snapshot's files plainly into ``<directory>.new`` and :func:`swap_dir` it
+    in.  A crash before the swap leaves the previous snapshot, one inside it none."""
+    staged = directory.with_name(directory.name + ".new")
+    shutil.rmtree(staged, ignore_errors=True)  # left by a crash
     staged.mkdir(parents=True)
     roster.save(staged / "roster")
     for name, buffer in (("fast_buffer", fast_buffer), ("pose_buffer", pose_buffer)):
@@ -418,10 +428,7 @@ def _save_snapshot(directory: Path, next_episode: int, metrics, roster, fast_buf
              "noise_rng": noise_rng.bit_generator.state, "sample_rng": sample_rng.bit_generator.state,
              "config": run_config}
     (staged / "train_state.json").write_text(json.dumps(state))
-    if directory.exists():
-        directory.rename(retired)
-    staged.rename(directory)
-    shutil.rmtree(retired, ignore_errors=True)
+    swap_dir(staged, directory)
 
 
 def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_rng,
@@ -429,6 +436,8 @@ def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_
     """Restore buffers and generators, and the roster with every agent's
     learner state; returns (roster, next episode, rows).  A snapshot written
     under other settings, or with none recorded, raises ConfigError."""
+    for stale in (".new", ".old"):  # left by a cut swap; no later snapshot may come to remove them
+        shutil.rmtree(directory.with_name(directory.name + stale), ignore_errors=True)
     state = json.loads((directory / "train_state.json").read_text())
     if "config" not in state:
         raise ConfigError(f"snapshot {directory} records no run settings to check; start afresh")

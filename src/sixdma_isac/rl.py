@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import math
 import mmap
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,26 +76,6 @@ def check_version(manifest: dict, directory) -> None:
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint {directory} is version {manifest.get('version')}; this version reads "
                           f"only version {CHECKPOINT_VERSION} checkpoints, so train the run afresh")
-
-
-@contextmanager
-def staged_file(path):
-    """Yield ``<path>.tmp`` to write and rename it over ``path`` once the
-    block ends; a block that fails removes it.  A crash mid-write leaves
-    the previous file (or none), never a torn one."""
-    path = Path(path)
-    staged = path.with_name(path.name + ".tmp")
-    try:
-        yield staged
-        os.replace(staged, path)
-    finally:
-        staged.unlink(missing_ok=True)
-
-
-def write_whole(path, text: str) -> None:
-    """Write ``text`` to ``path`` through :func:`staged_file`."""
-    with staged_file(path) as staged:
-        staged.write_text(text)
 
 
 @dataclass(frozen=True)
@@ -348,9 +326,8 @@ class Td3Agent:
         for name in _OPTIMIZED:
             opt = getattr(self, f"opt_{name}")
             arrays[f"opt_{name}_m"], arrays[f"opt_{name}_v"] = opt.m, opt.v
-        with staged_file(directory / "state.npz") as staged, open(staged, "wb") as file:
-            np.savez(file, **arrays)
-        write_whole(directory / "manifest.json", json.dumps(self.manifest(), indent=2))
+        np.savez(directory / "state.npz", **arrays)
+        (directory / "manifest.json").write_text(json.dumps(self.manifest(), indent=2))
 
     @classmethod
     def load(cls, directory) -> "Td3Agent":

@@ -37,6 +37,8 @@ from sixdma_isac.harness import (
 from sixdma_isac.hdrl import AgentRoster, EpisodeMetrics, TrainConfig, desk_train_config, snapshot_episode
 from sixdma_isac.rl import Td3Agent
 
+from killpoints import compare, run_files
+
 
 def tiny_spec(tmp_path, **overrides):
     base = dict(
@@ -415,17 +417,17 @@ class TestTrainCommand:
         statuses = cmd_train(spec, resume=True)
         assert statuses == [{"name": "scheme1_seed0", "status": "skipped"}]
 
-    def test_resume_skip_removes_the_files_a_killed_retrain_staged(self, tmp_path, capsys):
+    def test_resume_skip_removes_the_part_a_killed_retrain_left(self, tmp_path, capsys):
         common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--episodes", "1", "--episode-logs",
                   "--out", str(tmp_path)]
         assert main(common) == 0
-        run_dir = tmp_path / "scheme1_seed0"
-        for name in ("episodes.ndjson.tmp", "manifest.json.tmp"):  # a kill leaves them, as no exception unwinds
-            (run_dir / name).write_text("{}\n")
+        part = tmp_path / "scheme1_seed0.part"
+        part.mkdir()  # a kill leaves it, as no exception unwinds
+        (part / "episodes.ndjson").write_text("{}\n")
         capsys.readouterr()
         assert main([*common, "--resume"]) == 0
         assert capsys.readouterr().out == "scheme1_seed0: skipped\n"
-        assert list(tmp_path.rglob("*.tmp")) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scheme1_seed0"]
 
     def test_resume_refuses_a_complete_run_with_another_config(self, tmp_path, capsys):
         common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--out", str(tmp_path)]
@@ -459,8 +461,7 @@ class TestTrainCommand:
             raise RuntimeError("cut after the first episode")
 
         monkeypatch.setattr(harness, "train", cut)
-        with pytest.raises(RuntimeError, match="cut after the first episode"):
-            cmd_train(spec)
+        assert cmd_train(spec) == [{"name": "scheme1_seed0", "status": "failed: cut after the first episode"}]
         assert {name: (run_dir / name).read_bytes() for name in names} == before
         assert list(spec.out_dir.rglob("*.tmp")) == []
 
@@ -512,10 +513,17 @@ def swept_dir(tmp_path_factory):
     return spec
 
 
+def _train_raising_a_failure(spec):
+    """cmd_train, raising the error of a failed run (cmd_train reports it in the run's status)."""
+    failed = [status["status"] for status in cmd_train(spec) if status["status"].startswith("failed")]
+    if failed:
+        raise OSError(failed[0])
+
+
 class TestWholeFileWrites:
     COMMANDS = {
-        "metrics.csv": cmd_train,
-        "manifest.json": cmd_train,
+        "metrics.csv": _train_raising_a_failure,
+        "manifest.json": _train_raising_a_failure,
         "eval_report.json": cmd_eval,
         "profile.json": lambda spec: cmd_profile(spec.out_dir / "scheme1_seed0_tr5", calls=10),
         "comparison.csv": cmd_compare,
@@ -530,8 +538,9 @@ class TestWholeFileWrites:
         def harness_file(path):  # an agent checkpoint's own manifest.json is not one
             return path.name in (name, name + ".tmp") and "checkpoints" not in path.parts
 
-        def contents():
-            return {path: path.read_bytes() for path in spec.out_dir.rglob(name) if harness_file(path)}
+        def contents():  # a .part holds a run in training, whose files nothing reads
+            return {path: path.read_bytes() for path in spec.out_dir.rglob(name)
+                    if harness_file(path) and not path.parent.name.endswith(".part")}
 
         before = contents()
         assert before
@@ -550,7 +559,7 @@ class TestWholeFileWrites:
         assert list(spec.out_dir.rglob("*.tmp")) == []
 
 
-    def test_a_fault_in_a_checkpoint_write_leaves_a_run_that_eval_refuses_and_resume_retrains(
+    def test_a_fault_in_a_checkpoint_write_leaves_the_complete_run_that_eval_reads_and_resume_skips(
             self, trained_dir, tmp_path, monkeypatch):
         spec = replace(trained_dir, out_dir=tmp_path / "runs", schemes=(1,))
         shutil.copytree(trained_dir.out_dir, spec.out_dir)
@@ -568,14 +577,13 @@ class TestWholeFileWrites:
 
         with monkeypatch.context() as patch:
             patch.setattr(Path, "write_text", torn)
-            with pytest.raises(OSError, match="injected write fault"):
-                cmd_train(spec)  # a retrain over the trained run
+            statuses = cmd_train(spec)  # a retrain over the trained run
+        assert statuses == [{"name": "scheme1_seed0", "status": "failed: injected write fault"}]
         assert faults and list(spec.out_dir.rglob("*.tmp")) == []
-        with pytest.raises(FileNotFoundError, match="no manifest"):
-            cmd_eval(spec)
-        assert cmd_train(spec, resume=True) == [{"name": "scheme1_seed0", "status": "trained"}]
-        assert (run_dir / "metrics.csv").read_bytes() == metrics
         assert len(cmd_eval(spec)) == 1
+        assert cmd_train(spec, resume=True) == [{"name": "scheme1_seed0", "status": "skipped"}]
+        assert (run_dir / "metrics.csv").read_bytes() == metrics
+        assert not (spec.out_dir / "scheme1_seed0.part").exists()
 
 
 class TestEvalCompareProfile:
@@ -681,8 +689,7 @@ class TestResume:
     @pytest.mark.parametrize("cut", ["a fresh run after its first snapshot", "a retrain after the old manifest",
                                      "a fresh run before its own first snapshot"])
     def test_a_run_cut_with_snapshots_resumes_to_the_uninterrupted_files(self, tmp_path, monkeypatch, cut):
-        # a fresh log is staged: a cut that removed the staged log left its resume to append to no
-        # log, or to the log of the training before
+        # the cut run stays in its .part, log and snapshots, which its resume continues
         train_cfg = desk_train_config(episodes=3, batch_size=8, hidden=(8, 8), buffer_capacity=500)
         straight = tiny_spec(tmp_path, out_dir=tmp_path / "straight", train=train_cfg, episode_logs=True)
         cmd_train(straight)
@@ -717,14 +724,14 @@ class TestResume:
                 raise RuntimeError("cut")
 
             monkeypatch.setattr(harness, "write_metrics_csv", cut_metrics)
-        with pytest.raises(RuntimeError, match="cut"):
-            cmd_train(spec)
+        assert cmd_train(spec)[0]["status"] == "failed: cut"
         monkeypatch.undo()
         run_dir = spec.out_dir / "scheme1_seed0"
-        assert not (run_dir / "manifest.json").exists()
+        assert (spec.out_dir / "scheme1_seed0.part").is_dir()
         assert cmd_train(spec, resume=True)[0]["status"] == "trained"
         assert {name: (run_dir / name).read_bytes() for name in names} == reference
         assert list(spec.out_dir.rglob("*.tmp")) == []
+        assert sorted(path.name for path in spec.out_dir.iterdir()) == ["scheme1_seed0"]
 
     def test_a_run_killed_after_its_first_snapshot_resumes_to_the_uninterrupted_log(self, tmp_path):
         # a kill runs no finally clause and flushes no buffer: the records the snapshot covers must be on
@@ -745,11 +752,11 @@ class TestResume:
                                 capture_output=True, text=True, timeout=120)
         assert killed.returncode == 9, killed.stderr
         run_dir = tmp_path / "killed" / "scheme1_seed0"
-        assert snapshot_episode(run_dir / "snapshots") == 1 and not (run_dir / "manifest.json").exists()
+        assert snapshot_episode(tmp_path / "killed" / "scheme1_seed0.part" / "snapshots") == 1 and not run_dir.exists()
         assert main([*common, "--out", str(tmp_path / "killed"), "--resume"]) == 0
         for name in ("episodes.ndjson", "metrics.csv"):
             assert (run_dir / name).read_bytes() == (tmp_path / "straight" / "scheme1_seed0" / name).read_bytes()
-        assert list(run_dir.rglob("*.tmp")) == []
+        assert list(run_dir.rglob("*.tmp")) == [] and not (tmp_path / "killed" / "scheme1_seed0.part").exists()
 
     def test_log_cut_keeps_whole_records_before_the_snapshot(self, tmp_path):
         from sixdma_isac.harness import _cut_episode_log
@@ -778,10 +785,121 @@ class TestResume:
         state, metrics = (snapshot / "train_state.json").read_bytes(), (run_dir / "metrics.csv").read_bytes()
         capsys.readouterr()
         assert main([*common, "--episodes", "2", "--resume"]) == 1
-        assert f"usage error: snapshot {snapshot} holds fast_buffer fields {list(parts)}" in capsys.readouterr().err
-        assert not (run_dir / "manifest.json").exists()  # nothing trained: no run completed, no snapshot written
-        assert (snapshot / "train_state.json").read_bytes() == state
-        assert (run_dir / "metrics.csv").read_bytes() == metrics
+        part = tmp_path / "scheme1_seed0.part"  # the run without a manifest, moved to be resumed
+        assert f"usage error: snapshot {part / 'snapshots'} holds fast_buffer fields {list(parts)}" in capsys.readouterr().err
+        assert not run_dir.exists() and not (part / "manifest.json").exists()  # nothing trained or completed
+        assert (part / "snapshots" / "train_state.json").read_bytes() == state
+        assert (part / "metrics.csv").read_bytes() == metrics
+
+
+def _cut_in_training(monkeypatch, during=None):
+    """Make harness.train stop with RuntimeError("cut") after one episode, calling ``during()`` first."""
+    train = harness.train
+
+    def cut(scenario, config, **kwargs):
+        train(scenario, replace(config, episodes=1), **kwargs)
+        if during is not None:
+            during()
+        raise RuntimeError("cut")
+
+    monkeypatch.setattr(harness, "train", cut)
+
+
+class TestRunSwap:
+    """A run trains in <run>.part/ and is swapped over <run>/ whole."""
+
+    @pytest.mark.parametrize("part_complete", [True, False], ids=["finished", "restored"])
+    def test_a_resume_in_the_rename_gap_finishes_a_complete_part_or_restores_the_old_run(
+            self, tmp_path, monkeypatch, part_complete):
+        old_spec = tiny_spec(tmp_path, out_dir=tmp_path / "old", episode_logs=True, snapshot_interval=1)
+        new_spec = replace(old_spec, out_dir=tmp_path / "new", train=replace(old_spec.train, episodes=3))
+        cmd_train(old_spec)
+        cmd_train(new_spec)
+        spec = replace(old_spec, out_dir=tmp_path / "runs")
+        cmd_train(spec)
+        rename = Path.rename
+
+        def cut_between_the_renames(path, target):
+            if path.name.endswith(".part"):
+                raise OSError("cut between the renames")
+            return rename(path, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "rename", cut_between_the_renames)
+            assert cmd_train(replace(new_spec, out_dir=spec.out_dir))[0]["status"] == "failed: cut between the renames"
+        part = spec.out_dir / "scheme1_seed0.part"
+        assert sorted(path.name for path in spec.out_dir.iterdir()) == ["scheme1_seed0.old", "scheme1_seed0.part"]
+        if part_complete:  # the new run is whole: the swap is finished
+            finished = new_spec
+        else:  # a .part without a complete manifest: the retired run comes back
+            (part / "manifest.json").unlink()
+            finished = old_spec
+        assert cmd_train(replace(finished, out_dir=spec.out_dir), resume=True)[0]["status"] == "skipped"
+        assert compare(spec.out_dir, run_files(finished.out_dir)) is None
+
+    def test_eval_reads_the_complete_run_while_its_retrain_trains_and_after_the_cut(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path)
+        cmd_train(spec)
+        reports = [cmd_eval(spec)]
+        _cut_in_training(monkeypatch, during=lambda: reports.append(cmd_eval(spec)))
+        assert cmd_train(spec)[0]["status"] == "failed: cut"
+        reports.append(cmd_eval(spec))
+        assert reports == [reports[0]] * 3
+
+    def test_a_retrain_under_another_spec_keeps_no_output_of_the_old_training(self, trained_dir, tmp_path):
+        spec = replace(trained_dir, out_dir=tmp_path / "runs", schemes=(1,))
+        shutil.copytree(trained_dir.out_dir, spec.out_dir)
+        run_dir = spec.out_dir / "scheme1_seed0"
+        cmd_eval(spec)
+        cmd_profile(run_dir, calls=10)
+        cmd_train(replace(spec, train=replace(spec.train, episodes=3)))
+        assert sorted(path.name for path in run_dir.iterdir()) == ["checkpoints", "manifest.json", "metrics.csv"]
+        assert json.loads((run_dir / "manifest.json").read_text())["episodes"] == 3
+
+    def test_a_fresh_train_over_a_leftover_part_starts_afresh(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path, episode_logs=True, snapshot_interval=1)
+        straight = replace(spec, out_dir=tmp_path / "straight")
+        cmd_train(straight)
+        with monkeypatch.context() as patch:  # a cut training under another setting: its snapshot would be refused
+            _cut_in_training(patch)
+            other = replace(spec, train=replace(spec.train, lr_critic=1e-3))
+            assert cmd_train(other)[0]["status"] == "failed: cut"
+        part = spec.out_dir / "scheme1_seed0.part"
+        assert snapshot_episode(part / "snapshots") == 1
+        (part / "stray.txt").write_text("left by the cut training\n")
+        assert cmd_train(spec)[0]["status"] == "trained"
+        assert compare(spec.out_dir, run_files(straight.out_dir)) is None
+
+    @pytest.mark.parametrize("log", ["episodes.ndjson", "episodes.ndjson.tmp"])
+    def test_a_run_without_a_manifest_in_the_old_layout_resumes_to_the_uninterrupted_files(self, tmp_path, log):
+        # snapshots in <run>/snapshots, no manifest: a run whose manifest was deleted, or one an earlier
+        # version cut in training, with the log it staged in episodes.ndjson.tmp
+        train_cfg = desk_train_config(episodes=3, batch_size=8, hidden=(8, 8), buffer_capacity=500)
+        spec = tiny_spec(tmp_path, train=train_cfg, episode_logs=True, snapshot_interval=1)
+        straight = replace(spec, out_dir=tmp_path / "straight")
+        cmd_train(straight)
+        cmd_train(replace(spec, train=replace(train_cfg, episodes=1)))
+        run_dir = spec.out_dir / "scheme1_seed0"
+        (run_dir / "manifest.json").unlink()
+        (run_dir / "episodes.ndjson").rename(run_dir / log)
+        assert cmd_train(spec, resume=True)[0]["status"] == "trained"
+        assert compare(spec.out_dir, run_files(straight.out_dir)) is None
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failed_run_leaves_its_part_and_the_others_train(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setenv("SIXDMA_ISAC_WORKERS", workers)
+        train = harness.train
+
+        def fail_seed_0(scenario, config, **kwargs):  # the pool forks: its workers see the patch
+            if config.seed == 0:
+                raise RuntimeError("diverged")
+            return train(scenario, config, **kwargs)
+
+        monkeypatch.setattr(harness, "train", fail_seed_0)
+        args = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0,1", "--episodes", "1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().out == "scheme1_seed0: failed: diverged\nscheme1_seed1: trained\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scheme1_seed0.part", "scheme1_seed1"]
 
 
 # (section, key, a value runs recorded): settings that were removed because

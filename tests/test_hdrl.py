@@ -480,10 +480,11 @@ class TestTrainLoop:
         with pytest.raises(OSError, match="simulated crash"):  # the roster and fast buffer of episode 2 are written
             train(scenario, config, snapshot_dir=snap_dir, snapshot_interval=1)
         monkeypatch.undo()
+        assert (snap_dir.parent / "snap.new" / "roster").is_dir()  # the torn one
         resumed = train(scenario, config, resume_from=snap_dir)
         assert [m.as_row() for m in resumed.metrics] == [m.as_row() for m in straight.metrics]
         assert hdrl.snapshot_episode(snap_dir) == 1  # the snapshot after episode 1, whole
-        assert (snap_dir.parent / "snap.new" / "roster").is_dir()  # the torn one, never read
+        assert not (snap_dir.parent / "snap.new").exists()  # the resume removed the torn one, never read
 
     def test_target_smoothing_run_completes_and_repeats_bit_for_bit(self):
         scenario = desk_scenario()
