@@ -321,8 +321,7 @@ def _load_actors(run_dir: Path) -> tuple[dict, ScenarioConfig, TrainConfig, Agen
 def load_run(run_dir) -> tuple[dict, ScenarioConfig, TrainConfig, AgentRoster]:
     """:func:`_load_actors` with every agent's learner state read: the whole run."""
     manifest, scenario, train_cfg, roster = _load_actors(Path(run_dir))
-    for _, agent in roster.all_agents():
-        agent.read_learner_state()
+    roster.read_learner_state()
     return manifest, scenario, train_cfg, roster
 
 

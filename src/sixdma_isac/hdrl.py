@@ -17,10 +17,11 @@ the 6DMA, then the UAV agents pick flight directions, the beam agent the
 precoder, and the slot is scored.  ``train`` adds learning on top of it,
 ``evaluate`` trajectories.
 
-A roster load reads the actors, all that acting needs.  A snapshot
-(roster, buffers, generator states, rows) resumes ``train`` exactly, with
-every agent's learner state read first; :func:`swap_dir` swaps it in whole,
-as it does a run, so a crash never mixes two.  Only this module knows its files.
+A roster checkpoint is ``roster.json`` and ``roster.npz``; a load reads
+the actors, all that acting needs.  A snapshot (roster, buffers, generator
+states, rows) resumes ``train`` exactly, with every agent's learner state
+read first; :func:`swap_dir` swaps it in whole, as it does a run, so a
+crash never mixes two.  Only this module knows these files.
 
 Training is sequential and deterministic per seed; run several seeds as
 independent processes if parallelism is needed.
@@ -38,14 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from .env import SCHEMES, IsacEnv, ScenarioConfig
-from .errors import ConfigError, check_ranges
+from .errors import ConfigError, ProtocolError, check_ranges, whole_number
 from .rl import (
-    CHECKPOINT_VERSION,
+    VECTORS,
     AgentSettings,
     NoiseSchedule,
     ReplayBuffer,
     Td3Agent,
-    check_version,
+    vector_sizes,
 )
 
 UAV_OBS_DIM = 10
@@ -53,6 +54,9 @@ UAV_ACT_DIM = 4
 POSE_ACT_DIM = 6
 # The fields of a replay transition, in push order (see _transition).
 _TRANSITION_FIELDS = ("row", "next_row", "reward", "done")
+CHECKPOINT_VERSION = 3
+# An agent's update counts, kept in roster.json as <agent>.<count>.
+_COUNTS = ("critic_update_count", "actor_update_count")
 # The training settings beside the agents' own that have a range: (test, what the test asks).
 _RANGES = {
     **dict.fromkeys(("episodes", "batch_size", "buffer_capacity", "pose_buffer_capacity"),
@@ -130,6 +134,8 @@ class AgentRoster:
     """All agents of one run: M UAV agents, one beam agent, one pose agent,
     seeded from ``config.seed`` unless :meth:`load` passes ``agents`` by name."""
 
+    _unread: Path | None = None  # the roster.npz whose learner state is not yet read; set by load
+
     def __init__(self, scenario: ScenarioConfig, config: TrainConfig, agents: dict[str, Td3Agent] | None = None):
         dims = _agent_dims(scenario, config)
         self.scheme = config.scheme
@@ -150,36 +156,71 @@ class AgentRoster:
         return list(self.agents.items())
 
     def save(self, directory) -> None:
+        """``roster.json`` (version, scheme, num_uavs, :class:`AgentSettings`, each ``<agent>.<count>``) and
+        ``roster.npz`` (each ``<agent>.<vector>``); a ProtocolError, writing nothing, while learner state is unread."""
+        if self._unread is not None:
+            raise ProtocolError(f"{self._unread} holds learner state not yet read; call read_learner_state()")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for name, agent in self.all_agents():
-            agent.save(directory / name)
-        manifest = {"version": CHECKPOINT_VERSION, "scheme": self.scheme, "num_uavs": self.num_uavs}
+        np.savez(directory / "roster.npz", **{f"{name}.{key}": vector for name, agent in self.all_agents()
+                                              for key, vector in agent.vectors().items()})
+        manifest = {"version": CHECKPOINT_VERSION, "scheme": self.scheme, "num_uavs": self.num_uavs,
+                    **{key: getattr(self.beam_agent, key) for key in AgentSettings.__dataclass_fields__},
+                    **{f"{name}.{key}": getattr(agent, key) for name, agent in self.all_agents() for key in _COUNTS}}
         (directory / "roster.json").write_text(json.dumps(manifest, indent=2))
 
     @classmethod
     def load(cls, directory, scenario: ScenarioConfig, config: TrainConfig) -> "AgentRoster":
-        """The roster :meth:`save` wrote, each agent built once from its files;
-        only the actors are read (see :meth:`Td3Agent.read_learner_state`).
-
-        A checkpoint of another version is a ConfigError, checked first.
-        Otherwise ConfigError names the field (and the agent) where the
-        checkpoint differs from what ``(scenario, config)`` imply."""
+        """The roster :meth:`save` wrote, each agent built once from its actor alone
+        (:meth:`read_learner_state` reads the rest).  A ConfigError names what fails, checked in
+        order: the version, each entry's kind and range, ``scheme``, ``num_uavs`` and the settings
+        against ``(scenario, config)``, then each vector's length against its layer plan."""
         directory = Path(directory)
         manifest = json.loads((directory / "roster.json").read_text())
-        check_version(manifest, directory)
-        for key, want in (("scheme", config.scheme), ("num_uavs", scenario.num_uavs)):
-            if manifest[key] != want:
-                raise ConfigError(f"checkpoint {directory} has {key} {manifest[key]}, the config implies {want}")
-        agents, settings = {}, config.agent_settings()
-        for name, dims in _agent_dims(scenario, config).items():
-            agent = Td3Agent.load(directory / name)
-            for key, want in {**dict(zip(("obs_dim", "action_dim", "critic_input_dim"), dims)), **settings}.items():
-                if getattr(agent, key) != want:
-                    raise ConfigError(f"checkpoint agent {name} has {key} {getattr(agent, key)}, "
-                                      f"the config implies {want}")
-            agents[name] = agent
-        return cls(scenario, config, agents)
+        if manifest.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(f"checkpoint {directory} is version {manifest.get('version')}; this version reads "
+                              f"only version {CHECKPOINT_VERSION} checkpoints, so train the run afresh")
+        settings = AgentSettings(**{key: manifest[key] for key in AgentSettings.__dataclass_fields__})
+        counts = {key: whole_number(value, key) for key, value in manifest.items() if key.endswith(_COUNTS)}
+        check_ranges(counts, dict.fromkeys(counts, (lambda v: v >= 0, "be >= 0")))
+        recorded = {"scheme": manifest["scheme"], "num_uavs": manifest["num_uavs"], **settings.agent_settings()}
+        implied = {"scheme": config.scheme, "num_uavs": scenario.num_uavs, **config.agent_settings()}
+        for key, want in implied.items():
+            if recorded[key] != want:
+                raise ConfigError(f"checkpoint {directory} has {key} {recorded[key]}, the config implies {want}")
+        dims = _agent_dims(scenario, config)
+        sizes = {f"{name}.actor": vector_sizes(*d, config.hidden)["actor"] for name, d in dims.items()}
+        actors = _read_vectors(directory / "roster.npz", sizes)
+        agents = {name: Td3Agent.from_vectors(*d, {"actor": actors[f"{name}.actor"]}, **settings.agent_settings(),
+                                              **{key: counts[f"{name}.{key}"] for key in _COUNTS})
+                  for name, d in dims.items()}
+        roster = cls(scenario, config, agents)
+        roster._unread = directory / "roster.npz"
+        return roster
+
+    def read_learner_state(self) -> None:
+        """Read the critics, targets and Adam moments :meth:`load` left on disk, once; a
+        ProtocolError for a roster with none there (built, or read already)."""
+        if self._unread is None:
+            raise ProtocolError("this roster holds its learner state already; only a loaded roster reads it, once")
+        sizes = {f"{name}.{key}": size for name, agent in self.all_agents() for key, size in vector_sizes(
+            agent.obs_dim, agent.action_dim, agent.critic_input_dim, agent.hidden).items() if key != "actor"}
+        vectors = _read_vectors(self._unread, sizes)
+        for name, agent in self.all_agents():
+            agent.adopt({key: vectors[f"{name}.{key}"] for key in VECTORS[1:]})
+        self._unread = None
+
+
+def _read_vectors(path: Path, sizes: dict[str, int]) -> dict[str, np.ndarray]:
+    """The vectors of ``sizes`` (``<agent>.<vector>``: length) in the roster archive ``path``,
+    each adopted as read; a ConfigError names one of another length."""
+    with np.load(path) as arrays:
+        vectors = {key: np.asarray(arrays[key], dtype=float) for key in sizes}
+    for key, vector in vectors.items():
+        if vector.shape != (sizes[key],):
+            raise ConfigError(f"checkpoint {path} holds {key} of shape {vector.shape}, "
+                              f"the config implies ({sizes[key]},)")
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -447,6 +488,8 @@ def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_
     if changed:
         raise ConfigError(f"snapshot {directory} was written under other settings ({'; '.join(changed)}); "
                           "resume needs the settings it was written with, or a fresh output directory")
+    roster = AgentRoster.load(directory / "roster", scenario, config)  # its version first
+    roster.read_learner_state()
     for name, buffer in (("fast_buffer", fast_buffer), ("pose_buffer", pose_buffer)):
         with np.load(directory / f"{name}.npz") as arrays:
             held = [key.removeprefix("field_") for key in arrays.files if key.startswith("field_")]
@@ -454,9 +497,6 @@ def _load_snapshot(directory: Path, fast_buffer, pose_buffer, noise_rng, sample_
                 raise ConfigError(f"snapshot {directory} holds {name} fields {held}; this version stores "
                                   f"{list(_TRANSITION_FIELDS)}, so train the run afresh")
             buffer.load_arrays(arrays)
-    roster = AgentRoster.load(directory / "roster", scenario, config)
-    for _, agent in roster.all_agents():
-        agent.read_learner_state()
     noise_rng.bit_generator.state = state["noise_rng"]
     sample_rng.bit_generator.state = state["sample_rng"]
     metrics = [EpisodeMetrics(*row) for row in state["metrics"]]

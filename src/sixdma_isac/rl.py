@@ -5,26 +5,24 @@ target networks.  The critic input is an externally assembled vector, so
 the same class serves per-UAV agents, the beamforming agent and the
 surface agent; callers own the layout and pass the slice where this
 agent's action lives.  A trainer is the only mutator of an agent; frozen
-copies may serve inference concurrently.  Acting needs only the actor,
-so :meth:`Td3Agent.load` reads the actor alone; a caller that learns
-calls :meth:`Td3Agent.read_learner_state` for the critics, targets and
-Adam moments.
+copies may serve inference concurrently.  An agent keeps its state in
+twelve flat vectors, :data:`VECTORS`: :meth:`Td3Agent.vectors` gives
+them by name and :meth:`Td3Agent.from_vectors` builds an agent from them,
+the actor alone enough to act.  This module opens no file: ``hdrl``
+writes and reads every checkpoint.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_fields, check_ranges, whole_number
+from .errors import ProtocolError, check_fields
 from .nn import CHUNK, Adam, Mlp, scratch
 
-CHECKPOINT_VERSION = 2
 # TD3's clip of its target-policy smoothing noise (Fujimoto et al. 2018).
 SMOOTHING_CLIP = 0.5
 _NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
@@ -32,12 +30,8 @@ _NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "t
 # rate and its step count (the count of the updates it made).
 _OPTIMIZED = {"actor": ("lr_actor", "actor_update_count"), "critic1": ("lr_critic", "critic_update_count"),
               "critic2": ("lr_critic", "critic_update_count")}
-# The keys of state.npz, the actor's first: networks, then optimizer moments.
-_VECTORS = (*_NETWORKS, *(f"opt_{name}_{moment}" for name in _OPTIMIZED for moment in "mv"))
-# An agent's sizes and update counts, its manifest's whole numbers, with their ranges.
-_DIMS = ("obs_dim", "action_dim", "critic_input_dim")
-_NUMBER_RANGES = {**dict.fromkeys(_DIMS, (lambda v: v >= 1, "be >= 1")),
-                 **dict.fromkeys(("critic_update_count", "actor_update_count"), (lambda v: v >= 0, "be >= 0"))}
+# The names of an agent's vectors, the actor's first: networks, then optimizer moments.
+VECTORS = (*_NETWORKS, *(f"opt_{name}_{moment}" for name in _OPTIMIZED for moment in "mv"))
 # The AgentSettings that have a range: (test, what the test asks).
 AGENT_RANGES = {
     "hidden": (lambda widths: all(w >= 1 for w in widths), "hold widths >= 1"),
@@ -51,7 +45,7 @@ AGENT_RANGES = {
 
 @dataclass(frozen=True)
 class AgentSettings:
-    """The TD3 settings of an agent, in its manifest's key order; built only
+    """The TD3 settings of an agent, in a roster checkpoint's key order; built only
     when every field passes :data:`AGENT_RANGES`.  ``hdrl.TrainConfig``
     inherits them, and a roster's agents take its config's."""
 
@@ -71,11 +65,19 @@ class AgentSettings:
         return {key: getattr(self, key) for key in AgentSettings.__dataclass_fields__}
 
 
-def check_version(manifest: dict, directory) -> None:
-    """ConfigError unless ``manifest`` is of :data:`CHECKPOINT_VERSION`."""
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint {directory} is version {manifest.get('version')}; this version reads "
-                          f"only version {CHECKPOINT_VERSION} checkpoints, so train the run afresh")
+def _layer_plan(obs_dim: int, action_dim: int, critic_input_dim: int, hidden) -> dict[str, tuple[list[int], list[str]]]:
+    """Layer dims and activations of every network, by vector name."""
+    relu = ["relu"] * len(hidden)
+    actor = ([obs_dim, *hidden, action_dim], relu + ["tanh"])
+    critic = ([critic_input_dim, *hidden, 1], relu + ["linear"])
+    return {name: actor if name.endswith("actor") else critic for name in _NETWORKS}
+
+
+def vector_sizes(obs_dim: int, action_dim: int, critic_input_dim: int, hidden) -> dict[str, int]:
+    """The length of each of :data:`VECTORS` of an agent with these sizes and hidden widths."""
+    sizes = {name: sum(dout * (din + 1) for din, dout in zip(dims, dims[1:]))
+             for name, (dims, _) in _layer_plan(obs_dim, action_dim, critic_input_dim, hidden).items()}
+    return sizes | {f"opt_{name}_{moment}": sizes[name] for name in _OPTIMIZED for moment in "mv"}
 
 
 @dataclass(frozen=True)
@@ -153,21 +155,32 @@ class ReplayBuffer:
         return {key: store[idx] for key, store in self._storage.items()}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """``buffer_meta`` (fill, next write row) and each field's filled rows,
+        the first ``len(self)`` (rows fill from 0 until the buffer wraps)."""
         arrays = {"buffer_meta": np.array([self._size, self._next], dtype=np.int64)}
         if self._storage is not None:
             for key, store in self._storage.items():
-                arrays[f"field_{key}"] = store
+                arrays[f"field_{key}"] = store[:self._size]
         return arrays
 
-    def load_arrays(self, arrays) -> None:
-        """Restore :meth:`state_arrays` output, adopting the float arrays
-        without a copy: pass arrays that nothing else holds (as ``np.load``
-        returns them), or copies."""
-        meta = np.asarray(arrays["buffer_meta"])
+    def load_arrays(self, arrays: np.lib.npyio.NpzFile) -> None:
+        """Restore :meth:`state_arrays` output from its ``np.savez`` archive, each field's rows
+        read straight into fresh full-capacity storage; a ValueError names a field unlike it."""
+        meta = arrays["buffer_meta"]
         self._size, self._next = int(meta[0]), int(meta[1])
-        storage = {key[len("field_"):]: np.asarray(arrays[key], dtype=float)
-                   for key in arrays if key.startswith("field_")}
-        self._storage = storage or None
+        self._storage = {}
+        for key in [key for key in arrays.files if key.startswith("field_")]:
+            with arrays.zip.open(f"{key}.npy") as member:
+                version = np.lib.format.read_magic(member)
+                shape, fortran_order, dtype = getattr(np.lib.format, "read_array_header_{}_{}".format(*version))(member)
+                if dtype != np.float64 or fortran_order or shape[:1] != (self._size,) or self._size > self.capacity:
+                    raise ValueError(f"replay field {key!r} holds {shape} {dtype}, the buffer stores "
+                                     f"{self._size} float64 rows of at most {self.capacity}")
+                store = self._storage[key[len("field_"):]] = _lazy_zeros((self.capacity, *shape[1:]))
+                data = store[:self._size].reshape(-1).view(np.uint8)
+                for lo in range(0, data.size, np.lib.format.BUFFER_SIZE):
+                    member.readinto(data[lo:lo + np.lib.format.BUFFER_SIZE])
+        self._storage = self._storage or None
 
 
 class Td3Agent:
@@ -176,10 +189,8 @@ class Td3Agent:
     def __init__(self, obs_dim: int, action_dim: int, critic_input_dim: int, *, rng: np.random.Generator,
                  **settings):
         """``settings``: :class:`AgentSettings` fields, kept as attributes; the rest take their defaults."""
-        self.obs_dim, self.action_dim, self.critic_input_dim = int(obs_dim), int(action_dim), int(critic_input_dim)
-        for key, value in AgentSettings(**settings).agent_settings().items():
-            setattr(self, key, value)
-        plan = self._layer_plan()
+        self._configure(obs_dim, action_dim, critic_input_dim, settings, 0, 0)
+        plan = _layer_plan(self.obs_dim, self.action_dim, self.critic_input_dim, self.hidden)
         self.actor = Mlp(*plan["actor"], rng, final_scale=1e-3)
         self.critic1 = Mlp(*plan["critic1"], rng)
         self.critic2 = Mlp(*plan["critic2"], rng)
@@ -189,16 +200,43 @@ class Td3Agent:
         self.opt_actor = Adam(self.actor.parameters(), self.lr_actor)
         self.opt_critic1 = Adam(self.critic1.parameters(), self.lr_critic)
         self.opt_critic2 = Adam(self.critic2.parameters(), self.lr_critic)
-        self.critic_update_count = 0
-        self.actor_update_count = 0
-        self._checkpoint: Path | None = None  # the state.npz whose learner state is not yet read
 
-    def _layer_plan(self) -> dict[str, tuple[list[int], list[str]]]:
-        """Layer dims and activations of every network, by checkpoint name."""
-        relu = ["relu"] * len(self.hidden)
-        actor = ([self.obs_dim, *self.hidden, self.action_dim], relu + ["tanh"])
-        critic = ([self.critic_input_dim, *self.hidden, 1], relu + ["linear"])
-        return {name: actor if name.endswith("actor") else critic for name in _NETWORKS}
+    def _configure(self, obs_dim, action_dim, critic_input_dim, settings: dict, critic_updates, actor_updates):
+        self.obs_dim, self.action_dim, self.critic_input_dim = int(obs_dim), int(action_dim), int(critic_input_dim)
+        for key, value in AgentSettings(**settings).agent_settings().items():
+            setattr(self, key, value)
+        self.critic_update_count, self.actor_update_count = critic_updates, actor_updates
+
+    @classmethod
+    def from_vectors(cls, obs_dim: int, action_dim: int, critic_input_dim: int, vectors: dict, *,
+                     critic_update_count: int = 0, actor_update_count: int = 0, **settings) -> "Td3Agent":
+        """The agent whose state is ``vectors`` (see :meth:`adopt`), with no random initialisation;
+        the actor alone is enough to act, learning needs every vector."""
+        agent = object.__new__(cls)
+        agent._configure(obs_dim, action_dim, critic_input_dim, settings, critic_update_count, actor_update_count)
+        agent.adopt(vectors)
+        return agent
+
+    def adopt(self, vectors: dict) -> None:
+        """Take ``vectors``, any of :data:`VECTORS` by name and as long as :func:`vector_sizes` says,
+        as the agent's own without a copy; an optimizer's step count is its network's update count."""
+        plan = _layer_plan(self.obs_dim, self.action_dim, self.critic_input_dim, self.hidden)
+        for name in _NETWORKS:
+            if name in vectors:
+                setattr(self, name, Mlp.from_flat(*plan[name], vectors[name]))
+        for name, (lr, count) in _OPTIMIZED.items():
+            if f"opt_{name}_m" in vectors:
+                moments = vectors[f"opt_{name}_m"], vectors[f"opt_{name}_v"]
+                setattr(self, f"opt_{name}", Adam(getattr(self, name).parameters(), getattr(self, lr), moments,
+                                                  getattr(self, count)))
+
+    def vectors(self) -> dict[str, np.ndarray]:
+        """The agent's :data:`VECTORS` by name, as held: each network's ``flat``, each optimizer's moments."""
+        vectors = {name: getattr(self, name).flat for name in _NETWORKS}
+        for name in _OPTIMIZED:
+            opt = getattr(self, f"opt_{name}")
+            vectors[f"opt_{name}_m"], vectors[f"opt_{name}_v"] = opt.m, opt.v
+        return vectors
 
     # ------------------------------------------------------------ acting
     def select_action(self, obs, noise_std: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -301,81 +339,3 @@ class Td3Agent:
                 tp = target.flat[lo:lo + CHUNK]
                 tp *= 1.0 - t
                 tp += np.multiply(online.flat[lo:lo + CHUNK], t, out=scaled[: len(tp)])
-
-    # ------------------------------------------------------------ checkpoints
-    def manifest(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            **{key: getattr(self, key) for key in (*_DIMS, *AgentSettings.__dataclass_fields__)},
-            "critic_update_count": self.critic_update_count,
-            "actor_update_count": self.actor_update_count,
-        }
-
-    def save(self, directory) -> None:
-        """``manifest.json`` plus ``state.npz``, which holds each network's
-        ``flat`` vector under the network's name and each optimizer's
-        moments as ``opt_<network>_m`` and ``opt_<network>_v``.
-
-        An agent whose learner state is still on disk is a ProtocolError,
-        and nothing is written."""
-        if self._checkpoint is not None:
-            raise ProtocolError(f"{self._checkpoint} holds learner state not yet read; call read_learner_state()")
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        arrays = {name: getattr(self, name).flat for name in _NETWORKS}
-        for name in _OPTIMIZED:
-            opt = getattr(self, f"opt_{name}")
-            arrays[f"opt_{name}_m"], arrays[f"opt_{name}_v"] = opt.m, opt.v
-        np.savez(directory / "state.npz", **arrays)
-        (directory / "manifest.json").write_text(json.dumps(self.manifest(), indent=2))
-
-    @classmethod
-    def load(cls, directory) -> "Td3Agent":
-        """The agent :meth:`save` wrote, built from its files with no random
-        initialisation to overwrite.  Only the manifest (its version, then each
-        entry's kind before its range: a ConfigError naming the entry) and the
-        actor are read, enough to act; the rest waits for :meth:`read_learner_state`."""
-        directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        check_version(manifest, directory)
-        agent = object.__new__(cls)
-        numbers = {key: whole_number(manifest[key], key) for key in _NUMBER_RANGES}
-        check_ranges(numbers, _NUMBER_RANGES)
-        settings = AgentSettings(**{key: manifest[key] for key in AgentSettings.__dataclass_fields__})
-        for key, value in {**numbers, **settings.agent_settings()}.items():
-            setattr(agent, key, value)
-        agent._checkpoint = directory / "state.npz"
-        agent.actor = Mlp.from_flat(*agent._layer_plan()["actor"], agent._read_vectors(["actor"])["actor"])
-        return agent
-
-    def _read_vectors(self, names) -> dict[str, np.ndarray]:
-        """The named vectors of the checkpoint's ``state.npz``, each adopted
-        as read; a ValueError names one whose length is not the one the
-        manifest's layer plan implies."""
-        sizes = {name: sum(dout * (din + 1) for din, dout in zip(dims, dims[1:]))
-                 for name, (dims, _) in self._layer_plan().items()}
-        sizes |= {f"opt_{name}_{moment}": sizes[name] for name in _OPTIMIZED for moment in "mv"}
-        vectors = {}
-        with np.load(self._checkpoint) as arrays:
-            for name in names:
-                vectors[name] = np.asarray(arrays[name], dtype=float)
-                if vectors[name].shape != (sizes[name],):
-                    raise ValueError(f"{self._checkpoint} holds {name} of shape {vectors[name].shape}, "
-                                     f"the manifest implies ({sizes[name]},)")
-        return vectors
-
-    def read_learner_state(self) -> None:
-        """Read the critics, targets and Adam moments :meth:`load` left on
-        disk, which learning and :meth:`save` need.  An agent with none on
-        disk (built, or read already) is a ProtocolError."""
-        if self._checkpoint is None:
-            raise ProtocolError("this agent holds its learner state already; only a loaded agent reads it, once")
-        vectors = self._read_vectors(_VECTORS[1:])
-        plan = self._layer_plan()
-        for name in _NETWORKS[1:]:
-            setattr(self, name, Mlp.from_flat(*plan[name], vectors[name]))
-        for name, (lr, count) in _OPTIMIZED.items():
-            moments = vectors[f"opt_{name}_m"], vectors[f"opt_{name}_v"]
-            setattr(self, f"opt_{name}", Adam(getattr(self, name).parameters(), getattr(self, lr), moments,
-                                              getattr(self, count)))
-        self._checkpoint = None

@@ -12,9 +12,9 @@ hold the uninterrupted run's files, each one outside ``snapshots/`` equal
 ``*.tmp``, ``<run>.part``, ``<run>.old``, ``snapshots.new`` or
 ``snapshots.old``.
 
-A site is an operation with its path, agent names masked.  In mode
-``fresh`` the killed train starts in an empty output directory; in mode
-``retrain`` it trains over a complete run of the same spec.
+A site is an operation with its path.  In mode ``fresh`` the killed train
+starts in an empty output directory; in mode ``retrain`` it trains over a
+complete run of the same spec.
 
 The full sweep kills a 4-episode run at every k; from the repository root:
 
@@ -25,9 +25,7 @@ import builtins
 import contextlib
 import functools
 import io
-import json
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -40,14 +38,12 @@ from sixdma_isac import harness
 
 KILLED = 9
 _WRITE_MODES = set("wax+")
-_AGENT = re.compile(r"(?<![^/])(uav_\d+|beam|sixdma)(?![^/])")
 _LEFTOVER_SUFFIXES = (".tmp", ".part", ".old", ".new")
 
 
-def train_args(out: Path, episodes: int, config: Path | None = None) -> list[str]:
+def train_args(out: Path, episodes: int) -> list[str]:
     return ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--episodes", str(episodes),
-            "--snapshot-interval", "1", "--episode-logs", "--out", str(out),
-            *(["--config", str(config)] if config is not None else [])]
+            "--snapshot-interval", "1", "--episode-logs", "--out", str(out)]
 
 
 class _Probe:
@@ -61,7 +57,7 @@ class _Probe:
         path = os.fspath(path)
         if dir_fd is not None:  # rmtree unlinks by name within an open directory
             path = os.path.join(os.readlink(f"/proc/self/fd/{dir_fd}"), path)
-        return _AGENT.sub("<agent>", os.path.relpath(path, self.root))
+        return os.path.relpath(path, self.root)
 
     def _before(self, site: str) -> None:
         self.sites.append(site)
@@ -148,17 +144,11 @@ class KillSweep:
     """The kill points of one mode, each killed and resumed in its own
     directory under ``workdir``."""
 
-    def __init__(self, workdir, mode: str, episodes: int, buffer_capacity: int | None = None):
-        """``buffer_capacity`` overrides the desk preset's replay capacity,
-        whose empty rows every snapshot writes, to make each run cheaper."""
+    def __init__(self, workdir, mode: str, episodes: int):
         if mode not in ("fresh", "retrain"):
             raise ValueError(f"unknown mode {mode!r}")
         self.workdir, self.mode = Path(workdir), mode
-        config = None
-        if buffer_capacity is not None:
-            config = self.workdir / "spec.json"
-            config.write_text(json.dumps({"train": {"buffer_capacity": buffer_capacity}}))
-        self.args = functools.partial(train_args, episodes=episodes, config=config)
+        self.args = functools.partial(train_args, episodes=episodes)
         self.reference_dir = self.workdir / "reference"
         with contextlib.redirect_stdout(io.StringIO()):  # in this process: its children fork warm
             status = harness.main(self.args(self.reference_dir))

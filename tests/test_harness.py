@@ -35,7 +35,6 @@ from sixdma_isac.harness import (
     write_metrics_csv,
 )
 from sixdma_isac.hdrl import AgentRoster, EpisodeMetrics, TrainConfig, desk_train_config, snapshot_episode
-from sixdma_isac.rl import Td3Agent
 
 from killpoints import compare, run_files
 
@@ -535,8 +534,8 @@ class TestWholeFileWrites:
         spec = replace(swept_dir, out_dir=tmp_path / "runs")
         shutil.copytree(swept_dir.out_dir, spec.out_dir)
 
-        def harness_file(path):  # an agent checkpoint's own manifest.json is not one
-            return path.name in (name, name + ".tmp") and "checkpoints" not in path.parts
+        def harness_file(path):
+            return path.name in (name, name + ".tmp")
 
         def contents():  # a .part holds a run in training, whose files nothing reads
             return {path: path.read_bytes() for path in spec.out_dir.rglob(name)
@@ -569,8 +568,8 @@ class TestWholeFileWrites:
         faults = []
 
         def torn(path, text, *args, **kwargs):
-            if not faults and path.name.startswith("manifest.json") and "checkpoints" in path.parts:
-                faults.append(path)  # the first agent manifest: half the bytes land, then the write fails
+            if not faults and path.name == "roster.json" and "checkpoints" in path.parts:
+                faults.append(path)  # the roster's manifest: half the bytes land, then the write fails
                 write_text(path, text[: len(text) // 2], *args, **kwargs)
                 raise OSError("injected write fault")
             return write_text(path, text, *args, **kwargs)
@@ -630,23 +629,28 @@ class TestEvalCompareProfile:
         run_dir = tmp_path / "scheme1_seed0"
         shutil.copytree(trained_dir.out_dir / "scheme1_seed0", run_dir)
 
-        def refuse(agent):
+        def refuse(roster):
             raise AssertionError("learner state read")
 
-        monkeypatch.setattr(Td3Agent, "read_learner_state", refuse)
+        monkeypatch.setattr(AgentRoster, "read_learner_state", refuse)
         assert main(["eval", "--run", str(run_dir), "--eval-episodes", "1"]) == 0
         assert main(["profile", "--run", str(run_dir), "--calls", "10"]) == 0
 
-    def test_a_version_1_checkpoint_is_refused(self, trained_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_checkpoint_of_an_earlier_version_is_refused(self, trained_dir, tmp_path, capsys, version):
+        # versions 1 and 2 kept each agent's files in a directory of its own beside this roster.json
         run_dir = tmp_path / "scheme1_seed0"
         shutil.copytree(trained_dir.out_dir / "scheme1_seed0", run_dir)
-        roster_path = run_dir / "checkpoints" / "roster.json"
-        roster_path.write_text(json.dumps({**json.loads(roster_path.read_text()), "version": 1}))
+        (run_dir / "checkpoints" / "roster.json").write_text(json.dumps({"version": version, "scheme": 1,
+                                                                         "num_uavs": 2}))
         _, scenario, train_cfg, _ = load_run(trained_dir.out_dir / "scheme1_seed0")
-        with pytest.raises(ConfigError, match="is version 1; .* train the run afresh"):
+        with pytest.raises(ConfigError, match=f"is version {version}; .* train the run afresh"):
             AgentRoster.load(run_dir / "checkpoints", scenario, train_cfg)
+        capsys.readouterr()
         assert main(["eval", "--run", str(run_dir)]) == 1
-        assert "is version 1" in capsys.readouterr().err
+        assert f"usage error: checkpoint {run_dir / 'checkpoints'} is version {version}" in capsys.readouterr().err
+        assert main(["profile", "--run", str(run_dir), "--calls", "10"]) == 1
+        assert f"usage error: checkpoint {run_dir / 'checkpoints'} is version {version}" in capsys.readouterr().err
 
 
 class TestResume:
@@ -787,6 +791,34 @@ class TestResume:
         assert main([*common, "--episodes", "2", "--resume"]) == 1
         part = tmp_path / "scheme1_seed0.part"  # the run without a manifest, moved to be resumed
         assert f"usage error: snapshot {part / 'snapshots'} holds fast_buffer fields {list(parts)}" in capsys.readouterr().err
+        assert not run_dir.exists() and not (part / "manifest.json").exists()  # nothing trained or completed
+        assert (part / "snapshots" / "train_state.json").read_bytes() == state
+        assert (part / "metrics.csv").read_bytes() == metrics
+
+    def test_a_snapshot_of_an_earlier_checkpoint_version_is_refused_before_its_buffers_are_read(
+            self, tmp_path, capsys, monkeypatch):
+        # a version-2 snapshot keeps each agent's files in a directory of its own beside this roster.json
+        common = ["train", "--preset", "desk", "--scheme", "1", "--seeds", "0", "--snapshot-interval", "1",
+                  "--out", str(tmp_path)]
+        assert main([*common, "--episodes", "1"]) == 0
+        run_dir, snapshot = tmp_path / "scheme1_seed0", tmp_path / "scheme1_seed0" / "snapshots"
+        (run_dir / "manifest.json").unlink()
+        shutil.rmtree(snapshot / "roster")
+        (snapshot / "roster").mkdir()
+        (snapshot / "roster" / "roster.json").write_text(json.dumps({"version": 2, "scheme": 1, "num_uavs": 2}))
+        state, metrics = (snapshot / "train_state.json").read_bytes(), (run_dir / "metrics.csv").read_bytes()
+        opened, load = [], np.load
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", spy)
+        capsys.readouterr()
+        assert main([*common, "--episodes", "2", "--resume"]) == 1
+        part = tmp_path / "scheme1_seed0.part"  # the run without a manifest, moved to be resumed
+        assert f"usage error: checkpoint {part / 'snapshots' / 'roster'} is version 2" in capsys.readouterr().err
+        assert opened == []  # no buffer file, nor any other archive
         assert not run_dir.exists() and not (part / "manifest.json").exists()  # nothing trained or completed
         assert (part / "snapshots" / "train_state.json").read_bytes() == state
         assert (part / "metrics.csv").read_bytes() == metrics

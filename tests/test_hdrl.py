@@ -1,17 +1,21 @@
 import copy
 import io
 import json
+import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sixdma_isac import hdrl
 from sixdma_isac.env import IsacEnv, desk_scenario, benchmark_scenario
-from sixdma_isac.errors import ConfigError
+from sixdma_isac.errors import ConfigError, ProtocolError
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import SMOOTHING_CLIP, ReplayBuffer, Td3Agent
+from sixdma_isac.rl import SMOOTHING_CLIP, VECTORS, AgentSettings, ReplayBuffer, Td3Agent
 from sixdma_isac.hdrl import (
     AgentRoster,
     EpisodeMetrics,
@@ -88,7 +92,10 @@ class TestLayout:
             "row": (3, 144), "next_row": (3, 144), "reward": (3, 5), "done": (3,)}
         roster.save(tmp_path / "roster")
         manifest = json.loads((tmp_path / "roster" / "roster.json").read_text())
-        assert manifest == {"version": 2, "scheme": 1, "num_uavs": 4}
+        counts = {f"{name}.{count}": 0 for name in ("uav_0", "uav_1", "uav_2", "uav_3", "beam", "sixdma")
+                  for count in ("critic_update_count", "actor_update_count")}
+        assert manifest == {"version": 3, "scheme": 1, "num_uavs": 4, **tiny_config().agent_settings(),
+                            "hidden": [8, 8], **counts}
 
     def test_order_is_each_agents_observation_then_action(self):
         pairs = [(np.arange(10.0), np.arange(4.0) + 100), (np.arange(10.0, 20.0), np.arange(4.0) + 104),
@@ -452,8 +459,7 @@ class TestTrainLoop:
         assert [m.as_row() for m in resumed.metrics] == [m.as_row() for m in straight.metrics]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["snap"]  # no staged or retired copy left
         reloaded = AgentRoster.load(snap_dir / "roster", scenario, config)  # the last snapshot, after episode 3
-        for _, agent in reloaded.all_agents():
-            agent.read_learner_state()
+        reloaded.read_learner_state()
         for roster in (resumed.roster, reloaded):
             for (name, a), (_, b) in zip(straight.roster.all_agents(), roster.all_agents()):
                 assert (b.critic_update_count, b.actor_update_count) == (a.critic_update_count, a.actor_update_count)
@@ -661,10 +667,14 @@ class TestRosterCheckpoints:
         config = tiny_config(scheme=scheme, episodes=3)  # enough pose windows for surface-agent updates
         roster = train(scenario, config).roster
         roster.save(tmp_path / "roster")
+        assert sorted(path.name for path in (tmp_path / "roster").iterdir()) == ["roster.json", "roster.npz"]
+        with np.load(tmp_path / "roster" / "roster.npz") as arrays:
+            assert arrays.files == [f"{name}.{key}" for name, _ in roster.all_agents() for key in VECTORS]
+            np.testing.assert_array_equal(arrays["beam.opt_critic2_v"], roster.beam_agent.opt_critic2.v)
         loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
         assert [name for name, _ in loaded.all_agents()] == [name for name, _ in roster.all_agents()]
+        loaded.read_learner_state()
         for (name, a), (_, b) in zip(roster.all_agents(), loaded.all_agents()):
-            b.read_learner_state()
             assert a.critic_update_count > 0
             assert (b.critic_update_count, b.actor_update_count) == (a.critic_update_count, a.actor_update_count)
             for net in NETWORKS:
@@ -675,10 +685,10 @@ class TestRosterCheckpoints:
                 assert (y.m.tobytes(), y.v.tobytes()) == (x.m.tobytes(), x.v.tobytes()), (name, opt)
 
     @pytest.mark.parametrize("saved_scheme, scenario_overrides, config_overrides, pattern", [
-        (1, {}, {"hidden": (16, 16)}, "agent uav_0 has hidden"),
-        (1, {}, {"lr_critic": 5e-4}, "^checkpoint agent uav_0 has lr_critic 0.0003, the config implies 0.0005$"),
-        (1, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {}, "agent uav_0 has critic_input_dim"),
-        (2, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {"scheme": 2}, "agent beam has obs_dim"),
+        (1, {}, {"hidden": (16, 16)}, r"has hidden \(8, 8\), the config implies \(16, 16\)$"),
+        (1, {}, {"lr_critic": 5e-4}, "^checkpoint .* has lr_critic 0.0003, the config implies 0.0005$"),
+        (1, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {}, r"holds beam\.actor of shape"),
+        (2, {"num_targets": 1, "target_positions": [(8.0, 2.0, 22.0)]}, {"scheme": 2}, r"holds beam\.actor of shape"),
         (1, {}, {"scheme": 3}, "has scheme 1"),
         (1, {"num_uavs": 1, "uav_starts": [(10.0, -25.0, 22.0)], "uav_ends": [(10.0, 25.0, 22.0)]}, {},
          "has num_uavs 2"),
@@ -708,8 +718,7 @@ class TestRosterCheckpoints:
         tracemalloc.start()
         try:
             loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
-            for _, agent in loaded.all_agents():
-                agent.read_learner_state()
+            loaded.read_learner_state()
             held = state_bytes(loaded)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -723,16 +732,15 @@ class TestRosterCheckpoints:
         original = np.lib.npyio.NpzFile.__getitem__
 
         def spy(npz, key):
-            path = Path(npz.zip.filename)
-            if path.name == "state.npz":  # an agent's, not a replay buffer's
-                reads.append((path.relative_to(snapshot / "roster").as_posix(), key))
+            if Path(npz.zip.filename).name == "roster.npz":  # not a replay buffer's
+                reads.append(key)
             return original(npz, key)
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
         loaded = AgentRoster.load(snapshot / "roster", scenario, tiny_config(episodes=1))
         evaluate(loaded, scenario, episodes=1)
         profile_latency(loaded, calls=5)
-        assert sorted(reads) == sorted((f"{name}/state.npz", "actor") for name, _ in loaded.all_agents())
+        assert sorted(reads) == sorted(f"{name}.actor" for name, _ in loaded.all_agents())
 
         # a resume reads every vector of every agent before it learns
         reads.clear()
@@ -745,9 +753,152 @@ class TestRosterCheckpoints:
 
         monkeypatch.setattr(hdrl, "_learn", spied_learn)
         train(scenario, tiny_config(episodes=2), resume_from=snapshot)
-        keys = ["actor", *NETWORKS[1:], *(f"{opt}_{moment}" for opt in OPTIMIZERS for moment in "mv")]
-        assert reads_at_each_round[0] == sorted((f"{name}/state.npz", key) for name, _ in loaded.all_agents()
-                                                for key in keys)
+        assert reads_at_each_round[0] == sorted(f"{name}.{key}" for name, _ in loaded.all_agents() for key in VECTORS)
+
+    def test_load_keeps_the_constructor_checks(self, tmp_path):
+        scenario, config = desk_scenario(), tiny_config()
+        AgentRoster(scenario, config).save(tmp_path / "roster")
+        manifest_path = tmp_path / "roster" / "roster.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "gamma": 1.5}))
+        with pytest.raises(ConfigError, match="gamma"):
+            AgentRoster.load(tmp_path / "roster", scenario, config)
+        assert manifest["version"] == hdrl.CHECKPOINT_VERSION == 3
+        manifest_path.write_text(json.dumps({**manifest, "version": 2, "gamma": "0.9"}))  # the version first
+        with pytest.raises(ConfigError, match="is version 2; .* train the run afresh"):
+            AgentRoster.load(tmp_path / "roster", scenario, config)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("gamma", 1.0, r"gamma must lie in \[0, 1\), got 1.0"), ("tau", 0.0, r"tau must lie in \(0, 1\], got 0.0"),
+        ("policy_delay", 0, "policy_delay must be >= 1, got 0"), ("lr_actor", 0.0, "lr_actor must be > 0, got 0.0"),
+        ("lr_critic", -1e-4, "lr_critic must be > 0"), ("smoothing_std", -0.1, "smoothing_std must be >= 0"),
+        ("hidden", (16, 0), "hidden must hold widths >= 1, got "),
+    ])
+    def test_a_load_refuses_a_setting_out_of_range(self, tmp_path, setting, value, message):
+        scenario, config = desk_scenario(), tiny_config()
+        AgentRoster(scenario, config).save(tmp_path / "roster")
+        manifest_path = tmp_path / "roster" / "roster.json"
+        manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), setting: value}))
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            AgentRoster.load(tmp_path / "roster", scenario, config)
+
+    @pytest.mark.parametrize("key", ["actor", "critic2", "opt_actor_v"])
+    def test_vector_unlike_its_layer_plan_is_a_config_error_naming_agent_and_vector(self, tmp_path, key):
+        # the actor is checked at load, the learner state when it is read
+        scenario, config = desk_scenario(), tiny_config()
+        AgentRoster(scenario, config).save(tmp_path / "roster")
+        path = tmp_path / "roster" / "roster.npz"
+        with np.load(path) as arrays:
+            vectors = {name: arrays[name] for name in arrays.files}
+        other = AgentRoster(scenario, tiny_config(hidden=(4, 4))).beam_agent  # a vector of another layout
+        vectors[f"beam.{key}"] = other.vectors()[key]
+        np.savez(path, **vectors)
+        pattern = rf"roster.npz holds beam\.{key} of shape \({vectors[f'beam.{key}'].size},\), the config implies"
+        with pytest.raises(ConfigError, match=pattern):
+            AgentRoster.load(tmp_path / "roster", scenario, config).read_learner_state()
+
+    def test_load_reads_the_actors_and_leaves_the_learner_state_on_disk(self, tmp_path):
+        scenario, config = desk_scenario(), tiny_config()
+        roster = AgentRoster(scenario, config)
+        roster.save(tmp_path / "roster")
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        for _, agent in loaded.all_agents():
+            assert set(vars(agent)) & {"critic1", "target_actor", "opt_actor", "opt_critic2"} == set()
+        loaded.read_learner_state()  # reads it all
+        for (_, a), (_, b) in zip(roster.all_agents(), loaded.all_agents()):
+            assert {"critic1", "target_actor", "opt_actor", "opt_critic2"} <= set(vars(b))
+            np.testing.assert_array_equal(b.target_critic2.flat, a.target_critic2.flat)
+            np.testing.assert_array_equal(b.opt_critic1.m, a.opt_critic1.m)
+
+    def test_saving_an_actor_only_roster_is_a_protocol_error(self, tmp_path):
+        scenario, config = desk_scenario(), tiny_config()
+        AgentRoster(scenario, config).save(tmp_path / "roster")
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        with pytest.raises(ProtocolError, match="roster.npz holds learner state not yet read"):
+            loaded.save(tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
+
+    def test_learner_state_is_read_once(self, tmp_path):
+        scenario, config = desk_scenario(), tiny_config()
+        AgentRoster(scenario, config).save(tmp_path / "roster")
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        loaded.read_learner_state()
+        with pytest.raises(ProtocolError, match="holds its learner state already"):
+            loaded.read_learner_state()
+        with pytest.raises(ProtocolError, match="holds its learner state already"):
+            AgentRoster(scenario, config).read_learner_state()  # a built roster has nothing on disk
+
+    def test_save_over_its_own_checkpoint_keeps_every_array(self, tmp_path):
+        scenario, config = desk_scenario(), tiny_config(episodes=3)
+        roster = train(scenario, config).roster
+        roster.save(tmp_path / "roster")
+        loaded = AgentRoster.load(tmp_path / "roster", scenario, config)
+        loaded.read_learner_state()
+        loaded.save(tmp_path / "roster")
+        roster.save(tmp_path / "reference")
+        assert (tmp_path / "roster" / "roster.json").read_text() == (tmp_path / "reference" / "roster.json").read_text()
+        with np.load(tmp_path / "roster" / "roster.npz") as got, np.load(tmp_path / "reference" / "roster.npz") as want:
+            assert got.files == want.files
+            for key in want.files:
+                np.testing.assert_array_equal(got[key], want[key])
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# Per roster.json entry: values of its kind that lie outside its range; an
+# update count stands for each agent's.
+_OUT_OF_RANGE = {
+    "hidden": st.tuples(st.integers(1, 64), st.integers(max_value=0)).map(list),
+    "lr_actor": _floats(max_value=0.0),
+    "lr_critic": _floats(max_value=0.0),
+    "gamma": _floats(max_value=0.0, exclude_max=True) | _floats(min_value=1.0),
+    "tau": _floats(max_value=0.0) | _floats(min_value=1.0, exclude_min=True),
+    "policy_delay": st.integers(max_value=0),
+    "smoothing_std": _floats(max_value=0.0, exclude_max=True),
+    "critic_update_count": st.integers(max_value=-1),
+    "actor_update_count": st.integers(max_value=-1),
+}
+_WHOLE_NUMBERS = ("policy_delay", "critic_update_count", "actor_update_count")
+_COUNTS = ("critic_update_count", "actor_update_count")
+
+
+def _bad_entry(name):
+    """A roster.json key for the entry ``name`` (an agent's, for an update count) and a value of a
+    wrong kind, a non-finite number or a value out of range for it."""
+    wrong_kind = st.sampled_from(["0.9", "7", True, False, None, [0.9], {"value": 1}])
+    non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    if name == "hidden":  # a list is its kind: a wrong kind or non-finite number goes in as a width
+        wrong_kind = wrong_kind | wrong_kind.map(lambda v: [16, v])
+        non_finite = non_finite.map(lambda v: [16, v])
+    elif name in _WHOLE_NUMBERS:
+        wrong_kind = wrong_kind | st.sampled_from([2.5, -0.5])
+    key = st.sampled_from(["uav_0", "uav_1", "beam", "sixdma"]).map(f"{{}}.{name}".format) if name in _COUNTS \
+        else st.just(name)
+    return st.tuples(key, wrong_kind | non_finite | _OUT_OF_RANGE[name])
+
+
+@pytest.fixture(scope="module")
+def saved_roster(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("roster")
+    AgentRoster(desk_scenario(), tiny_config()).save(directory)
+    return directory, json.loads((directory / "roster.json").read_text())
+
+
+@given(entry=st.sampled_from(list(_OUT_OF_RANGE)).flatmap(_bad_entry))
+@example(entry=("gamma", "0.9"))
+@example(entry=("beam.critic_update_count", "7"))
+@example(entry=("uav_1.actor_update_count", 2.5))
+@example(entry=("sixdma.critic_update_count", -3))
+def test_a_bad_roster_entry_is_a_config_error_naming_it(saved_roster, entry):
+    # every setting and update count is checked by kind before range, so none escapes as a TypeError
+    assert set(_OUT_OF_RANGE) == {*(f.name for f in fields(AgentSettings)), *_COUNTS}
+    directory, manifest = saved_roster
+    name, value = entry
+    (directory / "roster.json").write_text(json.dumps({**manifest, name: value}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} "):
+        AgentRoster.load(directory, desk_scenario(), tiny_config())
 
 
 class TestLatency:

@@ -11,7 +11,7 @@ from killpoints import KillSweep
 
 @pytest.mark.parametrize("mode", ["fresh", "retrain"])
 def test_a_kill_at_each_file_operation_site_resumes_to_the_uninterrupted_run(tmp_path, mode):
-    sweep = KillSweep(tmp_path, mode, episodes=2, buffer_capacity=64)
+    sweep = KillSweep(tmp_path, mode, episodes=2)
     points = sweep.tier1_points()
     sites = dict(enumerate(sweep.sites, start=1))
     swaps = [k for k, site in sites.items() if site.startswith("rename") and site.endswith("/snapshots")]

@@ -1,17 +1,16 @@
-import json
 import os
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sixdma_isac.errors import ConfigError, ProtocolError, check_ranges
 from sixdma_isac.nn import Mlp
-from sixdma_isac.rl import AGENT_RANGES, CHECKPOINT_VERSION, AgentSettings, NoiseSchedule, ReplayBuffer, Td3Agent
+from sixdma_isac.rl import AGENT_RANGES, VECTORS, AgentSettings, NoiseSchedule, ReplayBuffer, Td3Agent
 
 
 def make_agent(obs_dim=4, action_dim=2, hidden=(16, 16), seed=0, **kwargs):
@@ -251,6 +250,15 @@ class TestSoftUpdate:
         assert changed
 
 
+def load_clone(buf, tmp_path):
+    """A buffer of ``buf``'s capacity loaded from its state arrays, saved as a snapshot saves them."""
+    np.savez(tmp_path / "buffer.npz", **buf.state_arrays())
+    clone = ReplayBuffer(capacity=buf.capacity)
+    with np.load(tmp_path / "buffer.npz") as arrays:
+        clone.load_arrays(arrays)
+    return clone
+
+
 class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3)
@@ -286,12 +294,16 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(batch["x"], buf.state_arrays()["field_x"][idx])
         assert rng.bit_generator.state == hand_rng.bit_generator.state
 
-    def test_unpushed_rows_read_zero(self):
+    def test_state_arrays_hold_the_filled_rows_alone(self, tmp_path):
         buf = ReplayBuffer(capacity=5)
         buf.push({"x": np.array([1.0, 2.0]), "r": 3.0})
         fields = buf.state_arrays()
-        np.testing.assert_array_equal(fields["field_x"], [[1.0, 2.0]] + [[0.0, 0.0]] * 4)
-        np.testing.assert_array_equal(fields["field_r"], [3.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(fields["field_x"], [[1.0, 2.0]])
+        np.testing.assert_array_equal(fields["field_r"], [3.0])
+        clone = load_clone(buf, tmp_path)  # of the full capacity, filling on from the next write row
+        clone.push({"x": np.array([4.0, 5.0]), "r": 6.0})
+        np.testing.assert_array_equal(clone.state_arrays()["field_x"], [[1.0, 2.0], [4.0, 5.0]])
+        assert clone.capacity == 5
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_storage_is_not_shared_with_a_forked_child(self):
@@ -302,7 +314,7 @@ class TestReplayBuffer:
             buf.push({"x": np.array([7.0])})
             os._exit(0)
         os.waitpid(pid, 0)
-        np.testing.assert_array_equal(buf.state_arrays()["field_x"].ravel(), [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(buf.state_arrays()["field_x"].ravel(), [1.0])
 
     def test_underfull_buffer_signals_not_ready(self):
         buf = ReplayBuffer(capacity=10)
@@ -310,25 +322,22 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
-    def test_state_round_trip(self):
+    def test_state_round_trip(self, tmp_path):
         buf = ReplayBuffer(capacity=6)
         for k in range(4):
             buf.push({"x": np.array([float(k)]), "r": float(k) * 2.0})
-        clone = ReplayBuffer(capacity=6)
-        # load_arrays adopts its arrays, so hand it copies of a live buffer's
-        clone.load_arrays({key: value.copy() for key, value in buf.state_arrays().items()})
+        clone = load_clone(buf, tmp_path)
         assert len(clone) == len(buf)
         b1 = buf.sample(4, np.random.default_rng(3))
         b2 = clone.sample(4, np.random.default_rng(3))
         np.testing.assert_array_equal(b1["x"], b2["x"])
         np.testing.assert_array_equal(b1["r"], b2["r"])
 
-    def test_wrapped_buffer_keeps_evicting_oldest_after_a_round_trip(self):
+    def test_wrapped_buffer_keeps_evicting_oldest_after_a_round_trip(self, tmp_path):
         buf = ReplayBuffer(capacity=4)
         for k in range(6):
             buf.push({"x": np.array([float(k)])})
-        clone = ReplayBuffer(capacity=4)
-        clone.load_arrays({key: value.copy() for key, value in buf.state_arrays().items()})
+        clone = load_clone(buf, tmp_path)
         for store in (buf, clone):
             store.push({"x": np.array([6.0])})
         np.testing.assert_array_equal(clone.state_arrays()["field_x"].ravel(), [4.0, 5.0, 6.0, 3.0])
@@ -394,15 +403,10 @@ class TestSettingRanges:
         ("lr_critic", -1e-4, "lr_critic must be > 0"), ("smoothing_std", -0.1, "smoothing_std must be >= 0"),
         ("hidden", (16, 0), "hidden must hold widths >= 1, got "),
     ])
-    def test_an_agent_refuses_a_setting_out_of_range(self, tmp_path, setting, value, message):
+    def test_an_agent_refuses_a_setting_out_of_range(self, setting, value, message):
+        # a roster load refuses one its checkpoint records (test_hdrl.py, TestRosterCheckpoints)
         with pytest.raises(ConfigError, match=f"^{message}"):
             make_agent(**{setting: value})
-        # and so does a load of a manifest that records one
-        make_agent(seed=35).save(tmp_path / "agent")
-        manifest_path = tmp_path / "agent" / "manifest.json"
-        manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), setting: value}))
-        with pytest.raises(ConfigError, match=f"^{message}"):
-            Td3Agent.load(tmp_path / "agent")
 
     def test_check_ranges_reads_the_settings_it_is_given(self):
         # the agent's table names its constructor settings alone: a training-only setting such as
@@ -413,185 +417,59 @@ class TestSettingRanges:
             check_ranges({"gamma": 0.5, "smoothing_std": -0.01}, AGENT_RANGES)
 
 
-def _floats(**bounds):
-    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
-
-
-# Per agent-manifest entry: values of its kind that lie outside its range.
-_OUT_OF_RANGE = {
-    "hidden": st.tuples(st.integers(1, 64), st.integers(max_value=0)).map(list),
-    "lr_actor": _floats(max_value=0.0),
-    "lr_critic": _floats(max_value=0.0),
-    "gamma": _floats(max_value=0.0, exclude_max=True) | _floats(min_value=1.0),
-    "tau": _floats(max_value=0.0) | _floats(min_value=1.0, exclude_min=True),
-    "policy_delay": st.integers(max_value=0),
-    "smoothing_std": _floats(max_value=0.0, exclude_max=True),
-    "critic_update_count": st.integers(max_value=-1),
-    "actor_update_count": st.integers(max_value=-1),
-}
-_WHOLE_NUMBERS = ("policy_delay", "critic_update_count", "actor_update_count")
-
-
-def _bad_entry(name):
-    """A value of a wrong kind, a non-finite number or a value out of range for the manifest entry ``name``."""
-    wrong_kind = st.sampled_from(["0.9", "7", True, False, None, [0.9], {"value": 1}])
-    non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
-    if name == "hidden":  # a list is its kind: a wrong kind or non-finite number goes in as a width
-        wrong_kind = wrong_kind | wrong_kind.map(lambda v: [16, v])
-        non_finite = non_finite.map(lambda v: [16, v])
-    elif name in _WHOLE_NUMBERS:
-        wrong_kind = wrong_kind | st.sampled_from([2.5, -0.5])
-    return st.tuples(st.just(name), wrong_kind | non_finite | _OUT_OF_RANGE[name])
-
-
-@pytest.fixture(scope="module")
-def saved_agent(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("agent")
-    make_agent(seed=40).save(directory)
-    return directory, json.loads((directory / "manifest.json").read_text())
-
-
-@given(entry=st.sampled_from(list(_OUT_OF_RANGE)).flatmap(_bad_entry))
-@example(entry=("gamma", "0.9"))
-@example(entry=("critic_update_count", "7"))
-@example(entry=("actor_update_count", 2.5))
-@example(entry=("critic_update_count", -3))
-def test_a_bad_manifest_entry_is_a_config_error_naming_it(saved_agent, entry):
-    # every setting and update count is checked by kind before range, so none escapes as a TypeError
-    assert set(_OUT_OF_RANGE) == {*(f.name for f in fields(AgentSettings)), "critic_update_count",
-                                  "actor_update_count"}
-    directory, manifest = saved_agent
-    name, value = entry
-    (directory / "manifest.json").write_text(json.dumps({**manifest, name: value}))
-    with pytest.raises(ConfigError, match=f"^{name} "):
-        Td3Agent.load(directory)
-
-
 NETWORKS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
 
 
-class TestCheckpoints:
-    def test_save_load_round_trip(self, tmp_path):
+class TestVectors:
+    def test_vectors_are_the_networks_then_the_adam_moments_as_held(self):
         agent = make_agent(seed=24)
-        rng = np.random.default_rng(25)
-        for _ in range(4):
-            agent.critic_update(rng.normal(size=(4, 6)), rng.normal(size=4))
-        agent.soft_update()
-        agent.save(tmp_path / "agent")
-        assert sorted(path.name for path in (tmp_path / "agent").iterdir()) == ["manifest.json", "state.npz"]
-        with np.load(tmp_path / "agent" / "state.npz") as arrays:
-            assert arrays.files == [*NETWORKS, "opt_actor_m", "opt_actor_v", "opt_critic1_m", "opt_critic1_v",
-                                    "opt_critic2_m", "opt_critic2_v"]
-            np.testing.assert_array_equal(arrays["opt_critic2_v"], agent.opt_critic2.v)
-        loaded = Td3Agent.load(tmp_path / "agent")
-        loaded.read_learner_state()
-        assert loaded.critic_update_count == agent.critic_update_count
-        for name in NETWORKS:
-            for a, b in zip(getattr(agent, name).parameters(), getattr(loaded, name).parameters()):
-                np.testing.assert_array_equal(a, b)
-        obs = rng.normal(size=4)
-        np.testing.assert_array_equal(agent.select_action(obs), loaded.select_action(obs))
-        assert (loaded.opt_actor.step_count, loaded.opt_critic1.step_count) == (0, 4)  # the update counts
+        vectors = agent.vectors()
+        assert tuple(vectors) == VECTORS == (*NETWORKS, "opt_actor_m", "opt_actor_v", "opt_critic1_m",
+                                             "opt_critic1_v", "opt_critic2_m", "opt_critic2_v")
+        assert vectors["critic2"] is agent.critic2.flat and vectors["opt_critic2_v"] is agent.opt_critic2.v
 
-    def test_loaded_and_soft_updated_networks_alias_their_flat_vector(self, tmp_path):
+    def test_an_agent_from_vectors_adopts_each_without_a_copy_or_an_initialisation(self, monkeypatch):
         agent = make_agent(seed=26)
         agent.soft_update(0.5)
-        agent.save(tmp_path / "agent")
-        loaded = Td3Agent.load(tmp_path / "agent")
-        loaded.read_learner_state()
-        for owner in (agent, loaded):
+        vectors = {key: value.copy() for key, value in agent.vectors().items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Mlp.__init__ called")
+
+        monkeypatch.setattr(Mlp, "__init__", refuse)
+        rebuilt = Td3Agent.from_vectors(4, 2, 6, vectors, critic_update_count=4, hidden=(16, 16))
+        for owner in (agent, rebuilt):
             for name in NETWORKS:
                 net = getattr(owner, name)
                 for p in net.parameters():
                     assert np.shares_memory(p, net.flat)
+        assert all(rebuilt.vectors()[key] is vectors[key] for key in VECTORS)
+        assert (rebuilt.opt_actor.step_count, rebuilt.opt_critic1.step_count) == (0, 4)  # the update counts
 
-    def test_loaded_agent_continues_bit_identically(self, tmp_path):
+    def test_an_agent_from_its_actor_alone_acts_and_adopts_the_rest_later(self):
+        agent = make_agent(seed=34)
+        vectors = agent.vectors()
+        rebuilt = Td3Agent.from_vectors(4, 2, 6, {"actor": vectors["actor"]}, hidden=(16, 16))
+        assert set(vars(rebuilt)) & {"critic1", "target_actor", "opt_actor", "opt_critic2"} == set()
+        obs = np.random.default_rng(35).normal(size=4)
+        np.testing.assert_array_equal(rebuilt.select_action(obs), agent.select_action(obs))
+        rebuilt.adopt({key: vectors[key] for key in VECTORS[1:]})
+        assert all(rebuilt.vectors()[key] is vectors[key] for key in VECTORS)
+
+    def test_an_agent_from_vectors_continues_bit_identically(self):
         agent = make_agent(seed=27, policy_delay=1)
         rng = np.random.default_rng(28)
         for _ in range(3):
             agent.critic_update(rng.normal(size=(8, 6)), rng.normal(size=8))
             agent.actor_update(rng.normal(size=(8, 4)), rng.normal(size=(8, 6)), slice(4, 6))
             agent.soft_update()
-        agent.save(tmp_path / "agent")
-        loaded = Td3Agent.load(tmp_path / "agent")
-        loaded.read_learner_state()
+        rebuilt = Td3Agent.from_vectors(4, 2, 6, {key: value.copy() for key, value in agent.vectors().items()},
+                                        critic_update_count=3, actor_update_count=3, hidden=(16, 16),
+                                        policy_delay=1)
         obs, inputs, targets = rng.normal(size=(8, 4)), rng.normal(size=(8, 6)), rng.normal(size=8)
-        for a in (agent, loaded):
+        for a in (agent, rebuilt):
             a.critic_update(inputs, targets)
             a.actor_update(obs, inputs, slice(4, 6))
             a.soft_update()
-        for name in NETWORKS:
-            np.testing.assert_array_equal(getattr(agent, name).flat, getattr(loaded, name).flat)
-        for opt in ("opt_actor", "opt_critic1", "opt_critic2"):
-            np.testing.assert_array_equal(getattr(agent, opt).m, getattr(loaded, opt).m)
-            np.testing.assert_array_equal(getattr(agent, opt).v, getattr(loaded, opt).v)
-
-    def test_load_keeps_the_constructor_checks(self, tmp_path):
-        import json
-
-        make_agent(seed=31).save(tmp_path / "agent")
-        manifest_path = tmp_path / "agent" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest_path.write_text(json.dumps({**manifest, "gamma": 1.5}))
-        with pytest.raises(ValueError, match="gamma"):
-            Td3Agent.load(tmp_path / "agent")
-        assert manifest["version"] == CHECKPOINT_VERSION == 2
-        manifest_path.write_text(json.dumps({**manifest, "version": 1}))
-        with pytest.raises(ConfigError, match="is version 1; .* train the run afresh"):
-            Td3Agent.load(tmp_path / "agent")
-
-    @pytest.mark.parametrize("name", ["actor", "critic2", "opt_actor_v"])
-    def test_vector_unlike_its_manifest_is_rejected(self, tmp_path, name):
-        # the actor is checked at load, the learner state when it is read
-        make_agent(seed=32).save(tmp_path / "agent")
-        path = tmp_path / "agent" / "state.npz"
-        with np.load(path) as arrays:
-            vectors = {key: arrays[key] for key in arrays.files}
-        vectors[name] = make_agent(hidden=(8, 8), seed=33).critic2.flat  # a vector of another agent's layout
-        np.savez(path, **vectors)
-        pattern = rf"state.npz holds {name} of shape \({vectors[name].size},\), the manifest implies"
-        with pytest.raises(ValueError, match=pattern):
-            Td3Agent.load(tmp_path / "agent").read_learner_state()
-
-    def test_load_reads_the_actor_and_leaves_the_learner_state_on_disk(self, tmp_path):
-        agent = make_agent(seed=34)
-        agent.save(tmp_path / "agent")
-        loaded = Td3Agent.load(tmp_path / "agent")
-        assert set(vars(loaded)) & {"critic1", "target_actor", "opt_actor", "opt_critic2"} == set()
-        obs = np.random.default_rng(35).normal(size=4)
-        np.testing.assert_array_equal(loaded.select_action(obs), agent.select_action(obs))
-        loaded.read_learner_state()  # reads it all
-        assert {"critic1", "target_actor", "opt_actor", "opt_critic2"} <= set(vars(loaded))
-        np.testing.assert_array_equal(loaded.target_critic2.flat, agent.target_critic2.flat)
-        np.testing.assert_array_equal(loaded.opt_critic1.m, agent.opt_critic1.m)
-
-    def test_saving_an_actor_only_agent_is_a_protocol_error(self, tmp_path):
-        make_agent(seed=36).save(tmp_path / "agent")
-        loaded = Td3Agent.load(tmp_path / "agent")
-        with pytest.raises(ProtocolError, match="state.npz holds learner state not yet read"):
-            loaded.save(tmp_path / "copy")
-        assert not (tmp_path / "copy").exists()
-
-    def test_learner_state_is_read_once(self, tmp_path):
-        make_agent(seed=37).save(tmp_path / "agent")
-        loaded = Td3Agent.load(tmp_path / "agent")
-        loaded.read_learner_state()
-        with pytest.raises(ProtocolError, match="holds its learner state already"):
-            loaded.read_learner_state()
-        with pytest.raises(ProtocolError, match="holds its learner state already"):
-            make_agent(seed=37).read_learner_state()  # a built agent has nothing on disk
-
-    def test_save_over_its_own_checkpoint_keeps_every_array(self, tmp_path):
-        agent = make_agent(seed=38)
-        rng = np.random.default_rng(39)
-        for _ in range(2):
-            agent.critic_update(rng.normal(size=(4, 6)), rng.normal(size=4))
-        agent.save(tmp_path / "agent")
-        loaded = Td3Agent.load(tmp_path / "agent")
-        loaded.read_learner_state()
-        loaded.save(tmp_path / "agent")
-        agent.save(tmp_path / "reference")
-        with np.load(tmp_path / "agent" / "state.npz") as got, np.load(tmp_path / "reference" / "state.npz") as want:
-            assert got.files == want.files
-            for key in want.files:
-                np.testing.assert_array_equal(got[key], want[key])
+        for key in VECTORS:
+            np.testing.assert_array_equal(agent.vectors()[key], rebuilt.vectors()[key])
